@@ -24,7 +24,7 @@ from .harness import (
     run_trial,
     write_csv,
 )
-from .scenarios import apply_overrides, load_scenario
+from .scenarios import apply_overrides, load_scenario, parse_overrides
 from .sensor import SensorModel, calibrate, estimate_bias
 
 EXIT_OK = 0
@@ -94,33 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_to_dict(items: list[str]) -> dict:
-    """Turn KEY=VALUE strings with dotted paths into a nested dict."""
-    tree: dict = {}
-    for item in items:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not of the form key=value")
-        key, raw = item.split("=", 1)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        node = tree
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override key {key!r} conflicts with an earlier override")
-        node[parts[-1]] = value
-    return tree
-
-
 def _cmd_run(args) -> int:
-    spec = load_scenario(args.scenario)
-    if args.overrides:
-        spec = apply_overrides(spec, args.overrides)
-    if args.seed is not None:
-        spec = apply_overrides(spec, [f"seed={args.seed}"])
+    overrides = args.overrides + ([] if args.seed is None else [f"seed={args.seed}"])
+    spec = apply_overrides(load_scenario(args.scenario), overrides)
     result = run_trial(spec)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,7 +113,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_exp_a(args) -> int:
     result = run_experiment_a(
-        out_dir=args.out_dir, base_seed=args.seed, overrides=_overrides_to_dict(args.overrides)
+        out_dir=args.out_dir, base_seed=args.seed, overrides=parse_overrides(args.overrides)
     )
     print(result.table())
     print(f"{len(result.trials)} trials in {result.elapsed:.1f} s; reports in {args.out_dir}")
@@ -146,7 +122,7 @@ def _cmd_exp_a(args) -> int:
 
 def _cmd_exp_b(args) -> int:
     runs = run_experiment_b(
-        out_dir=args.out_dir, base_seed=args.seed, overrides=_overrides_to_dict(args.overrides)
+        out_dir=args.out_dir, base_seed=args.seed, overrides=parse_overrides(args.overrides)
     )
     print(experiment_b_table(runs))
     print(f"{len(runs)} runs; series and metrics in {args.out_dir}")

@@ -324,6 +324,7 @@ class TrajectoryController:
         self.request = request
         self.joint_min = joint_min
         self.joint_max = joint_max
+        self.ticks = 0
         self.phase = GraspPhase.CLOSING
         self.finished = False
         self.fault = False
@@ -335,6 +336,14 @@ class TrajectoryController:
         frac = min(max(t / r.duration, 0.0), 1.0)
         return r.start_aperture + (r.end_aperture - r.start_aperture) * frac
 
-    def tick(self, q1: float, q2: float, t: float) -> ControlCommand:
-        q = min(max(0.5 * self.aperture(t), self.joint_min), self.joint_max)
+    def tick(
+        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
+    ) -> ControlCommand:
+        """Advance one control period; only the elapsed time shapes the command.
+
+        The time is the tick count times dt rather than a running sum, so it
+        matches the caller's own tick clock bit for bit.
+        """
+        self.ticks += 1
+        q = min(max(0.5 * self.aperture(self.ticks * dt), self.joint_min), self.joint_max)
         return ControlCommand(q, q)

@@ -29,15 +29,7 @@ from .controller import (
     compute_external_force,
 )
 from .plant import Plant, Push, WristSweep
-from .scenarios import (
-    ABLATIONS,
-    FORCE,
-    OBJECTS,
-    ScenarioSpec,
-    TAPE_ROLL,
-    TRAJECTORY,
-    resolve,
-)
+from .scenarios import FORCE, ScenarioSpec, TAPE_ROLL, TRAJECTORY, resolve, with_overrides
 from .sensor import CalibratedSensor
 
 CSV_HEADER = "t,q1,q2,f1,f2,f_int,f_ext,x_obj,phase,u_int,u_ext"
@@ -133,7 +125,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     """Simulate one grasp trial and compute its metrics."""
     try:
         resolved = resolve(spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     plant = Plant(
@@ -151,10 +143,8 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             resolved.request,
             closure_probe=_closure_probe_for(resolved.obj, spec.mu, spec.mu_tau),
         )
-        trajectory = None
     else:
-        controller = None
-        trajectory = TrajectoryController(
+        controller = TrajectoryController(
             resolved.request,
             joint_min=resolved.control.joint_min,
             joint_max=resolved.control.joint_max,
@@ -164,7 +154,6 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     dt = 1.0 / cfg.control_rate
     n_ticks = max(1, math.ceil(resolved.duration * cfg.control_rate))
     rows: list[TimeSeriesRow] = []
-    finished = False
 
     for k in range(n_ticks):
         t = k * dt
@@ -174,31 +163,26 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         g_dot_n = plant.g_dot_n()
         q1, q2 = plant.q1, plant.q2
 
-        if controller is not None:
-            cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
-            phase = controller.phase.value
-            u_int, u_ext = controller.last_u_int, controller.last_u_ext
-            if controller.fault:
-                raise RuntimeFault(f"non-finite measurement at t={t:.3f} s")
-        else:
-            cmd = trajectory.tick(q1, q2, (k + 1) * dt)
-            phase = trajectory.phase.value
-            u_int = u_ext = 0.0
+        cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
+        if controller.fault:
+            raise RuntimeFault(f"non-finite measurement at t={t:.3f} s")
 
         f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         rows.append(
-            TimeSeriesRow(t, q1, q2, f1, f2, f1 + f2, f_ext, plant.x_obj, phase, u_int, u_ext)
+            TimeSeriesRow(
+                t, q1, q2, f1, f2, f1 + f2, f_ext, plant.x_obj, controller.phase.value,
+                controller.last_u_int, controller.last_u_ext,
+            )
         )
         state = plant.step(cmd, dt)
         if not all(
             math.isfinite(v) for v in (state.x_obj, state.q1, state.q2, state.true_f1, state.true_f2)
         ):
             raise RuntimeFault(f"non-finite plant state at t={t:.3f} s")
-        if controller is not None and cfg.phase3_mode == STOP_AT_GOAL and controller.finished:
-            finished = True
+        if controller.finished:
             break
 
-    return _finish_trial(spec, cfg, resolved.obj.width, rows, finished)
+    return _finish_trial(spec, cfg, resolved.obj.width, rows, controller.finished)
 
 
 def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
@@ -258,41 +242,18 @@ def write_csv(rows: list[TimeSeriesRow], path: str | Path) -> Path:
     if not rows:
         raise ValueError("refusing to write an empty time series")
     path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(
-                    ",".join(
-                        (
-                            _fmt(r.t),
-                            _fmt(r.q1),
-                            _fmt(r.q2),
-                            _fmt(r.f1),
-                            _fmt(r.f2),
-                            _fmt(r.f_int),
-                            _fmt(r.f_ext),
-                            _fmt(r.x_obj),
-                            r.phase,
-                            _fmt(r.u_int),
-                            _fmt(r.u_ext),
-                        )
-                    )
-                    + "\n"
-                )
-    except OSError as exc:
-        raise RuntimeFault(f"cannot write time series to {path}: {exc}") from exc
+    _write_table(path, CSV_HEADER.split(","), (vars(r).values() for r in rows))
     return path
 
 
-def _write_table(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_table(path: Path, header: list[str], rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                fh.write(",".join([_fmt(v) for v in row]) + "\n")
     except OSError as exc:
-        raise RuntimeFault(f"cannot write report to {path}: {exc}") from exc
+        raise RuntimeFault(f"cannot write {path}: {exc}") from exc
 
 
 def _trial_seed(base: int, i_object: int, i_offset: int, rep: int) -> int:
@@ -361,7 +322,7 @@ def run_experiment_a(
                         "control": {"phase3_mode": STOP_AT_GOAL},
                         "sensors": {"noise": noise},
                     }
-                    spec = ScenarioSpec.from_dict(_merge(data, overrides))
+                    spec = with_overrides(ScenarioSpec.from_dict(data), overrides)
                     trials.append(run_trial(spec))
 
     summary = []
@@ -449,18 +410,6 @@ def run_experiment_a(
     return result
 
 
-def _merge(base: dict, overrides: dict | None) -> dict:
-    if not overrides:
-        return base
-    merged = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(value)
-        else:
-            merged[key] = value
-    return merged
-
-
 @dataclass
 class ExperimentBRun:
     scenario: str
@@ -511,12 +460,20 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int, noise: bool,
     if scenario == "push":
         data["duration"] = PUSH_DURATION
         data["pushes"] = list(PUSH_SCHEDULE)
+        metrics_end = _POST_TOTAL_WINDOW[1]
     elif scenario == "rotation":
         data["duration"] = ROTATION_DURATION
         data["wrist"] = ROTATION_SWEEP
+        metrics_end = ROTATION_SWEEP.t_end
     else:
         raise ConfigError(f"unknown experiment-B scenario {scenario!r}")
-    return ScenarioSpec.from_dict(_merge(data, overrides))
+    spec = with_overrides(ScenarioSpec.from_dict(data), overrides)
+    if not isinstance(spec.duration, (int, float)) or not spec.duration >= metrics_end:
+        raise ConfigError(
+            f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
+            f"which run to {metrics_end} s"
+        )
+    return spec
 
 
 def run_experiment_b(

@@ -30,7 +30,7 @@ Pushes on the object are real forces in its equation of motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .controller import ControlCommand
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .controller import ControllerConfig, GraspRequest, HOLD_FOREVER, STOP_AT_GOAL
+from .controller import ControllerConfig, GraspRequest
 from .plant import DisturbanceSchedule, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, SensorModel
 
@@ -129,41 +129,39 @@ _NESTED = {
 }
 
 
-def _build_dataclass(cls, data: dict, where: str):
+def _build_dataclass(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a mapping of field names to values, got {data!r}")
     names = {f.name for f in dataclasses.fields(cls) if f.init}
     unknown = set(data) - names
     if unknown:
         raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {where}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise ValueError(f"invalid {where}: {exc}") from exc
 
 
 def _spec_from_dict(cls, data: dict) -> "ScenarioSpec":
     if not isinstance(data, dict):
         raise ValueError("scenario must be a mapping of field names to values")
     data = dict(data)
-    kwargs = {}
     for name, sub_cls in _NESTED.items():
-        if name in data:
-            sub = data.pop(name)
-            kwargs[name] = sub if isinstance(sub, sub_cls) else _build_dataclass(sub_cls, sub, name)
-    if "object" in data and isinstance(data["object"], dict):
-        kwargs["object"] = _build_dataclass(ObjectSpec, data.pop("object"), "object")
+        if name in data and not isinstance(data[name], sub_cls):
+            data[name] = _build_dataclass(sub_cls, data[name], name)
+    if isinstance(data.get("object"), dict):
+        data["object"] = _build_dataclass(ObjectSpec, data["object"], "object")
     if "pushes" in data:
-        pushes = data.pop("pushes")
-        kwargs["pushes"] = tuple(
+        pushes = data["pushes"]
+        if not isinstance(pushes, (list, tuple)):
+            raise ValueError(f"pushes must be a list, got {pushes!r}")
+        data["pushes"] = tuple(
             p if isinstance(p, Push) else _build_dataclass(Push, p, "pushes") for p in pushes
         )
-    if "wrist" in data:
-        wrist = data.pop("wrist")
-        if wrist is not None and not isinstance(wrist, WristSweep):
-            wrist = _build_dataclass(WristSweep, wrist, "wrist")
-        kwargs["wrist"] = wrist
-    allowed = {f.name for f in dataclasses.fields(cls) if f.init}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in scenario")
-    kwargs.update(data)
-    return cls(**kwargs)
+    wrist = data.get("wrist")
+    if wrist is not None and not isinstance(wrist, WristSweep):
+        data["wrist"] = _build_dataclass(WristSweep, wrist, "wrist")
+    return _build_dataclass(cls, data, "scenario")
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -180,15 +178,16 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
     return ScenarioSpec.from_dict(data)
 
 
-def apply_overrides(spec: ScenarioSpec, overrides: list[str]) -> ScenarioSpec:
-    """Apply key=value overrides with dotted paths, e.g. control.f_goal=2.5.
+def parse_overrides(items: list[str]) -> dict:
+    """Turn key=value strings with dotted paths into a nested dict.
 
-    Values parse as JSON when possible (numbers, booleans, null) and fall
-    back to plain strings, so control.phase3_mode=stop_at_goal works
-    unquoted. Unknown keys raise ValueError naming the key.
+    Values parse as JSON when possible (numbers, booleans, null, objects)
+    and fall back to plain strings, so control.phase3_mode=stop_at_goal
+    works unquoted. A later item may replace an earlier value at the same
+    key but may not descend into a value an earlier item set.
     """
-    data = spec.to_dict()
-    for item in overrides:
+    tree: dict = {}
+    for item in items:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not of the form key=value")
         key, raw = item.split("=", 1)
@@ -196,16 +195,42 @@ def apply_overrides(spec: ScenarioSpec, overrides: list[str]) -> ScenarioSpec:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ValueError(f"unknown override key {key!r}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ValueError(f"unknown override key {key!r}")
-        node[parts[-1]] = value
-    return ScenarioSpec.from_dict(data)
+        *parents, leaf = key.split(".")
+        node = tree
+        for part in parents:
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"override key {key!r} conflicts with an earlier override")
+        node[leaf] = value
+    return tree
+
+
+def with_overrides(spec: ScenarioSpec, tree: dict | None) -> ScenarioSpec:
+    """Deep-merge a nested override dict onto the spec and rebuild it.
+
+    Where both the spec and the override hold a mapping the merge recurses;
+    anywhere else the override value replaces the spec value, so a mapping
+    can stand in for a catalog object name or an unset wrist sweep. Keys
+    the spec does not have raise ValueError naming the dotted path.
+    """
+
+    def merge(base: dict, over: dict, prefix: str) -> dict:
+        merged = dict(base)
+        for key, value in over.items():
+            path = prefix + key
+            if key not in merged:
+                raise ValueError(f"unknown override key {path!r}")
+            if isinstance(value, dict) and isinstance(merged[key], dict):
+                value = merge(merged[key], value, path + ".")
+            merged[key] = value
+        return merged
+
+    return ScenarioSpec.from_dict(merge(spec.to_dict(), tree or {}, ""))
+
+
+def apply_overrides(spec: ScenarioSpec, overrides: list[str]) -> ScenarioSpec:
+    """Apply key=value overrides with dotted paths, e.g. control.f_goal=2.5."""
+    return with_overrides(spec, parse_overrides(overrides))
 
 
 @dataclass

@@ -80,6 +80,40 @@ class TestRun:
         assert (out2 / "tape.csv").read_bytes() == first
 
 
+# Each list of --set items is wrongly shaped for the spec.
+BAD_OVERRIDES = [
+    ["control=5"],
+    ["wrist=7"],
+    ["pushes=5"],
+    ["control.f_goal=abc"],
+    ["control.f_goal=2", "control=1"],
+    ["control=1", "control.f_goal=2"],
+    ["seed=x"],
+    ["object.mass=0.1"],
+]
+
+
+def bad_override_cases():
+    cases = [(command, items) for items in BAD_OVERRIDES for command in ("run", "exp-a", "exp-b")]
+    # Too short for exp-b's metric windows, valid for the other two.
+    cases.append(("exp-b", ["duration=2"]))
+    return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
+
+
+class TestBadOverrides:
+    @pytest.mark.parametrize("command,items", bad_override_cases())
+    def test_exits_2_without_traceback(self, command, items, scenario_file, tmp_path, capsys):
+        argv = [command] + ([scenario_file] if command == "run" else [])
+        argv += ["--out-dir", str(tmp_path / "o")]
+        for item in items:
+            argv += ["--set", item]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+
+
 class TestClosure:
     def test_antipodal_with_friction(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", ANTIPODAL)])

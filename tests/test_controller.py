@@ -351,15 +351,15 @@ class TestTrajectoryController:
 
     def test_tick_ignores_everything_but_time(self):
         ctrl = self.make()
-        cmd = ctrl.tick(0.001, 0.07, 1.5)
+        cmd = ctrl.tick(5.0, 5.0, 0.001, 0.07, 0.0, 1.5)
         assert cmd.q1_cmd == cmd.q2_cmd == pytest.approx(0.0325)
 
     def test_joint_clamp(self):
         ctrl = TrajectoryController(GraspRequest(0.08, 0.05, 3.0), joint_max=0.03)
-        cmd = ctrl.tick(0.0, 0.0, 0.0)
+        cmd = ctrl.tick(0.0, 0.0, 0.0, 0.0, 0.0, DT)
         assert cmd.q1_cmd == 0.03
 
     def test_never_faults_on_forces(self):
         ctrl = self.make()
         assert not ctrl.fault
-        assert math.isfinite(ctrl.tick(0.0, 0.0, 0.5).q1_cmd)
+        assert math.isfinite(ctrl.tick(float("nan"), float("inf"), 0.0, 0.0, 0.0, 0.5).q1_cmd)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from graspforce.controller import STOP_AT_GOAL
+from graspforce.harness import run_experiment_a
 from graspforce.plant import ObjectSpec
 from graspforce.scenarios import (
     ABLATIONS,
@@ -14,6 +15,7 @@ from graspforce.scenarios import (
     SensorSetup,
     apply_overrides,
     load_scenario,
+    parse_overrides,
     resolve,
 )
 
@@ -114,6 +116,30 @@ class TestOverrides:
     def test_missing_equals_sign(self):
         with pytest.raises(ValueError, match="key=value"):
             apply_overrides(ScenarioSpec(), ["control.f_goal"])
+
+    def test_dotted_path_into_inline_object(self):
+        slab = ObjectSpec("slab", mass=0.05, width=0.06, stiffness=2000.0, damping=10.0)
+        spec = apply_overrides(ScenarioSpec(object=slab), ["object.mass=0.1"])
+        assert spec.object == dataclasses.replace(slab, mass=0.1)
+
+    def test_json_object_replaces_a_section(self):
+        spec = apply_overrides(
+            ScenarioSpec(),
+            ['object={"name": "slab", "mass": 0.1, "width": 0.05, "stiffness": 3000}'],
+        )
+        assert spec.object == ObjectSpec("slab", mass=0.1, width=0.05, stiffness=3000.0)
+
+    def test_experiments_take_the_same_keys(self):
+        items = ["control.f_goal=2.5", "sensors.noise=false"]
+        result = run_experiment_a(
+            offsets=(0.005,), reps=1, objects=("tape_roll",), overrides=parse_overrides(items)
+        )
+        for trial in result.trials:
+            assert trial.spec.control.f_goal == 2.5
+            assert trial.spec.control.phase3_mode == STOP_AT_GOAL
+            assert apply_overrides(trial.spec, items) == trial.spec
+        with pytest.raises(ValueError, match="control.bogus"):
+            run_experiment_a(overrides=parse_overrides(["control.bogus=1"]))
 
 
 class TestResolve:
