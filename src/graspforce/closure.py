@@ -91,14 +91,11 @@ def build_grasp_matrix(contacts: list[Contact]) -> np.ndarray:
     """
     if not contacts:
         raise ValueError("cannot build a grasp matrix from zero contacts")
-    cols = []
-    for contact in contacts:
-        for j in range(4):
-            basis = np.zeros(4)
-            basis[j] = 1.0
-            w = adjoint_transform(contact.position, contact.rotation, wrench_basis_apply(basis))
-            cols.append(np.concatenate([w.force, w.torque]))
-    return np.column_stack(cols)
+    return np.column_stack([
+        adjoint_transform(c.position, c.rotation, wrench_basis_apply(basis)).as_vector()
+        for c in contacts
+        for basis in np.eye(4)
+    ])
 
 
 def in_friction_cone(f, mu: float, mu_tau: float, margin: float = 0.0) -> bool:
@@ -135,16 +132,17 @@ def linearize_cone(mu: float, mu_tau: float, sides: int = DEFAULT_CONE_SIDES) ->
     return rows
 
 
-def _stacked_cone_rows(contacts, sides):
-    """Block-diagonal cone constraints over the stacked force vector."""
-    n = len(contacts)
-    blocks = []
-    for i, contact in enumerate(contacts):
-        a = linearize_cone(contact.mu, contact.mu_tau, sides)
-        padded = np.zeros((a.shape[0], 4 * n))
-        padded[:, 4 * i : 4 * i + 4] = a
-        blocks.append(padded)
-    return np.vstack(blocks)
+def _cone_program(contacts, sides):
+    """Grasp matrix G, negated block-diagonal cone rows (-A f <= 0) and the sum(fz) row."""
+    g = build_grasp_matrix(contacts)
+    blocks = [linearize_cone(contact.mu, contact.mu_tau, sides) for contact in contacts]
+    n, rows = len(blocks), blocks[0].shape[0]
+    cone = np.zeros((rows * n, 4 * n))
+    for i, block in enumerate(blocks):
+        cone[rows * i : rows * (i + 1), 4 * i : 4 * i + 4] = block
+    norm_row = np.zeros(4 * n)
+    norm_row[FZ::4] = 1.0
+    return g, -cone, norm_row
 
 
 def is_force_closure(contacts: list[Contact], sides: int = DEFAULT_CONE_SIDES) -> ClosureReport:
@@ -155,29 +153,23 @@ def is_force_closure(contacts: list[Contact], sides: int = DEFAULT_CONE_SIDES) -
     the uniform cone slack t subject to G @ f = 0 and sum(fz) <= 1; the
     grasp is force-closure when both tests pass.
     """
-    g = build_grasp_matrix(contacts)
-    n = len(contacts)
+    g, neg_cone, norm_row = _cone_program(contacts, sides)
     sv = np.linalg.svd(g, compute_uv=False)
     surjective = len(sv) >= 6 and sv[5] > RANK_RTOL * sv[0]
 
-    cone = _stacked_cone_rows(contacts, sides)
-    nf = 4 * n
+    nf = g.shape[1]
     # Variables: stacked f then the slack t. Maximize t.
     c = np.zeros(nf + 1)
     c[-1] = -1.0
+    # cone rows: A f >= t  ->  -A f + t <= 0; then sum(fz) <= 1 and -t <= 0.
+    a_ub = np.vstack(
+        [np.hstack([neg_cone, np.ones((neg_cone.shape[0], 1))]), np.append(norm_row, 0.0), c]
+    )
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[-2] = 1.0
     a_eq = np.hstack([g, np.zeros((6, 1))])
-    b_eq = np.zeros(6)
-    # cone rows: A f >= t  ->  -A f + t <= 0
-    a_ub = np.hstack([-cone, np.ones((cone.shape[0], 1))])
-    b_ub = np.zeros(cone.shape[0])
-    norm_row = np.zeros(nf + 1)
-    norm_row[[4 * i + FZ for i in range(n)]] = 1.0
-    t_row = np.zeros(nf + 1)
-    t_row[-1] = -1.0
-    a_ub = np.vstack([a_ub, norm_row, t_row])
-    b_ub = np.concatenate([b_ub, [1.0, 0.0]])
 
-    result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(6))
     if result.ok:
         margin = float(result.x[-1])
         internal = result.x[:nf].copy()
@@ -199,22 +191,19 @@ def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES)
 
     Solves for f with G @ f = -wrench inside the linearized cones, with a
     very large (effectively non-binding) bound on total normal force to
-    keep the LP bounded.
+    keep the LP bounded. wrench may also be a (k, 6) stack: the program is
+    assembled once and each wrench gets its own LP, stopping at the first
+    one that cannot be balanced.
     """
-    g = build_grasp_matrix(contacts)
-    n = len(contacts)
-    w = np.asarray(wrench, dtype=float).reshape(6)
-    cone = _stacked_cone_rows(contacts, sides)
-    norm_row = np.zeros(4 * n)
-    norm_row[[4 * i + FZ for i in range(n)]] = 1.0
-    result = solve_lp(
-        np.zeros(4 * n),
-        a_ub=np.vstack([-cone, norm_row]),
-        b_ub=np.concatenate([np.zeros(cone.shape[0]), [ORACLE_NORMAL_BOUND]]),
-        a_eq=g,
-        b_eq=-w,
+    g, neg_cone, norm_row = _cone_program(contacts, sides)
+    a_ub = np.vstack([neg_cone, norm_row])
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[-1] = ORACLE_NORMAL_BOUND
+    c = np.zeros(g.shape[1])
+    return all(
+        solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=g, b_eq=-w).ok
+        for w in np.asarray(wrench, dtype=float).reshape(-1, 6)
     )
-    return result.ok
 
 
 def sample_unit_wrenches(count: int, seed: int = 0) -> np.ndarray:
@@ -245,7 +234,4 @@ def resistance_oracle(
     """
     if wrench_samples < 1:
         raise ValueError("wrench_samples must be >= 1")
-    for wrench in sample_unit_wrenches(wrench_samples, seed):
-        if not can_resist(contacts, wrench, sides):
-            return False
-    return True
+    return can_resist(contacts, sample_unit_wrenches(wrench_samples, seed), sides)

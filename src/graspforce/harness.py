@@ -434,6 +434,8 @@ ROTATION_DURATION = 16.0
 _PUSH_SETTLED_WINDOWS = ((4.0, 5.0), (8.0, 9.0))
 _POST_RATE_WINDOW = (10.0, 12.0)
 _POST_TOTAL_WINDOW = (9.5, 14.5)
+# Two ticks in every metric window: the drift rate divides by a window's span.
+_MIN_CONTROL_RATE = 2.0 / min(b - a for a, b in (*_PUSH_SETTLED_WINDOWS, _POST_RATE_WINDOW))
 
 
 def _window_rows(result: TrialResult, t0: float, t1: float) -> list[TimeSeriesRow]:
@@ -473,6 +475,9 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int, noise: bool,
             f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
             f"which run to {metrics_end} s"
         )
+    if spec.control.control_rate < _MIN_CONTROL_RATE:
+        raise ConfigError(f"control_rate {spec.control.control_rate!r} Hz is below the "
+                          f"{_MIN_CONTROL_RATE:g} Hz that puts two ticks in every metric window")
     return spec
 
 

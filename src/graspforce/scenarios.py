@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +37,12 @@ OBJECTS = {spec.name: spec for spec in (STYROFOAM, TAPE_ROLL, WOODEN_CUBOID)}
 FORCE = "force"
 TRAJECTORY = "trajectory"
 _CONTROLLERS = (FORCE, TRAJECTORY)
+# Top-level scalars: each a finite real number at least (True) or above
+# (False) its lower bound.
+_SCALAR_BOUNDS = {
+    "mu": (0.0, True), "mu_tau": (0.0, True), "closing_speed": (0.0, False),
+    "settle_time": (0.0, True), "duration": (0.0, False), "offset": (-math.inf, False),
+}
 
 # Each ablation flips exactly one controller flag relative to baseline.
 ABLATIONS = {
@@ -101,6 +109,15 @@ class ScenarioSpec:
             raise ValueError(f"controller must be one of {_CONTROLLERS}, got {self.controller!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}; options: {tuple(ABLATIONS)}")
+        for name, (low, inclusive) in _SCALAR_BOUNDS.items():
+            value = getattr(self, name)
+            if name == "duration" and value is None:
+                continue
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            ok = real and math.isfinite(value) and (value >= low if inclusive else value > low)
+            if not ok:
+                op = ">=" if inclusive else ">"
+                raise ValueError(f"{name} must be a finite number {op} {low}, got {value!r}")
 
     def object_spec(self) -> ObjectSpec:
         if isinstance(self.object, ObjectSpec):

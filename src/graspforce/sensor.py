@@ -70,7 +70,11 @@ def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
     """Average unloaded raw samples; the standard error shrinks as 1/sqrt(n)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    return sum(sample_raw(0.0, model) for _ in range(n_samples)) / n_samples
+    # sample_raw(0.0, model) n times over, summed in the same order.
+    raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
+    if model.noise_sigma > 0.0:
+        raw += model._rng.normal(0.0, model.noise_sigma, n_samples)
+    return sum(raw.tolist()) / n_samples
 
 
 def calibrate(raw: float, model: SensorModel, bias_estimate: float) -> float:

@@ -39,9 +39,9 @@ class LpResult:
 
 def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
     obj -= obj[col] * tableau[row]
     basis[row] = col
 
@@ -53,25 +53,21 @@ def _iterate(tableau: np.ndarray, obj: np.ndarray, basis: list[int], allowed: in
     phase 2 keeps retired artificial columns out.
     """
     for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for j in range(allowed):
-            if obj[j] < -_TOL:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering < 0:
+        eligible = np.flatnonzero(obj[:allowed] < -_TOL)
+        if eligible.size == 0:
             return OPTIMAL
+        entering = eligible[0]  # Bland: smallest eligible index
         col = tableau[:, entering]
         best_row = -1
         best_ratio = np.inf
-        for r in range(tableau.shape[0]):
-            if col[r] > _TOL:
-                ratio = tableau[r, -1] / col[r]
-                if ratio < best_ratio - _TOL or (
-                    ratio < best_ratio + _TOL
-                    and (best_row < 0 or basis[r] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = r
+        for r in np.flatnonzero(col > _TOL):
+            ratio = tableau[r, -1] / col[r]
+            if ratio < best_ratio - _TOL or (
+                ratio < best_ratio + _TOL
+                and (best_row < 0 or basis[r] < basis[best_row])
+            ):
+                best_ratio = ratio
+                best_row = r
         if best_row < 0:
             return UNBOUNDED
         _pivot(tableau, obj, basis, best_row, entering)
@@ -101,9 +97,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     a_rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
     b = np.concatenate([b_ub, b_eq])
     split = np.hstack([a_rows, -a_rows])
-    slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[i, i] = 1.0
+    slack = np.eye(m, m_ub)
 
     # Normalise to b >= 0; a negated inequality row has slack -1 and needs
     # an artificial just like an equality row does.
@@ -120,14 +114,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     tableau[:, 2 * n : n_real] = slack
     tableau[:, -1] = b
 
-    basis = [-1] * m
-    for i in range(m_ub):
-        if not flip[i]:
-            basis[i] = 2 * n + i
+    # Each row starts on its own slack, or on its artificial where it has one.
+    basis = [2 * n + i for i in range(m)]
     for k, i in enumerate(need_art):
-        col = n_real + k
-        tableau[i, col] = 1.0
-        basis[i] = col
+        tableau[i, n_real + k] = 1.0
+        basis[i] = n_real + k
 
     if need_art:
         # Phase 1: minimise the artificial sum.
@@ -145,13 +136,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
             if basis[r] < n_real:
                 keep.append(r)
                 continue
-            piv = -1
-            for j in range(n_real):
-                if abs(tableau[r, j]) > _TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(tableau, obj, basis, r, piv)
+            piv = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
+            if piv.size:
+                _pivot(tableau, obj, basis, r, piv[0])
                 keep.append(r)
         if len(keep) < m:
             tableau = tableau[keep]
@@ -170,7 +157,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         return LpResult(UNBOUNDED, None, None)
 
     full = np.zeros(n_cols)
-    for r in range(m):
-        full[basis[r]] = tableau[r, -1]
+    full[basis] = tableau[:, -1]
     x = full[:n] - full[n : 2 * n]
     return LpResult(OPTIMAL, x, float(c @ x))

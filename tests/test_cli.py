@@ -95,8 +95,14 @@ BAD_OVERRIDES = [
 
 def bad_override_cases():
     cases = [(command, items) for items in BAD_OVERRIDES for command in ("run", "exp-a", "exp-b")]
+    # Out of range or not a number, for the spec's top-level scalars.
+    for item in ['mu="x"', "closing_speed=0", "duration=Infinity", "settle_time=-5"]:
+        cases.append(("run", [item]))
     # Too short for exp-b's metric windows, valid for the other two.
     cases.append(("exp-b", ["duration=2"]))
+    # A control period longer than half of exp-b's shortest (1 s) metric window.
+    cases.append(("exp-b", ["control.control_rate=0.1"]))
+    cases.append(("exp-b", ["control.control_rate=1.9"]))
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graspforce import closure
 from graspforce.closure import (
     ClosureReport,
     Contact,
@@ -219,6 +220,27 @@ class TestOracle:
         b = sample_unit_wrenches(100, seed=3)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(np.linalg.norm(a, axis=1), np.ones(100), atol=1e-12)
+
+    @pytest.mark.parametrize("mu,mu_tau", [(0.5, 0.005), (0.0, 0.0)],
+                             ids=["friction", "frictionless"])
+    def test_wrench_stack_equals_all_over_single_calls(self, mu, mu_tau):
+        contacts = antipodal_pair(mu=mu, mu_tau=mu_tau)
+        wrenches = np.vstack([np.zeros(6), sample_unit_wrenches(30, seed=4)])
+        singles = [can_resist(contacts, w) for w in wrenches]
+        assert singles[0]
+        assert can_resist(contacts, wrenches) == all(singles)
+        assert can_resist(contacts, wrenches[:1])
+
+    def test_oracle_builds_the_grasp_matrix_once(self, monkeypatch):
+        calls = []
+
+        def counting(contacts):
+            calls.append(len(contacts))
+            return build_grasp_matrix(contacts)
+
+        monkeypatch.setattr(closure, "build_grasp_matrix", counting)
+        assert resistance_oracle(antipodal_pair(mu=0.5), wrench_samples=50)
+        assert calls == [2]
 
     def test_three_finger_disk_grasp_agrees_with_oracle(self):
         contacts = []

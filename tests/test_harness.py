@@ -9,11 +9,13 @@ from graspforce.harness import (
     EXPERIMENT_A_OFFSETS,
     EXPERIMENT_A_REPS,
     EXPERIMENT_B_VARIANTS,
+    ConfigError,
     RuntimeFault,
     TimeSeriesRow,
     _experiment_b_spec,
     _trial_seed,
     run_experiment_a,
+    run_experiment_b,
     run_trial,
     write_csv,
 )
@@ -210,6 +212,14 @@ class TestExperimentPlumbing:
         assert miscal.sensors.gain_scale1 != 1.0
         assert clean.sensors.gain_scale1 == 1.0
         assert clean.sensors.gain_scale2 == 1.0
+
+    def test_experiment_b_control_rate_fits_the_metric_windows(self):
+        # The shortest metric window is 1 s; it needs a period of at most 0.5 s.
+        with pytest.raises(ConfigError, match="control_rate"):
+            _experiment_b_spec("push", "none", 0, False, False, {"control": {"control_rate": 1.9}})
+        runs = run_experiment_b(noise=False, overrides={"control": {"control_rate": 2.0}})
+        assert len(runs) == 8
+        assert all(math.isfinite(runs[("push", v)].post_drift_rate) for v in EXPERIMENT_B_VARIANTS)
 
     def test_variant_list(self):
         assert EXPERIMENT_B_VARIANTS == ("none", "no_compliance", "no_deadband",

@@ -78,6 +78,19 @@ class TestSerialization:
         with pytest.raises(ValueError, match="slew"):
             ScenarioSpec.from_dict({"control": {"slew": 1}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("mu", "x"), ("mu", True), ("mu", -0.1), ("mu_tau", float("nan")),
+        ("closing_speed", 0.0), ("closing_speed", float("inf")), ("settle_time", -5.0),
+        ("duration", 0.0), ("duration", float("inf")), ("offset", float("nan")),
+    ])
+    def test_top_level_scalars_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ScenarioSpec.from_dict({field: value})
+
+    def test_top_level_scalar_bounds_are_inclusive_where_stated(self):
+        spec = ScenarioSpec(mu=0, mu_tau=0.0, settle_time=0.0, offset=-0.01, duration=None)
+        assert spec.mu == 0 and spec.duration is None
+
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "scene.json"
         path.write_text(json.dumps({"object": "styrofoam", "offset": 0.005}))

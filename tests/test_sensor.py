@@ -65,6 +65,16 @@ class TestBiasEstimate:
         b = SensorModel(seed=9, noise_sigma=0.004)
         assert estimate_bias(a, 1) == sample_raw(0.0, b)
 
+    @pytest.mark.parametrize("noise_sigma", [None, 0.0], ids=["noise", "noiseless"])
+    @pytest.mark.parametrize("min_force", [0.0, 0.3])
+    def test_matches_a_scalar_sample_loop_bit_for_bit(self, noise_sigma, min_force):
+        kw = dict(bias=0.4801, seed=23, noise_sigma=noise_sigma, min_force=min_force)
+        fast, slow = SensorModel(**kw), SensorModel(**kw)
+        expected = sum(sample_raw(0.0, slow) for _ in range(1000)) / 1000
+        assert estimate_bias(fast, 1000).hex() == expected.hex()
+        # The noise stream is left at the same position.
+        assert sample_raw(0.0, fast).hex() == sample_raw(0.0, slow).hex()
+
     def test_standard_error_bound(self):
         # 5 standard errors covers the estimate for essentially every seed.
         sigma, n = 0.004, 1000

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graspforce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from graspforce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _pivot, solve_lp
 
 
 def scipy_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -133,3 +133,27 @@ class TestAgainstScipy:
             assert (result.status == OPTIMAL) == (ref.status == 0)
             agree += 1
         assert agree == 30
+
+
+class TestPivot:
+    def test_matches_a_row_by_row_update(self):
+        # The row loop the outer-product update replaced, kept as the reference.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            tableau = rng.standard_normal((7, 12))
+            tableau[rng.random((7, 12)) < 0.4] = 0.0
+            obj = rng.standard_normal(12)
+            row, col = rng.integers(7), rng.integers(11)
+            tableau[row, col] = rng.uniform(0.5, 2.0)
+            want, want_obj, want_basis = tableau.copy(), obj.copy(), list(range(7))
+            want[row] /= want[row, col]
+            for r in range(want.shape[0]):
+                if r != row and want[r, col] != 0.0:
+                    want[r] -= want[r, col] * want[row]
+            want_obj -= want_obj[col] * want[row]
+            want_basis[row] = col
+            basis = list(range(7))
+            _pivot(tableau, obj, basis, row, col)
+            np.testing.assert_array_equal(tableau, want)
+            np.testing.assert_array_equal(obj, want_obj)
+            assert basis == want_basis
