@@ -91,12 +91,11 @@ class ControllerConfig:
             "goal_tolerance": self.goal_tolerance,
         }
         for name, value in positive.items():
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.f_phi < 0.0:
-            raise ValueError(f"f_phi must be >= 0, got {self.f_phi}")
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name, value in (("f_phi", self.f_phi), ("mass", self.mass)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.contact_debounce < 1:
             raise ValueError(f"contact_debounce must be >= 1, got {self.contact_debounce}")
         if self.phase3_mode not in (HOLD_FOREVER, STOP_AT_GOAL):
@@ -188,7 +187,6 @@ class GraspController:
         self.latched = [False, False]
         self.freeze_q = [0.0, 0.0]
         self._above_count = [0, 0]
-        self._probe_cache: dict[tuple[bool, bool], bool] = {}
         self.integral = 0.0
         self.ref_center: float | None = None
         self.finished = False
@@ -247,14 +245,10 @@ class GraspController:
                     self.latched[i] = True
                     self.freeze_q[i] = (q1, q2)[i]
                     new_contact = True
-            if new_contact:
-                key = tuple(self.latched)
-                if key not in self._probe_cache:
-                    self._probe_cache[key] = bool(self.closure_probe(key))
-                if self._probe_cache[key]:
-                    self.phase = GraspPhase.HOLDING
-                    self.integral = 0.0
-                    self.ref_center = 0.5 * (q2 - q1)
+            if new_contact and self.closure_probe(tuple(self.latched)):
+                self.phase = GraspPhase.HOLDING
+                self.integral = 0.0
+                self.ref_center = 0.5 * (q2 - q1)
 
         if self.phase is not GraspPhase.HOLDING:
             self.phase = GraspPhase.CONTACT if any(self.latched) else GraspPhase.CLOSING

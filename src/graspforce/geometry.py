@@ -97,10 +97,6 @@ class Wrench:
         object.__setattr__(self, "torque", as_vec3(self.torque))
 
     @classmethod
-    def zero(cls) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3))
-
-    @classmethod
     def from_vector(cls, w) -> "Wrench":
         w = np.asarray(w, dtype=float)
         if w.shape != (6,):

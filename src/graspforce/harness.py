@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +32,12 @@ from .plant import Plant, Push, WristSweep
 from .scenarios import FORCE, ScenarioSpec, TAPE_ROLL, TRAJECTORY, resolve, with_overrides
 from .sensor import CalibratedSensor
 
-CSV_HEADER = "t,q1,q2,f1,f2,f_int,f_ext,x_obj,phase,u_int,u_ext"
-
 EXPERIMENT_A_OFFSETS = (0.002, 0.005, 0.008, 0.011, 0.014)
 EXPERIMENT_A_REPS = 3
 EXPERIMENT_B_VARIANTS = ("none", "no_compliance", "no_deadband", "no_gravity_comp")
+# exp_a_trials.csv opens with these, from each trial's spec and grid cell,
+# then carries the TrialResult metrics.
+_SPEC_COLUMNS = ("object", "controller", "offset", "rep", "seed")
 
 # Prime strides decorrelate the per-trial sensor seeds across grid axes.
 _SEED_REP = 9973
@@ -67,6 +68,9 @@ class TimeSeriesRow:
     u_ext: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(TimeSeriesRow))
+
+
 @dataclass
 class TrialResult:
     """Metrics plus the full time series of one trial.
@@ -76,10 +80,8 @@ class TrialResult:
     the finger the object sits closest to, minus its initial free gap),
     reported alongside because a real gripper cannot observe the object
     directly. The proxy counts final pad penetration, so it slightly
-    overestimates the truth. settle_time is None
-    when the force goal was never settled into (for example trajectory
-    trials). final_drift_rate averages object velocity over the last two
-    seconds of the series.
+    overestimates the truth. settle_time is None when the force goal was
+    never settled into (for example trajectory trials).
     """
 
     spec: ScenarioSpec
@@ -88,7 +90,6 @@ class TrialResult:
     max_total_force: float
     settle_time: float | None
     overshoot: float
-    final_drift_rate: float
     finished: bool
     series: list[TimeSeriesRow]
 
@@ -132,10 +133,11 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         resolved.obj,
         start_aperture=resolved.start_aperture,
         schedule=resolved.schedule,
-        config=resolved.plant_config,
+        config=spec.plant,
     )
     sensors = tuple(
-        CalibratedSensor(model, resolved.calibration_samples) for model in resolved.sensor_models
+        CalibratedSensor(model, spec.sensors.calibration_samples)
+        for model in resolved.sensor_models
     )
     if spec.controller == FORCE:
         controller = GraspController(
@@ -206,16 +208,6 @@ def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
             settle_time = holding[idx].t
     overshoot = max((r.f_int - cfg.f_goal for r in holding), default=0.0)
 
-    window = min(2.0, max(rows[-1].t - rows[0].t, 1e-9))
-    t_from = rows[-1].t - window
-    x_from = rows[0].x_obj
-    for r in rows:
-        if r.t >= t_from:
-            x_from = r.x_obj
-            t_from = r.t
-            break
-    drift_rate = (x_end - x_from) / max(rows[-1].t - t_from, 1e-9)
-
     return TrialResult(
         spec=spec,
         displacement_truth=abs(x_end - x0),
@@ -223,7 +215,6 @@ def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
         max_total_force=max(r.f_int for r in rows),
         settle_time=settle_time,
         overshoot=max(overshoot, 0.0),
-        final_drift_rate=drift_rate,
         finished=finished,
         series=rows,
     )
@@ -244,6 +235,11 @@ def write_csv(rows: list[TimeSeriesRow], path: str | Path) -> Path:
     path = Path(path)
     _write_table(path, CSV_HEADER.split(","), (vars(r).values() for r in rows))
     return path
+
+
+def _columns(record_cls, *skip: str) -> list[str]:
+    """A report's column names: the record's fields, in order, minus skip."""
+    return [f.name for f in fields(record_cls) if f.name not in skip]
 
 
 def _write_table(path: Path, header: list[str], rows) -> None:
@@ -351,61 +347,20 @@ def run_experiment_a(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        metrics = _columns(TrialResult, "spec", "series")
         _write_table(
             out / "exp_a_trials.csv",
-            [
-                "object",
-                "controller",
-                "offset",
-                "rep",
-                "seed",
-                "displacement_truth",
-                "displacement_proxy",
-                "max_total_force",
-                "settle_time",
-                "overshoot",
-                "finished",
-            ],
-            [
-                [
-                    t.spec.object,
-                    t.spec.controller,
-                    t.spec.offset,
-                    (i // 2) % reps,
-                    t.spec.seed,
-                    t.displacement_truth,
-                    t.displacement_proxy,
-                    t.max_total_force,
-                    t.settle_time,
-                    t.overshoot,
-                    int(t.finished),
-                ]
+            [*_SPEC_COLUMNS, *metrics],
+            (
+                [t.spec.object, t.spec.controller, t.spec.offset, (i // 2) % reps, t.spec.seed]
+                + [getattr(t, name) for name in metrics]
                 for i, t in enumerate(trials)
-            ],
+            ),
         )
         _write_table(
             out / "exp_a_summary.csv",
-            [
-                "object",
-                "controller",
-                "mean_displacement",
-                "std_displacement",
-                "mean_proxy",
-                "std_proxy",
-                "n_trials",
-            ],
-            [
-                [
-                    s.object,
-                    s.controller,
-                    s.mean_displacement,
-                    s.std_displacement,
-                    s.mean_proxy,
-                    s.std_proxy,
-                    s.n_trials,
-                ]
-                for s in result.summary
-            ],
+            _columns(ExperimentASummary),
+            (vars(s).values() for s in summary),
         )
     return result
 
@@ -544,29 +499,11 @@ def run_experiment_b(
         out.mkdir(parents=True, exist_ok=True)
         for (scenario, variant), run in runs.items():
             write_csv(run.result.series, out / f"exp_b_{scenario}_{variant}.csv")
+        columns = _columns(ExperimentBRun, "result")
         _write_table(
             out / "exp_b_metrics.csv",
-            [
-                "scenario",
-                "variant",
-                "max_total_force",
-                "settled_max_total_force",
-                "post_drift_rate",
-                "post_drift_total",
-                "peak_object_drift",
-            ],
-            [
-                [
-                    run.scenario,
-                    run.variant,
-                    run.max_total_force,
-                    run.settled_max_total_force,
-                    run.post_drift_rate,
-                    run.post_drift_total,
-                    run.peak_object_drift,
-                ]
-                for run in runs.values()
-            ],
+            columns,
+            ([getattr(run, name) for name in columns] for run in runs.values()),
         )
     return runs
 

@@ -59,14 +59,14 @@ class ObjectSpec:
     initial_offset: float = 0.0
 
     def __post_init__(self):
-        if self.mass < 0.0:
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
-        if not self.width > 0.0:
-            raise ValueError(f"width must be > 0, got {self.width}")
-        if not self.stiffness > 0.0:
-            raise ValueError(f"stiffness must be > 0, got {self.stiffness}")
-        if self.damping < 0.0:
-            raise ValueError(f"damping must be >= 0, got {self.damping}")
+        if not (math.isfinite(self.mass) and self.mass >= 0.0):
+            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ValueError(f"width must be finite and > 0, got {self.width}")
+        if not (math.isfinite(self.stiffness) and self.stiffness > 0.0):
+            raise ValueError(f"stiffness must be finite and > 0, got {self.stiffness}")
+        if not (math.isfinite(self.damping) and self.damping >= 0.0):
+            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,6 @@ class PlantState:
     q2: float
     true_f1: float
     true_f2: float
-    wrist_angle: float
-    t: float
 
 
 class Plant:
@@ -218,17 +216,8 @@ class Plant:
             return k
         return k * pad / (k + pad)
 
-    def aperture(self) -> float:
-        return self.q1 + self.q2
-
-    def center(self) -> float:
-        return 0.5 * (self.q2 - self.q1)
-
-    def wrist_angle(self) -> float:
-        return self.schedule.wrist_angle(self.t)
-
     def g_dot_n(self) -> float:
-        return -self.config.gravity * math.sin(self.wrist_angle())
+        return -self.config.gravity * math.sin(self.schedule.wrist_angle(self.t))
 
     def _contact_forces(self) -> tuple[float, float]:
         k = self.contact_stiffness
@@ -271,18 +260,6 @@ class Plant:
             self.true_f2 + self.schedule.push_force(FINGER_2, self.t),
         )
 
-    def state(self) -> PlantState:
-        return PlantState(
-            x_obj=self.x_obj,
-            v_obj=self.v_obj,
-            q1=self.q1,
-            q2=self.q2,
-            true_f1=self.true_f1,
-            true_f2=self.true_f2,
-            wrist_angle=self.wrist_angle(),
-            t=self.t,
-        )
-
     def step(self, command: ControlCommand, duration: float) -> PlantState:
         """Advance by one controller period, holding the command fixed."""
         if not duration > 0.0:
@@ -317,4 +294,4 @@ class Plant:
                 self.x_obj += dt * self.v_obj
             self.t += dt
         self.true_f1, self.true_f2 = self._contact_forces()
-        return self.state()
+        return PlantState(self.x_obj, self.v_obj, self.q1, self.q2, self.true_f1, self.true_f2)

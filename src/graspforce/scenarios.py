@@ -254,16 +254,13 @@ def apply_overrides(spec: ScenarioSpec, overrides: list[str]) -> ScenarioSpec:
 class ResolvedScenario:
     """A ScenarioSpec turned into the runtime pieces a trial loop needs."""
 
-    spec: ScenarioSpec
     obj: ObjectSpec
     control: ControllerConfig
     request: GraspRequest
     schedule: DisturbanceSchedule
-    plant_config: PlantConfig
     sensor_models: tuple[SensorModel, SensorModel]
     duration: float
     start_aperture: float
-    calibration_samples: int
 
 
 def resolve(spec: ScenarioSpec) -> ResolvedScenario:
@@ -315,34 +312,21 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
 
     s = spec.sensors
     sigma = 0.0 if not s.noise else s.noise_sigma
-    models = (
-        SensorModel(
-            gamma=s.gamma1,
-            bias=s.bias1,
-            noise_sigma=sigma,
-            seed=spec.seed,
-            min_force=s.min_force,
-            gain_scale=s.gain_scale1,
-        ),
-        SensorModel(
-            gamma=s.gamma2,
-            bias=s.bias2,
-            noise_sigma=sigma,
-            seed=spec.seed + 1000003,
-            min_force=s.min_force,
-            gain_scale=s.gain_scale2,
-        ),
+    models = tuple(
+        SensorModel(gamma=gamma, bias=bias, noise_sigma=sigma, seed=spec.seed + stride,
+                    min_force=s.min_force, gain_scale=gain_scale)
+        for gamma, bias, gain_scale, stride in (
+            (s.gamma1, s.bias1, s.gain_scale1, 0),
+            (s.gamma2, s.bias2, s.gain_scale2, 1000003),
+        )
     )
     schedule = DisturbanceSchedule(pushes=spec.pushes, wrist=spec.wrist)
     return ResolvedScenario(
-        spec=spec,
         obj=obj,
         control=control,
         request=request,
         schedule=schedule,
-        plant_config=spec.plant,
         sensor_models=models,
         duration=duration,
         start_aperture=start,
-        calibration_samples=s.calibration_samples,
     )

@@ -50,10 +50,12 @@ class SensorModel:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.noise_sigma is None:
             self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.min_force < 0.0:
-            raise ValueError(f"min_force must be >= 0, got {self.min_force}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not (np.isfinite(self.min_force) and self.min_force >= 0.0):
+            raise ValueError(f"min_force must be finite and >= 0, got {self.min_force}")
+        if not (np.isfinite(self.gain_scale) and self.gain_scale > 0.0):
+            raise ValueError(f"gain_scale must be finite and > 0, got {self.gain_scale}")
         self._rng = np.random.default_rng(self.seed)
 
 

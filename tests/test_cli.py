@@ -103,6 +103,13 @@ def bad_override_cases():
     # A control period longer than half of exp-b's shortest (1 s) metric window.
     cases.append(("exp-b", ["control.control_rate=0.1"]))
     cases.append(("exp-b", ["control.control_rate=1.9"]))
+    # Not finite, or below the lower bound, in a nested config.
+    for item in ["control.control_rate=Infinity", "control.f_phi=NaN", "control.mass=NaN",
+                 "sensors.min_force=NaN", "sensors.gain_scale1=-1",
+                 'object={"name": "slab", "mass": NaN, "width": 0.05, "stiffness": 3000}']:
+        cases.append(("run", [item]))
+    # The sigma only reaches the sensor model when noise is on.
+    cases.append(("run", ["sensors.noise=true", "sensors.noise_sigma=NaN"]))
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 

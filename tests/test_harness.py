@@ -224,3 +224,30 @@ class TestExperimentPlumbing:
     def test_variant_list(self):
         assert EXPERIMENT_B_VARIANTS == ("none", "no_compliance", "no_deadband",
                                          "no_gravity_comp")
+
+
+class TestReportHeaders:
+    """Each report's columns come from its record's fields; these pin them."""
+
+    def test_experiment_a_headers(self, tmp_path):
+        run_experiment_a(out_dir=tmp_path, offsets=(0.005,), reps=1, objects=("tape_roll",))
+        trials = (tmp_path / "exp_a_trials.csv").read_text().splitlines()
+        assert trials[0] == (
+            "object,controller,offset,rep,seed,displacement_truth,displacement_proxy,"
+            "max_total_force,settle_time,overshoot,finished"
+        )
+        assert {line.rsplit(",", 1)[1] for line in trials[1:]} <= {"0", "1"}
+        summary = (tmp_path / "exp_a_summary.csv").read_text().splitlines()
+        assert summary[0] == (
+            "object,controller,mean_displacement,std_displacement,mean_proxy,std_proxy,n_trials"
+        )
+
+    def test_experiment_b_headers(self, tmp_path):
+        run_experiment_b(out_dir=tmp_path, noise=False)
+        metrics = (tmp_path / "exp_b_metrics.csv").read_text().splitlines()
+        assert metrics[0] == (
+            "scenario,variant,max_total_force,settled_max_total_force,post_drift_rate,"
+            "post_drift_total,peak_object_drift"
+        )
+        series = (tmp_path / "exp_b_push_none.csv").read_text().splitlines()
+        assert series[0] == "t,q1,q2,f1,f2,f_int,f_ext,x_obj,phase,u_int,u_ext"
