@@ -93,13 +93,19 @@ class ControllerConfig:
         for name, value in positive.items():
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name, value in (("f_phi", self.f_phi), ("mass", self.mass)):
+        for name, value in (
+            ("f_phi", self.f_phi), ("mass", self.mass), ("goal_dwell", self.goal_dwell)
+        ):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.contact_debounce < 1:
             raise ValueError(f"contact_debounce must be >= 1, got {self.contact_debounce}")
         if self.phase3_mode not in (HOLD_FOREVER, STOP_AT_GOAL):
             raise ValueError(f"unknown phase3_mode {self.phase3_mode!r}")
+        if not (math.isfinite(self.joint_min) and math.isfinite(self.joint_max)):
+            raise ValueError(
+                f"joint limits must be finite, got {self.joint_min} and {self.joint_max}"
+            )
         if not self.joint_max > self.joint_min >= 0.0:
             raise ValueError("joint range must satisfy joint_max > joint_min >= 0")
 
@@ -226,7 +232,9 @@ class GraspController:
     ) -> ControlCommand:
         """Advance one control period and return the commanded joint positions."""
         cfg = self.config
-        if not all(math.isfinite(v) for v in (f1, f2, q1, q2, g_dot_n)):
+        isfinite = math.isfinite
+        if not (isfinite(f1) and isfinite(f2) and isfinite(q1) and isfinite(q2)
+                and isfinite(g_dot_n)):
             self.fault = True
             return self._hold_previous(q1, q2)
         t_next = self.t + dt

@@ -156,6 +156,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     dt = 1.0 / cfg.control_rate
     n_ticks = max(1, math.ceil(resolved.duration * cfg.control_rate))
     rows: list[TimeSeriesRow] = []
+    isfinite = math.isfinite
 
     for k in range(n_ticks):
         t = k * dt
@@ -177,8 +178,9 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             )
         )
         state = plant.step(cmd, dt)
-        if not all(
-            math.isfinite(v) for v in (state.x_obj, state.q1, state.q2, state.true_f1, state.true_f2)
+        if not (
+            isfinite(state.x_obj) and isfinite(state.q1) and isfinite(state.q2)
+            and isfinite(state.true_f1) and isfinite(state.true_f2)
         ):
             raise RuntimeFault(f"non-finite plant state at t={t:.3f} s")
         if controller.finished:

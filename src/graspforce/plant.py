@@ -30,7 +30,7 @@ Pushes on the object are real forces in its equation of motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .controller import ControlCommand
 
@@ -38,6 +38,12 @@ FINGER_1 = "finger1"
 FINGER_2 = "finger2"
 OBJECT = "object"
 _TARGETS = (FINGER_1, FINGER_2, OBJECT)
+
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,7 @@ class Push:
     def __post_init__(self):
         if self.target not in _TARGETS:
             raise ValueError(f"push target must be one of {_TARGETS}, got {self.target!r}")
+        _require_finite(force=self.force, t_start=self.t_start, t_end=self.t_end, ramp=self.ramp)
         if not self.t_end > self.t_start:
             raise ValueError("push needs t_end > t_start")
         if self.ramp < 0.0:
@@ -106,6 +113,10 @@ class WristSweep:
     angle_start: float = 0.0
 
     def __post_init__(self):
+        _require_finite(
+            t_start=self.t_start, t_end=self.t_end,
+            angle_start=self.angle_start, angle_end=self.angle_end,
+        )
         if not self.t_end > self.t_start:
             raise ValueError("wrist sweep needs t_end > t_start")
 
@@ -117,21 +128,26 @@ class WristSweep:
 
 @dataclass(frozen=True)
 class DisturbanceSchedule:
+    """Scheduled pushes and wrist sweep; by_target holds the pushes of each target."""
+
     pushes: tuple[Push, ...] = ()
     wrist: WristSweep | None = None
+    by_target: dict[str, tuple[Push, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pushes", tuple(self.pushes))
-        for target in _TARGETS:
-            spans = sorted(
-                (p.t_start, p.t_end) for p in self.pushes if p.target == target
-            )
+        by_target = {
+            target: tuple(p for p in self.pushes if p.target == target) for target in _TARGETS
+        }
+        object.__setattr__(self, "by_target", by_target)
+        for target, pushes in by_target.items():
+            spans = sorted((p.t_start, p.t_end) for p in pushes)
             for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
                 if start_b < end_a:
                     raise ValueError(f"overlapping pushes scheduled on {target}")
 
     def push_force(self, target: str, t: float) -> float:
-        return sum(p.value(t) for p in self.pushes if p.target == target)
+        return sum(p.value(t) for p in self.by_target[target])
 
     def wrist_angle(self, t: float) -> float:
         return self.wrist.angle(t) if self.wrist is not None else 0.0
@@ -152,12 +168,16 @@ class PlantConfig:
     gravity: float = 9.81
 
     def __post_init__(self):
+        _require_finite(
+            dt=self.dt, max_finger_speed=self.max_finger_speed, gravity=self.gravity
+        )
         if not self.dt > 0.0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.max_finger_speed > 0.0:
-            raise ValueError("max_finger_speed must be > 0")
-        if self.pad_stiffness is not None and not self.pad_stiffness > 0.0:
-            raise ValueError("pad_stiffness must be > 0 or None")
+            raise ValueError(f"max_finger_speed must be > 0, got {self.max_finger_speed}")
+        pad = self.pad_stiffness
+        if pad is not None and not (math.isfinite(pad) and pad > 0.0):
+            raise ValueError(f"pad_stiffness must be finite and > 0 or None, got {pad}")
 
 
 def _tracking_velocity(q: float, target: float, period: float, max_speed: float) -> float:
@@ -166,13 +186,6 @@ def _tracking_velocity(q: float, target: float, period: float, max_speed: float)
     if needed == 0.0:
         return 0.0
     return math.copysign(min(abs(needed) / period, max_speed), needed)
-
-
-def _move_toward(q: float, target: float, move: float) -> float:
-    """Advance q by one substep's travel, landing exactly when within reach."""
-    if abs(target - q) <= abs(move):
-        return target
-    return q + move
 
 
 @dataclass
@@ -186,7 +199,11 @@ class PlantState:
 
 
 class Plant:
-    """Steps the finger/object system under zero-order-hold position commands."""
+    """Steps the finger/object system under zero-order-hold position commands.
+
+    contact_stiffness is the object stiffness in series with the fingertip
+    pad, per contact; it is fixed for the plant's lifetime.
+    """
 
     def __init__(
         self,
@@ -200,21 +217,15 @@ class Plant:
         self.obj = obj
         self.schedule = schedule if schedule is not None else DisturbanceSchedule()
         self.config = config if config is not None else PlantConfig()
+        k = obj.stiffness
+        pad = self.config.pad_stiffness
+        self.contact_stiffness = k if pad is None else k * pad / (k + pad)
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
         self.x_obj = obj.initial_offset
         self.v_obj = 0.0
         self.t = 0.0
         self.true_f1, self.true_f2 = self._contact_forces()
-
-    @property
-    def contact_stiffness(self) -> float:
-        """Object stiffness in series with the fingertip pad, per contact."""
-        k = self.obj.stiffness
-        pad = self.config.pad_stiffness
-        if pad is None:
-            return k
-        return k * pad / (k + pad)
 
     def g_dot_n(self) -> float:
         return -self.config.gravity * math.sin(self.schedule.wrist_angle(self.t))
@@ -261,37 +272,62 @@ class Plant:
         )
 
     def step(self, command: ControlCommand, duration: float) -> PlantState:
-        """Advance by one controller period, holding the command fixed."""
+        """Advance by one controller period, holding the command fixed.
+
+        Values fixed for the period are bound once; the substeps run on
+        locals and write the state back at the end. Only the wrist angle
+        (when a sweep is scheduled) and the object pushes (when any exist)
+        are evaluated per substep.
+        """
         if not duration > 0.0:
             raise ValueError(f"duration must be > 0, got {duration}")
         cfg = self.config
         obj = self.obj
         n_sub = max(1, round(duration / cfg.dt))
         dt = duration / n_sub
+        q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
+        q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
         # One constant velocity per finger for the whole period, sized to
-        # land on the command, capped at the slew limit.
-        v1 = _tracking_velocity(self.q1, command.q1_cmd, duration, cfg.max_finger_speed)
-        v2 = _tracking_velocity(self.q2, command.q2_cmd, duration, cfg.max_finger_speed)
+        # land on the command, capped at the slew limit; a finger lands
+        # exactly on its command once within one substep's travel.
+        move1 = _tracking_velocity(q1, q1_cmd, duration, cfg.max_finger_speed) * dt
+        move2 = _tracking_velocity(q2, q2_cmd, duration, cfg.max_finger_speed) * dt
+        reach1, reach2 = abs(move1), abs(move2)
+        k = self.contact_stiffness
+        half = 0.5 * obj.width
+        mass = obj.mass
+        wrist = self.schedule.wrist
+        gravity = cfg.gravity
+        # Without a sweep the wrist angle stays 0 for the whole trial.
+        g_dot_n = -gravity * math.sin(0.0)
+        object_pushes = self.schedule.by_target[OBJECT]
+        push_obj = 0
+        # Spring forces explicit, drag backward: the drag-to-mass ratios of
+        # well-damped catalog objects sit at the edge of the explicit
+        # stability bound at this substep, and drag divided into the
+        # velocity update cannot flip its sign.
+        quasi_static = mass == 0.0
+        if not quasi_static:
+            drag = 1.0 + dt * obj.damping / mass
         for _ in range(n_sub):
-            self.q1 = _move_toward(self.q1, command.q1_cmd, v1 * dt)
-            self.q2 = _move_toward(self.q2, command.q2_cmd, v2 * dt)
-
-            g_dot_n = -cfg.gravity * math.sin(self.schedule.wrist_angle(self.t))
-            push_obj = self.schedule.push_force(OBJECT, self.t)
-            if obj.mass == 0.0:
-                self.x_obj = self._quasi_static_position(push_obj)
-                self.v_obj = 0.0
+            q1 = q1_cmd if abs(q1_cmd - q1) <= reach1 else q1 + move1
+            q2 = q2_cmd if abs(q2_cmd - q2) <= reach2 else q2 + move2
+            if wrist is not None:
+                g_dot_n = -gravity * math.sin(wrist.angle(t))
+            if object_pushes:
+                push_obj = sum(p.value(t) for p in object_pushes)
+            if quasi_static:
+                # _quasi_static_position reads the state from self.
+                self.q1, self.q2, self.x_obj = q1, q2, x
+                x = self._quasi_static_position(push_obj)
+                v = 0.0
             else:
-                # Spring forces explicit, drag backward: the drag-to-mass
-                # ratios of well-damped catalog objects sit at the edge of
-                # the explicit stability bound at this substep, and drag
-                # divided into the velocity update cannot flip its sign.
-                f1, f2 = self._contact_forces()
-                net = f1 - f2 + obj.mass * g_dot_n + push_obj
-                self.v_obj = (self.v_obj + dt * net / obj.mass) / (
-                    1.0 + dt * obj.damping / obj.mass
-                )
-                self.x_obj += dt * self.v_obj
-            self.t += dt
+                f1 = k * max(0.0, -q1 - (x - half))
+                f2 = k * max(0.0, (x + half) - q2)
+                net = f1 - f2 + mass * g_dot_n + push_obj
+                v = (v + dt * net / mass) / drag
+                x += dt * v
+            t += dt
+        self.q1, self.q2, self.x_obj, self.v_obj, self.t = q1, q2, x, v, t
         self.true_f1, self.true_f2 = self._contact_forces()
-        return PlantState(self.x_obj, self.v_obj, self.q1, self.q2, self.true_f1, self.true_f2)
+        return PlantState(x, v, q1, q2, self.true_f1, self.true_f2)

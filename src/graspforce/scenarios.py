@@ -311,6 +311,11 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)
 
     s = spec.sensors
+    # Checked here because with noise off the sensor models never see it.
+    if s.noise_sigma is not None and not (
+        math.isfinite(s.noise_sigma) and s.noise_sigma >= 0.0
+    ):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {s.noise_sigma}")
     sigma = 0.0 if not s.noise else s.noise_sigma
     models = tuple(
         SensorModel(gamma=gamma, bias=bias, noise_sigma=sigma, seed=spec.seed + stride,

@@ -48,6 +48,8 @@ class SensorModel:
     def __post_init__(self):
         if not (np.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not np.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if self.noise_sigma is None:
             self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):

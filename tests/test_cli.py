@@ -64,8 +64,10 @@ class TestRun:
         assert "control.bogus" in capsys.readouterr().err
 
     def test_pathological_config_faults(self, scenario_file, tmp_path, capsys):
+        # Finite and in range, so it passes the spec boundary, but the
+        # calibrated gain overflows and the first reading is not finite.
         code = main(["run", scenario_file, "--out-dir", str(tmp_path / "o"),
-                     "--set", "plant.gravity=NaN"])
+                     "--set", "sensors.gain_scale1=1e308"])
         assert code == 1
         assert "fault" in capsys.readouterr().err
 
@@ -110,6 +112,20 @@ def bad_override_cases():
         cases.append(("run", [item]))
     # The sigma only reaches the sensor model when noise is on.
     cases.append(("run", ["sensors.noise=true", "sensors.noise_sigma=NaN"]))
+    # Checked in the spec even when noise is off and the sigma goes unused.
+    cases.append(("run", ["sensors.noise=false", "sensors.noise_sigma=NaN"]))
+    # Not finite, or below the lower bound, in the sensor, controller and
+    # plant configs and in the disturbance schedule.
+    for item in ["sensors.bias1=NaN", "sensors.bias2=Infinity", "control.goal_dwell=NaN",
+                 "control.goal_dwell=-1", "control.joint_max=Infinity",
+                 "plant.gravity=NaN", "plant.max_finger_speed=Infinity", "plant.dt=NaN",
+                 "plant.pad_stiffness=Infinity",
+                 'pushes=[{"target": "object", "force": NaN, "t_start": 1, "t_end": 2}]',
+                 'pushes=[{"target": "finger1", "force": 1, "t_start": 1, "t_end": 2, '
+                 '"ramp": Infinity}]',
+                 'wrist={"t_start": 1, "t_end": Infinity}',
+                 'wrist={"t_start": 1, "t_end": 2, "angle_end": NaN}']:
+        cases.append(("run", [item]))
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 

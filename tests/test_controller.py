@@ -108,6 +108,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(joint_min=0.06, joint_max=0.05)
 
+    @pytest.mark.parametrize("goal_dwell", [float("nan"), float("inf"), -0.1])
+    def test_rejects_bad_goal_dwell(self, goal_dwell):
+        with pytest.raises(ValueError, match="goal_dwell"):
+            ControllerConfig(goal_dwell=goal_dwell)
+
+    def test_zero_goal_dwell_allowed(self):
+        assert ControllerConfig(goal_dwell=0.0).goal_dwell == 0.0
+
+    @pytest.mark.parametrize("limits", [(0.0, float("inf")), (float("nan"), 0.08),
+                                        (0.0, float("nan"))])
+    def test_rejects_non_finite_joint_limits(self, limits):
+        with pytest.raises(ValueError, match="joint limits"):
+            ControllerConfig(joint_min=limits[0], joint_max=limits[1])
+
     def test_request_apertures_ordered(self):
         with pytest.raises(ValueError):
             GraspRequest(start_aperture=0.05, end_aperture=0.08, duration=1.0)

@@ -79,9 +79,10 @@ class TestRunTrial:
         assert result.finished
         assert result.series[-1].t < 3.0
 
-    def test_nan_config_raises_runtime_fault(self):
-        spec = quiet_spec(plant={"gravity": float("nan")},
-                          wrist={"t_start": 0.1, "t_end": 1.0, "angle_end": 1.0})
+    def test_overflowing_config_raises_runtime_fault(self):
+        # A finite gain passes the spec boundary, but gamma * gain_scale
+        # overflows and the first calibrated reading is NaN.
+        spec = quiet_spec(sensors={"noise": False, "gain_scale1": 1e308})
         with pytest.raises(RuntimeFault):
             run_trial(spec)
 

@@ -1,12 +1,14 @@
 """Contact physics: spring law, quasi-statics, disturbances, determinism."""
 
 import math
+import random
 
 import pytest
 
 from graspforce.controller import ControlCommand
 from graspforce.plant import (
     FINGER_1,
+    FINGER_2,
     OBJECT,
     DisturbanceSchedule,
     ObjectSpec,
@@ -287,6 +289,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             PlantConfig(pad_stiffness=-100.0)
 
+    @pytest.mark.parametrize("field", ["dt", "max_finger_speed", "gravity", "pad_stiffness"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_plant_config_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PlantConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["force", "t_start", "t_end", "ramp"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_push_must_be_finite(self, field, value):
+        args = dict(target=OBJECT, force=1.0, t_start=1.0, t_end=2.0, ramp=0.01)
+        with pytest.raises(ValueError, match=field):
+            Push(**dict(args, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["t_start", "t_end", "angle_start", "angle_end"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_wrist_sweep_must_be_finite(self, field, value):
+        args = dict(t_start=1.0, t_end=2.0, angle_end=math.pi, angle_start=0.0)
+        with pytest.raises(ValueError, match=field):
+            WristSweep(**dict(args, **{field: value}))
+
     def test_step_duration_must_be_positive(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
@@ -297,3 +319,193 @@ class TestValidation:
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         with pytest.raises(ValueError):
             Plant(obj, start_aperture=0.0)
+
+
+def _frozen_tracking_velocity(q, target, period, max_speed):
+    needed = target - q
+    if needed == 0.0:
+        return 0.0
+    return math.copysign(min(abs(needed) / period, max_speed), needed)
+
+
+class FrozenPlant:
+    """The plant's substep loop as it stood before its invariants were hoisted.
+
+    A verbatim reference: every value the loop derives per substep is
+    recomputed per substep here, in the original order, so any change of
+    operands or evaluation order in Plant.step shows up as a bit difference.
+    """
+
+    def __init__(self, obj, start_aperture, schedule, config):
+        self.obj = obj
+        self.schedule = schedule
+        self.config = config
+        self.q1 = 0.5 * start_aperture
+        self.q2 = 0.5 * start_aperture
+        self.x_obj = obj.initial_offset
+        self.v_obj = 0.0
+        self.t = 0.0
+        self.true_f1, self.true_f2 = self._contact_forces()
+
+    @property
+    def contact_stiffness(self):
+        k = self.obj.stiffness
+        pad = self.config.pad_stiffness
+        if pad is None:
+            return k
+        return k * pad / (k + pad)
+
+    def push_force(self, target, t):
+        return sum(p.value(t) for p in self.schedule.pushes if p.target == target)
+
+    def wrist_angle(self, t):
+        wrist = self.schedule.wrist
+        return wrist.angle(t) if wrist is not None else 0.0
+
+    def g_dot_n(self):
+        return -self.config.gravity * math.sin(self.wrist_angle(self.t))
+
+    def _contact_forces(self):
+        k = self.contact_stiffness
+        half = 0.5 * self.obj.width
+        d1 = -self.q1 - (self.x_obj - half)
+        d2 = (self.x_obj + half) - self.q2
+        return k * max(0.0, d1), k * max(0.0, d2)
+
+    def _quasi_static_position(self, push):
+        k = self.contact_stiffness
+        half = 0.5 * self.obj.width
+        left_end = -self.q1 + half
+        right_start = self.q2 - half
+        if right_start >= left_end:
+            if push > 0.0:
+                return right_start + push / k
+            if push < 0.0:
+                return left_end + push / k
+            return min(max(self.x_obj, left_end), right_start)
+        x = 0.5 * (left_end + right_start) + 0.5 * push / k
+        if right_start < x < left_end:
+            return x
+        if push > 0.0:
+            return right_start + push / k
+        return left_end + push / k
+
+    def measured_forces(self):
+        return (
+            self.true_f1 + self.push_force(FINGER_1, self.t),
+            self.true_f2 + self.push_force(FINGER_2, self.t),
+        )
+
+    @staticmethod
+    def _move_toward(q, target, move):
+        if abs(target - q) <= abs(move):
+            return target
+        return q + move
+
+    def step(self, command, duration):
+        cfg = self.config
+        obj = self.obj
+        n_sub = max(1, round(duration / cfg.dt))
+        dt = duration / n_sub
+        v1 = _frozen_tracking_velocity(self.q1, command.q1_cmd, duration, cfg.max_finger_speed)
+        v2 = _frozen_tracking_velocity(self.q2, command.q2_cmd, duration, cfg.max_finger_speed)
+        for _ in range(n_sub):
+            self.q1 = self._move_toward(self.q1, command.q1_cmd, v1 * dt)
+            self.q2 = self._move_toward(self.q2, command.q2_cmd, v2 * dt)
+            g_dot_n = -cfg.gravity * math.sin(self.wrist_angle(self.t))
+            push_obj = self.push_force(OBJECT, self.t)
+            if obj.mass == 0.0:
+                self.x_obj = self._quasi_static_position(push_obj)
+                self.v_obj = 0.0
+            else:
+                f1, f2 = self._contact_forces()
+                net = f1 - f2 + obj.mass * g_dot_n + push_obj
+                self.v_obj = (self.v_obj + dt * net / obj.mass) / (
+                    1.0 + dt * obj.damping / obj.mass
+                )
+                self.x_obj += dt * self.v_obj
+            self.t += dt
+        self.true_f1, self.true_f2 = self._contact_forces()
+        return (self.x_obj, self.v_obj, self.q1, self.q2, self.true_f1, self.true_f2)
+
+
+def _bits(values):
+    """Each value's exact bits, so -0.0 and 0.0 differ and NaN equals NaN."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _snapshot(plant):
+    return _bits(
+        (plant.q1, plant.q2, plant.x_obj, plant.v_obj, plant.t, plant.true_f1, plant.true_f2)
+        + tuple(plant.measured_forces())
+        + (plant.g_dot_n(),)
+    )
+
+
+SWEEP = WristSweep(0.3, 2.5, angle_end=math.pi, angle_start=-0.2)
+MIXED_PUSHES = (
+    Push(OBJECT, -0.4, 0.2, 0.9, ramp=0.05),
+    Push(OBJECT, 0.6, 1.1, 1.6, ramp=0.0),
+    Push(FINGER_1, 1.5, 0.4, 1.2, ramp=0.02),
+    Push(FINGER_2, -0.7, 0.5, 2.0, ramp=0.1),
+)
+
+# name -> (object, start aperture, schedule, plant config)
+REFERENCE_SCENARIOS = {
+    "object pushes": (
+        ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
+        0.064, DisturbanceSchedule(pushes=MIXED_PUSHES), PlantConfig(),
+    ),
+    "wrist sweep": (
+        ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0,
+                   initial_offset=0.001),
+        0.058, DisturbanceSchedule(wrist=SWEEP), PlantConfig(),
+    ),
+    "pushes and sweep": (
+        ObjectSpec("slab", mass=0.02, width=0.05, stiffness=500.0, damping=5.0),
+        0.054, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), PlantConfig(gravity=-3.7),
+    ),
+    "quasi-static": (
+        ObjectSpec("slab", mass=0.0, width=0.05, stiffness=2000.0, initial_offset=-0.002),
+        0.06, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), RIGID_TIPS,
+    ),
+    "rigid tips": (
+        ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=0.0),
+        0.064, DisturbanceSchedule(pushes=MIXED_PUSHES[:2]), RIGID_TIPS,
+    ),
+    "undamped free": (
+        ObjectSpec("slab", mass=0.3, width=0.04, stiffness=900.0),
+        0.08, DisturbanceSchedule(), PlantConfig(max_finger_speed=0.02, dt=7e-4),
+    ),
+}
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
+    def test_bit_identical_to_frozen_substep_loop(self, name):
+        obj, start, schedule, config = REFERENCE_SCENARIOS[name]
+        plant = Plant(obj, start_aperture=start, schedule=schedule, config=config)
+        frozen = FrozenPlant(obj, start, schedule, config)
+        assert _snapshot(plant) == _snapshot(frozen)
+        rng = random.Random(name)
+        half_width = 0.5 * obj.width
+        for i in range(300):
+            # Small squeezes around contact, large slew-capped jumps,
+            # held commands and periods that are not a multiple of dt.
+            kind = i % 5
+            if kind == 0:
+                cmd = ControlCommand(plant.q1, plant.q2)
+            elif kind == 1:
+                cmd = ControlCommand(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
+            else:
+                cmd = ControlCommand(
+                    half_width + rng.uniform(-0.002, 0.001),
+                    half_width + rng.uniform(-0.002, 0.001),
+                )
+            duration = (0.01, 0.01, 0.005, 0.0123, 0.0004)[i % 5]
+            state = plant.step(cmd, duration)
+            expected = frozen.step(cmd, duration)
+            assert _bits((state.x_obj, state.v_obj, state.q1, state.q2,
+                          state.true_f1, state.true_f2)) == _bits(expected)
+            assert _snapshot(plant) == _snapshot(frozen)
+        assert plant.t == frozen.t > 2.0

@@ -52,6 +52,11 @@ class TestRawSignal:
         with pytest.raises(ValueError):
             SensorModel(noise_sigma=-0.001)
 
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf"), float("-inf")])
+    def test_bias_must_be_finite(self, bias):
+        with pytest.raises(ValueError, match="bias"):
+            SensorModel(bias=bias)
+
 
 class TestBiasEstimate:
     def test_noiseless_estimate_is_exact(self):
