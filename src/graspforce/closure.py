@@ -28,7 +28,7 @@ from .geometry import (
     rotation_from_normal,
     wrench_basis_apply,
 )
-from .simplex import solve_lp
+from .simplex import all_feasible, solve_lp
 
 RANK_RTOL = 1e-8
 MARGIN_TOL = 1e-9
@@ -189,21 +189,19 @@ def is_force_closure(contacts: list[Contact], sides: int = DEFAULT_CONE_SIDES) -
 def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES) -> bool:
     """Feasibility test: can cone-admissible contact forces balance the wrench.
 
-    Solves for f with G @ f = -wrench inside the linearized cones, with a
+    Looks for f with G @ f = -wrench inside the linearized cones, with a
     very large (effectively non-binding) bound on total normal force to
-    keep the LP bounded. wrench may also be a (k, 6) stack: the program is
-    assembled once and each wrench gets its own LP, stopping at the first
-    one that cannot be balanced.
+    keep the program bounded. wrench may also be a (k, 6) stack: the
+    program is assembled once and simplex.all_feasible runs phase 1 for a
+    block of wrenches at a time in lockstep, returning False at the first
+    wrench that cannot be balanced. This is the oracle that checks
+    is_force_closure, so it deliberately does not go through solve_lp.
     """
     g, neg_cone, norm_row = _cone_program(contacts, sides)
     a_ub = np.vstack([neg_cone, norm_row])
     b_ub = np.zeros(a_ub.shape[0])
     b_ub[-1] = ORACLE_NORMAL_BOUND
-    c = np.zeros(g.shape[1])
-    return all(
-        solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=g, b_eq=-w).ok
-        for w in np.asarray(wrench, dtype=float).reshape(-1, 6)
-    )
+    return all_feasible(a_ub, b_ub, g, -np.asarray(wrench, dtype=float).reshape(-1, 6))
 
 
 def sample_unit_wrenches(count: int, seed: int = 0) -> np.ndarray:

@@ -265,10 +265,16 @@ class Plant:
         return left_end + push / k
 
     def measured_forces(self) -> tuple[float, float]:
-        """True contact forces plus any scheduled finger pushes, as the load cells see them."""
+        """True contact forces plus any scheduled finger pushes, as the load cells see them.
+
+        A finger without pushes adds the int 0 that an empty push sum
+        gives, so a -0.0 force still reads 0.0.
+        """
+        schedule = self.schedule
+        by_target = schedule.by_target
         return (
-            self.true_f1 + self.schedule.push_force(FINGER_1, self.t),
-            self.true_f2 + self.schedule.push_force(FINGER_2, self.t),
+            self.true_f1 + (schedule.push_force(FINGER_1, self.t) if by_target[FINGER_1] else 0),
+            self.true_f2 + (schedule.push_force(FINGER_2, self.t) if by_target[FINGER_2] else 0),
         )
 
     def step(self, command: ControlCommand, duration: float) -> PlantState:

@@ -229,6 +229,66 @@ def test_closure_verdict_confirmed_by_resistance_sampling():
     )
 
 
+def _coincident_instance(rng):
+    """Opposed contacts at one point, sometimes with a third there too.
+
+    G has rank 4 (or 5 with the third contact), so the set is never
+    surjective, yet squeezing the opposed pair is a strict internal force.
+    """
+    position = rng.uniform(-0.05, 0.05, size=3)
+    normal = _unit(rng)
+    mu = float(rng.uniform(0.3, 0.9))
+    mu_tau = float(rng.uniform(0.002, 0.01))
+    contacts = [
+        Contact.from_normal(position, normal, mu, mu_tau),
+        Contact.from_normal(position, -normal, mu, mu_tau),
+    ]
+    if rng.random() < 0.5:
+        contacts.append(Contact.from_normal(position, _unit(rng), mu, mu_tau))
+    return contacts
+
+
+def test_non_closure_verdict_confirmed_by_resistance_sampling():
+    # The wrenches a non-closure grasp resists form a convex cone other than
+    # R^6, which misses an open half-sphere, so 500 sampled unit wrenches all
+    # land inside it with probability about 2^-500. Instances that become
+    # force-closure with mu and mu_tau scaled by 1.05 sit near the boundary,
+    # where the polyhedral verdict and sampling may legitimately split, and
+    # are excluded. Everything counted must have an unresisted sample.
+    rng = np.random.default_rng(1105)
+    counted = {"full": 0, "rank deficient": 0}
+    excluded = 0
+    resisted = 0
+    attempts = 0
+    while counted["full"] < 100 or counted["rank deficient"] < 20:
+        attempts += 1
+        if counted["full"] < 100:
+            contacts = _squeeze_instance(rng) if attempts % 3 else _random_instance(rng)
+        else:
+            contacts = _coincident_instance(rng)
+        report = is_force_closure(contacts)
+        if report.is_force_closure:
+            continue
+        widened = [Contact(c.position, c.rotation, 1.05 * c.mu, 1.05 * c.mu_tau) for c in contacts]
+        if is_force_closure(widened).is_force_closure:
+            excluded += 1
+            continue
+        if counted["full"] < 100:
+            counted["full"] += 1
+        else:
+            assert not report.surjective and report.has_strict_internal
+            counted["rank deficient"] += 1
+        if resistance_oracle(contacts, wrench_samples=500):
+            resisted += 1
+    check(
+        resisted == 0,
+        "non-closure confirmation",
+        f"{counted['full']} non-closure instances and {counted['rank deficient']} "
+        f"rank-deficient ones with a strict internal force ({excluded} near the boundary "
+        f"excluded) vs 500-wrench resistance sampling: {resisted} fully resisted (target 0)",
+    )
+
+
 def test_algebraic_identities_hold():
     # Splitting and recombining commands is exact whenever the half-sums are
     # representable; dyadic rationals with headroom guarantee that, so the

@@ -229,6 +229,21 @@ class TestDisturbances:
         assert plant.true_f1 == 0.0
         assert plant.x_obj == 0.0
 
+    @pytest.mark.parametrize("targets", [(), (FINGER_1,), (FINGER_2,), (FINGER_1, FINGER_2)])
+    def test_measured_forces_keep_the_push_sum_bits(self, targets):
+        # The reference is the sum over every finger push, empty or not, so
+        # a finger without pushes adds int 0 and a -0.0 force reads 0.0.
+        obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
+        pushes = tuple(Push(target, 0.3, 0.0, 1.0, ramp=0.2) for target in targets)
+        plant = Plant(obj, start_aperture=0.08, schedule=DisturbanceSchedule(pushes=pushes))
+        for true_f1, true_f2, t in [(-0.0, -0.0, 0.05), (0.25, -0.0, 0.5), (-0.0, 1.5, 2.0)]:
+            plant.true_f1, plant.true_f2, plant.t = true_f1, true_f2, t
+            want = [
+                force + sum(p.value(t) for p in pushes if p.target == target)
+                for force, target in ((true_f1, FINGER_1), (true_f2, FINGER_2))
+            ]
+            assert [f.hex() for f in plant.measured_forces()] == [f.hex() for f in want]
+
     def test_object_push_is_a_real_force(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(OBJECT, 0.5, 0.0, 1.0, ramp=0.01)

@@ -1,10 +1,18 @@
-"""Two-phase simplex solver, cross-checked against scipy's solver."""
+"""Two-phase simplex solver and the lockstep feasibility oracle, cross-checked against scipy."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graspforce.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, _pivot, solve_lp
+from graspforce import closure, simplex
+from graspforce.closure import (
+    ORACLE_NORMAL_BOUND,
+    Contact,
+    can_resist,
+    is_force_closure,
+    linearize_cone,
+)
+from graspforce.simplex import _BLOCK, INFEASIBLE, OPTIMAL, UNBOUNDED, _pivot, all_feasible, solve_lp
 
 
 def scipy_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -157,3 +165,144 @@ class TestPivot:
             np.testing.assert_array_equal(tableau, want)
             np.testing.assert_array_equal(obj, want_obj)
             assert basis == want_basis
+
+
+def scipy_feasible(a_ub, b_ub, a_eq, b_eq):
+    ref = scipy_solve(np.zeros(a_eq.shape[1]), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    assert ref.status in (0, 2), ref.message
+    return ref.status == 0
+
+
+def random_contacts(rng, count):
+    return [
+        Contact.from_normal(
+            rng.uniform(-0.05, 0.05, size=3),
+            rng.standard_normal(3),
+            mu=rng.uniform(0.2, 1.0),
+            mu_tau=rng.uniform(0.001, 0.01),
+        )
+        for _ in range(count)
+    ]
+
+
+def oracle_program(contacts):
+    """The a_ub, b_ub and G that can_resist hands to all_feasible."""
+    g, neg_cone, norm_row = closure._cone_program(contacts, closure.DEFAULT_CONE_SIDES)
+    a_ub = np.vstack([neg_cone, norm_row])
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[-1] = ORACLE_NORMAL_BOUND
+    return a_ub, b_ub, g
+
+
+def resistible_wrenches(rng, contacts, count):
+    """Wrenches -G f for forces f strictly inside every linearized cone.
+
+    Each f is its own feasibility certificate, so these need no solver.
+    """
+    g = closure.build_grasp_matrix(contacts)
+    forces = np.empty((count, 4 * len(contacts)))
+    for i, contact in enumerate(contacts):
+        fz = rng.uniform(0.5, 2.0, size=count)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size=count)
+        radius = 0.5 * contact.mu * np.cos(np.pi / closure.DEFAULT_CONE_SIDES) * fz
+        forces[:, 4 * i] = radius * rng.uniform(0.0, 1.0, size=count) * np.cos(angle)
+        forces[:, 4 * i + 1] = radius * rng.uniform(0.0, 1.0, size=count) * np.sin(angle)
+        forces[:, 4 * i + 2] = fz
+        forces[:, 4 * i + 3] = 0.5 * contact.mu_tau * fz * rng.uniform(-1.0, 1.0, size=count)
+        cone = linearize_cone(contact.mu, contact.mu_tau)
+        assert np.all(forces[:, 4 * i : 4 * i + 4] @ cone.T > 0.0)
+    return -forces @ g.T
+
+
+class TestAllFeasible:
+    def test_verdict_per_wrench_matches_scipy(self):
+        rng = np.random.default_rng(41)
+        verdicts = {True: 0, False: 0}
+        for trial in range(16):
+            contacts = random_contacts(rng, 2 + trial % 2)
+            a_ub, b_ub, g = oracle_program(contacts)
+            unit = rng.standard_normal((8, 6))
+            wrenches = np.vstack([
+                unit / np.linalg.norm(unit, axis=1, keepdims=True),
+                resistible_wrenches(rng, contacts, 3),
+            ])
+            want = [scipy_feasible(a_ub, b_ub, g, -w) for w in wrenches]
+            got = [all_feasible(a_ub, b_ub, g, -w[None]) for w in wrenches]
+            assert got == want
+            assert all_feasible(a_ub, b_ub, g, -wrenches) == all(want)
+            for verdict in want:
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 20
+
+    def test_general_systems_match_scipy(self):
+        # Inequality rows with b_ub < 0 start on an artificial, and equality
+        # right-hand sides of both signs flip rows per system.
+        rng = np.random.default_rng(43)
+        verdicts = {True: 0, False: 0}
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            a_ub = rng.standard_normal((int(rng.integers(2, 7)), n))
+            a_eq = rng.standard_normal((int(rng.integers(1, 3)), n))
+            x0 = rng.standard_normal(n)
+            b_ub = a_ub @ x0 + rng.uniform(-1.0, 1.0, size=a_ub.shape[0])
+            b_eqs = (a_eq @ x0)[None] + rng.uniform(-2.0, 2.0, size=(4, a_eq.shape[0]))
+            want = [scipy_feasible(a_ub, b_ub, a_eq, b) for b in b_eqs]
+            assert [all_feasible(a_ub, b_ub, a_eq, b[None]) for b in b_eqs] == want
+            assert all_feasible(a_ub, b_ub, a_eq, b_eqs) == all(want)
+            for verdict in want:
+                verdicts[verdict] += 1
+        assert (b_ub < 0.0).any()
+        assert min(verdicts.values()) >= 20
+
+    @pytest.mark.parametrize(
+        "size,unresisted_at",
+        [
+            (1, None), (1, 0),
+            (_BLOCK - 1, None), (_BLOCK - 1, _BLOCK - 2),
+            (_BLOCK, None), (_BLOCK, _BLOCK - 1),
+            (_BLOCK + 1, None), (_BLOCK + 1, _BLOCK),
+            (500, None), (500, 0), (500, 3 * _BLOCK + 5), (500, 499),
+        ],
+    )
+    def test_stack_verdict_at_block_edges(self, size, unresisted_at):
+        rng = np.random.default_rng(47)
+        while True:
+            contacts = random_contacts(rng, 2)
+            if not is_force_closure(contacts).is_force_closure:
+                break
+        a_ub, b_ub, g = oracle_program(contacts)
+        while True:
+            unresisted = rng.standard_normal(6)
+            if not scipy_feasible(a_ub, b_ub, g, -unresisted):
+                break
+        stack = resistible_wrenches(rng, contacts, size)
+        if unresisted_at is not None:
+            stack[unresisted_at] = unresisted
+        assert all_feasible(a_ub, b_ub, g, -stack) == (unresisted_at is None)
+        assert can_resist(contacts, stack) == (unresisted_at is None)
+        if size <= _BLOCK + 1:
+            assert can_resist(contacts, stack) == all(can_resist(contacts, w) for w in stack)
+
+    def test_empty_stack_is_feasible(self):
+        a_ub, b_ub, g = oracle_program(random_contacts(np.random.default_rng(3), 2))
+        assert all_feasible(a_ub, b_ub, g, np.zeros((0, 6)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            all_feasible(np.eye(3), np.zeros(2), np.ones((1, 3)), [[1.0]])
+        with pytest.raises(ValueError):
+            all_feasible(np.eye(3), np.zeros(3), np.ones((1, 4)), [[1.0]])
+
+    def test_oracle_does_not_use_the_certifier_solver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached solve_lp")
+
+        for name in ("solve_lp", "_iterate", "_pivot"):
+            monkeypatch.setattr(simplex, name, forbidden)
+        monkeypatch.setattr(closure, "solve_lp", forbidden)
+        pair = [
+            Contact.from_normal((0.0, 0.03, 0.0), (0.0, -1.0, 0.0)),
+            Contact.from_normal((0.0, -0.03, 0.0), (0.0, 1.0, 0.0)),
+        ]
+        assert closure.resistance_oracle(pair, wrench_samples=100)
+        assert not closure.resistance_oracle(pair[:1], wrench_samples=100)
