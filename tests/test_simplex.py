@@ -12,7 +12,15 @@ from graspforce.closure import (
     is_force_closure,
     linearize_cone,
 )
-from graspforce.simplex import _BLOCK, INFEASIBLE, OPTIMAL, UNBOUNDED, _pivot, all_feasible, solve_lp
+from graspforce.simplex import (
+    _BLOCK,
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    _pivot,
+    all_feasible,
+    solve_lp,
+)
 
 
 def scipy_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -279,9 +287,10 @@ class TestAllFeasible:
         if unresisted_at is not None:
             stack[unresisted_at] = unresisted
         assert all_feasible(a_ub, b_ub, g, -stack) == (unresisted_at is None)
-        assert can_resist(contacts, stack) == (unresisted_at is None)
+        stacked = can_resist(contacts, stack)
+        assert stacked == (unresisted_at is None)
         if size <= _BLOCK + 1:
-            assert can_resist(contacts, stack) == all(can_resist(contacts, w) for w in stack)
+            assert stacked == all(can_resist(contacts, w) for w in stack)
 
     def test_empty_stack_is_feasible(self):
         a_ub, b_ub, g = oracle_program(random_contacts(np.random.default_rng(3), 2))
