@@ -91,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--noise-sigma", type=float, default=None, help="raw noise sigma")
     cal.add_argument("--samples", type=int, default=1000, help="unloaded samples to average")
     cal.add_argument("--seed", type=int, default=0, help="noise stream seed")
+    # -v also after the subcommand; main adds the two counts.
+    for p in sub.choices.values():
+        p.add_argument(
+            "-v", "--verbose", dest="sub_verbose", action="count", default=0,
+            help="increase log verbosity (-v, -vv)",
+        )
     return parser
 
 
@@ -193,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
     logging.basicConfig(
-        level=logging.WARNING - 10 * min(args.verbose, 2),
+        level=logging.WARNING - 10 * min(args.verbose + args.sub_verbose, 2),
         format="%(levelname)s %(name)s: %(message)s",
     )
     handlers = {

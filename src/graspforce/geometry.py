@@ -130,8 +130,12 @@ def adjoint_transform(p, r, w: Wrench) -> Wrench:
     p = as_vec3(p)
     r = require_rotation(r)
     force = r @ w.force
-    torque = np.cross(p, force) + r @ w.torque
-    return Wrench(force, torque)
+    # p x force with np.cross's formulas in its operand order, on Python
+    # floats: same bits, without np.cross's axis handling.
+    px, py, pz = p.tolist()
+    fx, fy, fz = force.tolist()
+    moment = np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx])
+    return Wrench(force, moment + r @ w.torque)
 
 
 def compose_frames(p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,12 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     """Simulate one grasp trial and compute its metrics."""
     try:
         resolved = resolve(spec)
+        # Calibration checks its sample count, which a caller may have set
+        # on the spec after it was validated.
+        sensors = tuple(
+            CalibratedSensor(model, spec.sensors.calibration_samples)
+            for model in resolved.sensor_models
+        )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -134,10 +140,6 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         start_aperture=resolved.start_aperture,
         schedule=resolved.schedule,
         config=spec.plant,
-    )
-    sensors = tuple(
-        CalibratedSensor(model, spec.sensors.calibration_samples)
-        for model in resolved.sensor_models
     )
     if spec.controller == FORCE:
         controller = GraspController(

@@ -73,6 +73,11 @@ class SensorSetup:
     min_force: float = 0.0
     calibration_samples: int = 1000
 
+    def __post_init__(self):
+        samples = self.calibration_samples
+        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+            raise ValueError(f"calibration_samples must be an integer >= 1, got {samples!r}")
+
 
 @dataclass
 class ScenarioSpec:

@@ -20,6 +20,7 @@ results that solve_lp produced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class LpResult:
     status: str
     x: np.ndarray | None
     fun: float | None
+    # Pivots made while minimising the artificial sum, including those that
+    # drive leftover artificials out of the basis, and on the real objective.
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
     @property
     def ok(self) -> bool:
@@ -49,30 +54,51 @@ class LpResult:
 
 
 def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+    """Make column col basic in row: a rank-1 update of the tableau and objective.
+
+    The update is factor[:, None] * pivot_row, the same multiply-then-subtract
+    np.outer performs, without its wrapper; on the 30 to 41 row tableaux of
+    the certify LP the wrapper cost more than the arithmetic.
+    """
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= np.outer(factor, tableau[row])
-    obj -= obj[col] * tableau[row]
+    tableau -= factor[:, None] * pivot_row
+    obj -= obj[col] * pivot_row
     basis[row] = col
 
 
-def _iterate(tableau: np.ndarray, obj: np.ndarray, basis: list[int], allowed: int) -> str:
-    """Run simplex pivots until optimal or unbounded.
+def _iterate(
+    tableau: np.ndarray, obj: np.ndarray, basis: list[int], allowed: int
+) -> tuple[str, int]:
+    """Run simplex pivots until optimal or unbounded; return the status and pivot count.
 
     Only columns with index < allowed may enter the basis; this is how
     phase 2 keeps retired artificial columns out.
+
+    The ratio test runs over the pivot column and right-hand side as Python
+    floats. A Python float divides and subtracts with the same IEEE double
+    arithmetic as a numpy float64 scalar, so the rows visited, the ratios
+    and the Bland tie-break are those of an array version, bit for bit. An
+    array version (candidate mask, divide, minimum, tie mask) was slower:
+    a certify pivot has only about a dozen candidate rows, nearly all of
+    them tied at ratio 0, and each array call costs more than the loop.
     """
-    for _ in range(_MAX_PIVOTS):
-        eligible = np.flatnonzero(obj[:allowed] < -_TOL)
-        if eligible.size == 0:
-            return OPTIMAL
-        entering = eligible[0]  # Bland: smallest eligible index
-        col = tableau[:, entering]
+    if not allowed:  # nothing may enter, and argmax needs a column
+        return OPTIMAL, 0
+    for pivots in range(_MAX_PIVOTS):
+        neg = obj[:allowed] < -_TOL
+        entering = neg.argmax()  # Bland: smallest eligible index
+        if not neg[entering]:
+            return OPTIMAL, pivots
+        rhs = tableau[:, -1].tolist()
         best_row = -1
-        best_ratio = np.inf
-        for r in np.flatnonzero(col > _TOL):
-            ratio = tableau[r, -1] / col[r]
+        best_ratio = math.inf
+        for r, c in enumerate(tableau[:, entering].tolist()):
+            if not c > _TOL:
+                continue
+            ratio = rhs[r] / c
             if ratio < best_ratio - _TOL or (
                 ratio < best_ratio + _TOL
                 and (best_row < 0 or basis[r] < basis[best_row])
@@ -80,7 +106,7 @@ def _iterate(tableau: np.ndarray, obj: np.ndarray, basis: list[int], allowed: in
                 best_ratio = ratio
                 best_row = r
         if best_row < 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         _pivot(tableau, obj, basis, best_row, entering)
     raise RuntimeError("simplex failed to terminate")
 
@@ -131,15 +157,16 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         tableau[i, n_real + k] = 1.0
         basis[i] = n_real + k
 
+    phase1 = 0
     if need_art:
         # Phase 1: minimise the artificial sum.
         obj = np.zeros(n_cols + 1)
         obj[n_real:n_cols] = 1.0
         for i in need_art:
             obj -= tableau[i]
-        status = _iterate(tableau, obj, basis, n_cols)
+        status, phase1 = _iterate(tableau, obj, basis, n_cols)
         if status != OPTIMAL or -obj[-1] > _FEAS_TOL:
-            return LpResult(INFEASIBLE, None, None)
+            return LpResult(INFEASIBLE, None, None, phase1)
         # Pivot leftover artificials out of the basis, dropping rows that
         # turned out linearly dependent.
         keep = []
@@ -150,6 +177,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
             piv = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
             if piv.size:
                 _pivot(tableau, obj, basis, r, piv[0])
+                phase1 += 1
                 keep.append(r)
         if len(keep) < m:
             tableau = tableau[keep]
@@ -163,14 +191,14 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     for r in range(m):
         if obj[basis[r]] != 0.0:
             obj -= obj[basis[r]] * tableau[r]
-    status = _iterate(tableau, obj, basis, n_real)
+    status, phase2 = _iterate(tableau, obj, basis, n_real)
     if status == UNBOUNDED:
-        return LpResult(UNBOUNDED, None, None)
+        return LpResult(UNBOUNDED, None, None, phase1, phase2)
 
     full = np.zeros(n_cols)
     full[basis] = tableau[:, -1]
     x = full[:n] - full[n : 2 * n]
-    return LpResult(OPTIMAL, x, float(c @ x))
+    return LpResult(OPTIMAL, x, float(c @ x), phase1, phase2)
 
 
 def all_feasible(a_ub, b_ub, a_eq, b_eqs) -> bool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graspforce.cli import main
+from graspforce.cli import build_parser, main
 
 ANTIPODAL = {
     "contacts": [
@@ -40,6 +40,15 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["plot"]) == 2
+
+    @pytest.mark.parametrize("before", [True, False], ids=["-v run", "run -v"])
+    def test_verbose_before_or_after_subcommand(self, before, scenario_file, tmp_path):
+        argv = ["run", scenario_file, "--out-dir", str(tmp_path / "o")]
+        assert main(["-v"] + argv if before else argv + ["-v"]) == 0
+
+    def test_verbose_counts_add_up(self):
+        args = build_parser().parse_args(["-v", "closure", "c.json", "-vv"])
+        assert args.verbose + args.sub_verbose == 3
 
 
 class TestRun:
@@ -126,6 +135,9 @@ def bad_override_cases():
                  'wrist={"t_start": 1, "t_end": Infinity}',
                  'wrist={"t_start": 1, "t_end": 2, "angle_end": NaN}']:
         cases.append(("run", [item]))
+    # Not an integer >= 1: the bias calibration's sample count.
+    for value in ["1.5", "true", '"x"', "0"]:
+        cases.append(("run", [f"sensors.calibration_samples={value}"]))
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 

@@ -143,6 +143,27 @@ class TestAdjoint:
             direct = adjoint_transform(p12, r12, w)
             np.testing.assert_allclose(step.as_vector(), direct.as_vector(), atol=1e-9)
 
+    def test_torque_bits_match_np_cross(self):
+        # Components span 1e-3 to 1e3 in magnitude, with both signs of zero,
+        # under the identity and exact signed permutations as well as
+        # general rotations.
+        rng = np.random.default_rng(31)
+        exact = [np.eye(3), np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                 np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])]
+
+        def vector():
+            v = rng.choice([-1.0, 1.0], size=3) * 10.0 ** rng.uniform(-3.0, 3.0, size=3)
+            zero = rng.random(3) < 0.25
+            v[zero] = rng.choice([-0.0, 0.0], size=int(zero.sum()))
+            return v
+
+        for i in range(400):
+            p, f, tau = vector(), vector(), vector()
+            r = exact[i % 3] if i % 2 else random_rotation(rng)
+            out = adjoint_transform(p, r, Wrench(f, tau))
+            assert out.torque.tobytes() == (np.cross(p, r @ f) + r @ tau).tobytes()
+            assert out.force.tobytes() == (r @ f).tobytes()
+
     def test_identity_frame_is_identity(self):
         w = Wrench([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
         out = adjoint_transform(np.zeros(3), np.eye(3), w)

@@ -86,6 +86,18 @@ class TestRunTrial:
         with pytest.raises(RuntimeFault):
             run_trial(spec)
 
+    @pytest.mark.parametrize("samples", [0, 1.5, True, "x"])
+    def test_bad_calibration_sample_count_rejected_by_spec(self, samples):
+        with pytest.raises(ValueError, match="calibration_samples"):
+            quiet_spec(sensors={"noise": False, "calibration_samples": samples})
+
+    def test_bad_calibration_sample_count_is_config_error(self):
+        # Set after the spec was validated, the count still fails as ConfigError.
+        spec = quiet_spec()
+        spec.sensors.calibration_samples = 0
+        with pytest.raises(ConfigError, match="n_samples"):
+            run_trial(spec)
+
     def test_series_rate_is_the_control_rate(self):
         result = run_trial(quiet_spec(offset=0.0))
         dt = result.series[1].t - result.series[0].t

@@ -1,5 +1,7 @@
 """Two-phase simplex solver and the lockstep feasibility oracle, cross-checked against scipy."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -315,3 +317,304 @@ class TestAllFeasible:
         ]
         assert closure.resistance_oracle(pair, wrench_samples=100)
         assert not closure.resistance_oracle(pair[:1], wrench_samples=100)
+
+
+class TestPivotCounts:
+    def test_hand_checked_equality_program(self):
+        # min x1 + x2  s.t. x1 - x2 = 2, x1 >= 0, x2 >= 0. Phase 1 enters x1+
+        # on the equality row (ratio 2), which retires the only artificial.
+        # Phase 2 prices x2- at -2 and enters it on the x2 >= 0 row (ratio
+        # 0 beats ratio 2), after which no reduced cost is negative.
+        result = solve_lp(
+            np.array([1.0, 1.0]),
+            a_ub=np.array([[-1.0, 0.0], [0.0, -1.0]]),
+            b_ub=np.zeros(2),
+            a_eq=np.array([[1.0, -1.0]]),
+            b_eq=np.array([2.0]),
+        )
+        assert result.status == OPTIMAL
+        np.testing.assert_array_equal(result.x, [2.0, 0.0])
+        assert (result.phase1_pivots, result.phase2_pivots) == (1, 1)
+
+    def test_leftover_artificial_counts_as_phase_1(self):
+        # min x2  s.t. x2 <= 1, -x2 = -1. The negated equality row starts on
+        # its artificial. Phase 1 enters x2+ with ratio 1 in both rows; Bland
+        # breaks the tie towards the slack row, so the artificial stays basic
+        # at zero and is then pivoted out on the slack column: two phase-1
+        # pivots. Phase 2 finds every reduced cost already zero.
+        result = solve_lp(
+            np.array([0.0, 1.0]),
+            a_ub=np.array([[0.0, 1.0]]),
+            b_ub=np.array([1.0]),
+            a_eq=np.array([[0.0, -1.0]]),
+            b_eq=np.array([-1.0]),
+        )
+        assert result.status == OPTIMAL
+        np.testing.assert_array_equal(result.x, [0.0, 1.0])
+        assert (result.phase1_pivots, result.phase2_pivots) == (2, 0)
+
+    def test_no_artificials_means_no_phase_1(self):
+        result = solve_lp(np.array([-1.0]), a_ub=np.array([[1.0]]), b_ub=np.array([3.0]))
+        assert result.status == OPTIMAL
+        assert (result.phase1_pivots, result.phase2_pivots) == (0, 1)
+
+    def test_certify_program_pivots_in_both_phases(self, monkeypatch):
+        results = []
+
+        def record(*args, **kwargs):
+            results.append(solve_lp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(closure, "solve_lp", record)
+        pair = [
+            Contact.from_normal((0.0, 0.03, 0.0), (0.0, -1.0, 0.0)),
+            Contact.from_normal((0.0, -0.03, 0.0), (0.0, 1.0, 0.0)),
+        ]
+        assert is_force_closure(pair).is_force_closure
+        (result,) = results
+        assert result.phase1_pivots > 0
+        assert result.phase2_pivots > 0
+
+
+# The certify solver as it stood before its ratio test moved to Python
+# floats and its pivot dropped np.outer, kept verbatim as the reference that
+# TestFrozenSolver compares solve_lp against bit for bit.
+def frozen_pivot(tableau, obj, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
+    obj -= obj[col] * tableau[row]
+    basis[row] = col
+
+
+def frozen_iterate(tableau, obj, basis, allowed):
+    for _ in range(simplex._MAX_PIVOTS):
+        eligible = np.flatnonzero(obj[:allowed] < -simplex._TOL)
+        if eligible.size == 0:
+            return OPTIMAL
+        entering = eligible[0]  # Bland: smallest eligible index
+        col = tableau[:, entering]
+        best_row = -1
+        best_ratio = np.inf
+        for r in np.flatnonzero(col > simplex._TOL):
+            ratio = tableau[r, -1] / col[r]
+            if ratio < best_ratio - simplex._TOL or (
+                ratio < best_ratio + simplex._TOL
+                and (best_row < 0 or basis[r] < basis[best_row])
+            ):
+                best_ratio = ratio
+                best_row = r
+        if best_row < 0:
+            return UNBOUNDED
+        frozen_pivot(tableau, obj, basis, best_row, entering)
+    raise RuntimeError("simplex failed to terminate")
+
+
+def frozen_solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    n = c.shape[0]
+
+    def _block(a, b, kind):
+        if a is None:
+            return np.zeros((0, n)), np.zeros(0)
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if a.shape != (b.shape[0], n):
+            raise ValueError(f"{kind} constraint shapes disagree: {a.shape} vs {b.shape}")
+        return a, b
+
+    a_ub, b_ub = _block(a_ub, b_ub, "inequality")
+    a_eq, b_eq = _block(a_eq, b_eq, "equality")
+    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
+    m = m_ub + m_eq
+
+    a_rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
+    b = np.concatenate([b_ub, b_eq])
+    split = np.hstack([a_rows, -a_rows])
+    slack = np.eye(m, m_ub)
+
+    flip = b < 0.0
+    split[flip] *= -1.0
+    slack[flip] *= -1.0
+    b = np.where(flip, -b, b)
+
+    n_real = 2 * n + m_ub
+    need_art = [i for i in range(m) if i >= m_ub or flip[i]]
+    n_cols = n_real + len(need_art)
+    tableau = np.zeros((m, n_cols + 1))
+    tableau[:, : 2 * n] = split
+    tableau[:, 2 * n : n_real] = slack
+    tableau[:, -1] = b
+
+    basis = [2 * n + i for i in range(m)]
+    for k, i in enumerate(need_art):
+        tableau[i, n_real + k] = 1.0
+        basis[i] = n_real + k
+
+    if need_art:
+        obj = np.zeros(n_cols + 1)
+        obj[n_real:n_cols] = 1.0
+        for i in need_art:
+            obj -= tableau[i]
+        status = frozen_iterate(tableau, obj, basis, n_cols)
+        if status != OPTIMAL or -obj[-1] > simplex._FEAS_TOL:
+            return simplex.LpResult(INFEASIBLE, None, None)
+        keep = []
+        for r in range(m):
+            if basis[r] < n_real:
+                keep.append(r)
+                continue
+            piv = np.flatnonzero(np.abs(tableau[r, :n_real]) > simplex._TOL)
+            if piv.size:
+                frozen_pivot(tableau, obj, basis, r, piv[0])
+                keep.append(r)
+        if len(keep) < m:
+            tableau = tableau[keep]
+            basis = [basis[r] for r in keep]
+            m = len(keep)
+
+    obj = np.zeros(n_cols + 1)
+    obj[:n] = c
+    obj[n : 2 * n] = -c
+    for r in range(m):
+        if obj[basis[r]] != 0.0:
+            obj -= obj[basis[r]] * tableau[r]
+    status = frozen_iterate(tableau, obj, basis, n_real)
+    if status == UNBOUNDED:
+        return simplex.LpResult(UNBOUNDED, None, None)
+
+    full = np.zeros(n_cols)
+    full[basis] = tableau[:, -1]
+    x = full[:n] - full[n : 2 * n]
+    return simplex.LpResult(OPTIMAL, x, float(c @ x))
+
+
+def solve_both(*args, **kwargs):
+    """solve_lp's result after checking its status and bits against the frozen solver."""
+    got = solve_lp(*args, **kwargs)
+    want = frozen_solve_lp(*args, **kwargs)
+    assert got.status == want.status
+    if want.x is None:
+        assert got.x is None and got.fun is None
+    else:
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun.hex() == want.fun.hex()
+    return got
+
+
+def tilted_pair(rng):
+    """Two contacts facing each other across a gap, normals tilted inside the friction cone."""
+    mu = rng.uniform(0.3, 0.9)
+    contacts = []
+    for sign in (1.0, -1.0):
+        normal = np.array([0.0, -sign, 0.0]) + 0.4 * mu * rng.uniform(-1.0, 1.0, size=3)
+        position = (rng.uniform(-0.01, 0.01), sign * rng.uniform(0.015, 0.05), 0.0)
+        contacts.append(Contact.from_normal(position, normal, mu, rng.uniform(0.002, 0.01)))
+    return contacts
+
+
+def certify_sets(rng):
+    sets = []
+    for _ in range(12):
+        sets.append(random_contacts(rng, 2))
+        sets.append(random_contacts(rng, 3))
+        sets.append(tilted_pair(rng))
+        sets.append(tilted_pair(rng) + random_contacts(rng, 1))
+        # Coincident: every contact at one point. A pair leaves G at rank 5;
+        # a triple can reach rank 6.
+        point = rng.uniform(-0.05, 0.05, size=3)
+        for count in (2, 3):
+            sets.append([
+                Contact.from_normal(point, rng.standard_normal(3), rng.uniform(0.2, 1.0), 0.005)
+                for _ in range(count)
+            ])
+        # One contact: G has rank 4.
+        sets.append(random_contacts(rng, 1))
+        # No torsional friction, so no force is strictly inside the cones.
+        sets.append([Contact(c.position, c.rotation, c.mu, 0.0) for c in tilted_pair(rng)])
+    return sets
+
+
+def engineered_ratio_programs():
+    """One free variable x and rows whose first ratio test ties, or nearly does.
+
+    Each row is x >= r (for r > 0 negated to start on an artificial) or
+    x <= r (starts on its slack), scaled by 1 or 0.5, so a row that is a
+    candidate in the first pivot has ratio exactly r, and Bland's tie-break
+    ranks slack rows before artificial ones. The final x depends on which
+    row wins that test and the tests that follow.
+    """
+    ulp = np.spacing(1e8)
+    ratio_lists = [
+        (1.0, 1.0 + 0.5e-9),  # 0.5e-9 apart: inside the tie band
+        (0.0, 1e-9), (1e-9, 2e-9), (0.0, 2e-9),  # exactly 1e-9 and 2e-9 apart
+        (0.0, 0.6e-9, 1.2e-9), (0.0, 0.7e-9, 1.4e-9),  # chains inside the band
+        (1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9),
+        (1e8, 1e8), (1e8, 1e8 + ulp), (1e8, 1e8 + 2 * ulp),  # where 1e8 +- _TOL == 1e8
+        (1e8 - ulp, 1e8, 1e8 + ulp),
+    ]
+    programs = []
+    for ratios in ratio_lists:
+        for order in itertools.permutations(ratios):
+            for kinds in itertools.product((-1.0, 1.0), repeat=len(order)):
+                for scale in (1.0, 0.5):
+                    a_ub = scale * np.array(kinds)[:, None]
+                    b_ub = scale * np.array(kinds) * np.array(order)
+                    for c in (0.0, 1.0, -1.0):
+                        programs.append(([c], a_ub, b_ub))
+    return programs
+
+
+class TestFrozenSolver:
+    def test_certify_programs(self, monkeypatch):
+        programs = []
+
+        def check(*args, **kwargs):
+            programs.append(args)
+            return solve_both(*args, **kwargs)
+
+        monkeypatch.setattr(closure, "solve_lp", check)
+        verdicts = {True: 0, False: 0}
+        for contacts in certify_sets(np.random.default_rng(53)):
+            verdicts[is_force_closure(contacts).is_force_closure] += 1
+        assert len(programs) == 96
+        assert min(verdicts.values()) >= 10
+
+    def test_general_programs(self):
+        # Negative b_ub rows and equality rows of both signs start on
+        # artificials; some programs are infeasible or unbounded.
+        rng = np.random.default_rng(59)
+        statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+        for _ in range(120):
+            n = int(rng.integers(2, 6))
+            a_ub = rng.standard_normal((int(rng.integers(2, 7)), n))
+            a_eq = rng.standard_normal((int(rng.integers(1, 3)), n))
+            x0 = rng.standard_normal(n)
+            b_ub = a_ub @ x0 + rng.uniform(-1.0, 1.0, size=a_ub.shape[0])
+            b_eq = a_eq @ x0 + rng.uniform(-2.0, 2.0, size=a_eq.shape[0])
+            statuses[solve_both(rng.standard_normal(n), a_ub, b_ub, a_eq, b_eq).status] += 1
+        assert min(statuses.values()) >= 5
+        # No variables and no rows: no column can enter in either phase.
+        assert solve_both(np.zeros(0)).status == OPTIMAL
+
+    def test_near_tie_programs(self):
+        # Small integer rows whose right-hand sides sit a few half-tolerances
+        # apart, so ties and near-ties recur after the first pivot too.
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            a_ub = rng.integers(-2, 3, size=(int(rng.integers(2, 6)), n)).astype(float)
+            a_eq = rng.integers(-2, 3, size=(int(rng.integers(0, 2)), n)).astype(float)
+            b_ub = rng.integers(-1, 2, size=a_ub.shape[0]) + 0.5e-9 * rng.integers(
+                -3, 4, size=a_ub.shape[0]
+            )
+            b_eq = rng.integers(-1, 2, size=a_eq.shape[0]) * 1.0
+            c = rng.integers(-1, 2, size=n).astype(float)
+            solve_both(c, a_ub, b_ub, a_eq if a_eq.size else None, b_eq if a_eq.size else None)
+
+    def test_engineered_ratio_tests(self):
+        programs = engineered_ratio_programs()
+        for c, a_ub, b_ub in programs:
+            solve_both(c, a_ub, b_ub)
+        assert len(programs) > 1000
