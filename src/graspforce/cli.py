@@ -150,13 +150,14 @@ def _load_contacts(path: str):
         raise ConfigError(f"contact file {path} must hold a non-empty contact list")
     contacts = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"contact {i} in {path} is malformed: not an object: {entry!r}")
         try:
-            mu = float(entry.get("mu", 0.5))
-            mu_tau = float(entry.get("mu_tau", 0.005))
+            friction = {key: entry[key] for key in ("mu", "mu_tau") if key in entry}
             if "rotation" in entry:
-                contacts.append(Contact(entry["position"], entry["rotation"], mu, mu_tau))
+                contacts.append(Contact(entry["position"], entry["rotation"], **friction))
             else:
-                contacts.append(Contact.from_normal(entry["position"], entry["normal"], mu, mu_tau))
+                contacts.append(Contact.from_normal(entry["position"], entry["normal"], **friction))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"contact {i} in {path} is malformed: {exc}") from exc
     return contacts

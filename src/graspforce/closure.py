@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import NON_NEGATIVE, check_fields
 from .geometry import (
     FZ,
     adjoint_transform,
@@ -55,10 +56,7 @@ class Contact:
         object.__setattr__(self, "position", as_vec3(self.position))
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         require_rotation(self.rotation)
-        if not (np.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (np.isfinite(self.mu_tau) and self.mu_tau >= 0.0):
-            raise ValueError(f"mu_tau must be finite and >= 0, got {self.mu_tau}")
+        check_fields(self, {"mu": NON_NEGATIVE, "mu_tau": NON_NEGATIVE})
 
     @classmethod
     def from_normal(cls, position, normal, mu=0.5, mu_tau=0.005) -> "Contact":

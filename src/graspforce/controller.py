@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
+from .checks import NON_NEGATIVE, POSITIVE, check_fields
 from .sensor import contact_detected
 
 HOLD_FOREVER = "hold_forever"
@@ -79,33 +80,17 @@ class ControllerConfig:
     joint_max: float = 0.08
 
     def __post_init__(self):
-        positive = {
-            "f_goal": self.f_goal,
-            "f_theta": self.f_theta,
-            "kp_int": self.kp_int,
-            "ki_int": self.ki_int,
-            "ks_int": self.ks_int,
-            "kp_ext": self.kp_ext,
-            "k_ext": self.k_ext,
-            "control_rate": self.control_rate,
-            "goal_tolerance": self.goal_tolerance,
-        }
-        for name, value in positive.items():
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name, value in (
-            ("f_phi", self.f_phi), ("mass", self.mass), ("goal_dwell", self.goal_dwell)
-        ):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.contact_debounce < 1:
-            raise ValueError(f"contact_debounce must be >= 1, got {self.contact_debounce}")
+        limits = (self.joint_min, self.joint_max)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in limits):
+            raise ValueError(f"joint limits must be finite, got {limits}")
+        check_fields(self, {
+            **dict.fromkeys(("f_goal", "f_theta", "kp_int", "ki_int", "ks_int", "kp_ext",
+                             "k_ext", "control_rate", "goal_tolerance"), POSITIVE),
+            **dict.fromkeys(("f_phi", "mass", "goal_dwell"), NON_NEGATIVE),
+            "contact_debounce": (1, True),
+        })
         if self.phase3_mode not in (HOLD_FOREVER, STOP_AT_GOAL):
             raise ValueError(f"unknown phase3_mode {self.phase3_mode!r}")
-        if not (math.isfinite(self.joint_min) and math.isfinite(self.joint_max)):
-            raise ValueError(
-                f"joint limits must be finite, got {self.joint_min} and {self.joint_max}"
-            )
         if not self.joint_max > self.joint_min >= 0.0:
             raise ValueError("joint range must satisfy joint_max > joint_min >= 0")
 
@@ -126,10 +111,9 @@ class GraspRequest:
     mode: str | None = None
 
     def __post_init__(self):
+        check_fields(self, {"duration": POSITIVE, "f_goal": POSITIVE})
         if not self.start_aperture > self.end_aperture >= 0.0:
             raise ValueError("apertures must satisfy start > end >= 0")
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +189,6 @@ class GraspController:
 
     def set_goal_force(self, f_goal: float) -> None:
         """Runtime adaptation hook for the desired grip force."""
-        if not f_goal > 0.0:
-            raise ValueError(f"f_goal must be > 0, got {f_goal}")
         self.config = replace(self.config, f_goal=f_goal)
 
     def closing_aperture(self, t: float) -> float:

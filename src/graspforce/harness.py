@@ -49,6 +49,14 @@ class ConfigError(ValueError):
     """A scenario that cannot be run; reported before simulation starts."""
 
 
+def _reject_overrides(experiment: str, overrides: dict | None, fixed: tuple[str, ...]):
+    """Refuse overrides of the keys an experiment sets per trial and labels its rows by."""
+    for key in fixed:
+        if key in (overrides or {}):
+            hint = "; set the base seed with --seed" if key == "seed" else ""
+            raise ConfigError(f"{key} is set per trial by {experiment}, not overridable{hint}")
+
+
 class RuntimeFault(RuntimeError):
     """A trial that started but hit a non-finite measurement or state."""
 
@@ -307,6 +315,7 @@ def run_experiment_a(
     Paired seeding: the force and trajectory runs of one grid cell share
     the same sensor seed, so their comparison is not confounded by noise.
     """
+    _reject_overrides("exp-a", overrides, ("object", "offset", "controller", "seed"))
     started = time.perf_counter()
     trials = []
     for i_obj, object_name in enumerate(objects):
@@ -429,7 +438,7 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int, noise: bool,
     else:
         raise ConfigError(f"unknown experiment-B scenario {scenario!r}")
     spec = with_overrides(ScenarioSpec.from_dict(data), overrides)
-    if not isinstance(spec.duration, (int, float)) or not spec.duration >= metrics_end:
+    if spec.duration is None or not spec.duration >= metrics_end:
         raise ConfigError(
             f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
             f"which run to {metrics_end} s"
@@ -454,6 +463,7 @@ def run_experiment_b(
     +/-1% miscalibration by default, which is what the deadband ablation
     exposes as post-push drift.
     """
+    _reject_overrides("exp-b", overrides, ("controller", "ablation", "seed", "pushes", "wrist"))
     runs: dict[tuple[str, str], ExperimentBRun] = {}
     for scenario in ("push", "rotation"):
         for variant in EXPERIMENT_B_VARIANTS:

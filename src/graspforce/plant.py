@@ -32,18 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .checks import NON_NEGATIVE, POSITIVE, check_fields
 from .controller import ControlCommand
 
 FINGER_1 = "finger1"
 FINGER_2 = "finger2"
 OBJECT = "object"
 _TARGETS = (FINGER_1, FINGER_2, OBJECT)
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,14 +60,8 @@ class ObjectSpec:
     initial_offset: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass >= 0.0):
-            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
-        if not (math.isfinite(self.width) and self.width > 0.0):
-            raise ValueError(f"width must be finite and > 0, got {self.width}")
-        if not (math.isfinite(self.stiffness) and self.stiffness > 0.0):
-            raise ValueError(f"stiffness must be finite and > 0, got {self.stiffness}")
-        if not (math.isfinite(self.damping) and self.damping >= 0.0):
-            raise ValueError(f"damping must be finite and >= 0, got {self.damping}")
+        check_fields(self, {"mass": NON_NEGATIVE, "width": POSITIVE, "stiffness": POSITIVE,
+                            "damping": NON_NEGATIVE})
 
 
 @dataclass(frozen=True)
@@ -88,11 +77,9 @@ class Push:
     def __post_init__(self):
         if self.target not in _TARGETS:
             raise ValueError(f"push target must be one of {_TARGETS}, got {self.target!r}")
-        _require_finite(force=self.force, t_start=self.t_start, t_end=self.t_end, ramp=self.ramp)
+        check_fields(self, {"ramp": NON_NEGATIVE})
         if not self.t_end > self.t_start:
             raise ValueError("push needs t_end > t_start")
-        if self.ramp < 0.0:
-            raise ValueError(f"ramp must be >= 0, got {self.ramp}")
 
     def value(self, t: float) -> float:
         if t <= self.t_start or t >= self.t_end:
@@ -113,10 +100,7 @@ class WristSweep:
     angle_start: float = 0.0
 
     def __post_init__(self):
-        _require_finite(
-            t_start=self.t_start, t_end=self.t_end,
-            angle_start=self.angle_start, angle_end=self.angle_end,
-        )
+        check_fields(self)
         if not self.t_end > self.t_start:
             raise ValueError("wrist sweep needs t_end > t_start")
 
@@ -168,16 +152,7 @@ class PlantConfig:
     gravity: float = 9.81
 
     def __post_init__(self):
-        _require_finite(
-            dt=self.dt, max_finger_speed=self.max_finger_speed, gravity=self.gravity
-        )
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.max_finger_speed > 0.0:
-            raise ValueError(f"max_finger_speed must be > 0, got {self.max_finger_speed}")
-        pad = self.pad_stiffness
-        if pad is not None and not (math.isfinite(pad) and pad > 0.0):
-            raise ValueError(f"pad_stiffness must be finite and > 0 or None, got {pad}")
+        check_fields(self, dict.fromkeys(("dt", "max_finger_speed", "pad_stiffness"), POSITIVE))
 
 
 def _tracking_velocity(q: float, target: float, period: float, max_speed: float) -> float:

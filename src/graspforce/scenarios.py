@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .checks import NON_NEGATIVE, POSITIVE, check_fields
 from .controller import ControllerConfig, GraspRequest
 from .plant import DisturbanceSchedule, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, SensorModel
@@ -37,12 +36,6 @@ OBJECTS = {spec.name: spec for spec in (STYROFOAM, TAPE_ROLL, WOODEN_CUBOID)}
 FORCE = "force"
 TRAJECTORY = "trajectory"
 _CONTROLLERS = (FORCE, TRAJECTORY)
-# Top-level scalars: each a finite real number at least (True) or above
-# (False) its lower bound.
-_SCALAR_BOUNDS = {
-    "mu": (0.0, True), "mu_tau": (0.0, True), "closing_speed": (0.0, False),
-    "settle_time": (0.0, True), "duration": (0.0, False), "offset": (-math.inf, False),
-}
 
 # Each ablation flips exactly one controller flag relative to baseline.
 ABLATIONS = {
@@ -74,9 +67,10 @@ class SensorSetup:
     calibration_samples: int = 1000
 
     def __post_init__(self):
-        samples = self.calibration_samples
-        if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-            raise ValueError(f"calibration_samples must be an integer >= 1, got {samples!r}")
+        check_fields(self, {
+            **dict.fromkeys(("gamma1", "gamma2", "gain_scale1", "gain_scale2"), POSITIVE),
+            "noise_sigma": NON_NEGATIVE, "min_force": NON_NEGATIVE, "calibration_samples": (1, True),
+        })
 
 
 @dataclass
@@ -114,15 +108,10 @@ class ScenarioSpec:
             raise ValueError(f"controller must be one of {_CONTROLLERS}, got {self.controller!r}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}; options: {tuple(ABLATIONS)}")
-        for name, (low, inclusive) in _SCALAR_BOUNDS.items():
-            value = getattr(self, name)
-            if name == "duration" and value is None:
-                continue
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            ok = real and math.isfinite(value) and (value >= low if inclusive else value > low)
-            if not ok:
-                op = ">=" if inclusive else ">"
-                raise ValueError(f"{name} must be a finite number {op} {low}, got {value!r}")
+        check_fields(self, {
+            **dict.fromkeys(("seed", "end_aperture", "settle_time", "mu", "mu_tau"), NON_NEGATIVE),
+            **dict.fromkeys(("start_aperture", "closing_speed", "duration"), POSITIVE),
+        })
 
     def object_spec(self) -> ObjectSpec:
         if isinstance(self.object, ObjectSpec):
@@ -316,11 +305,6 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)
 
     s = spec.sensors
-    # Checked here because with noise off the sensor models never see it.
-    if s.noise_sigma is not None and not (
-        math.isfinite(s.noise_sigma) and s.noise_sigma >= 0.0
-    ):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {s.noise_sigma}")
     sigma = 0.0 if not s.noise else s.noise_sigma
     models = tuple(
         SensorModel(gamma=gamma, bias=bias, noise_sigma=sigma, seed=spec.seed + stride,

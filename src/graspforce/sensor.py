@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import NON_NEGATIVE, POSITIVE, check_fields
+
 DEFAULT_GAMMA_1 = 11.02
 DEFAULT_GAMMA_2 = 11.03
 # Raw-units noise sized so a 5-sigma excursion calibrates to about 0.1 N,
@@ -46,18 +48,12 @@ class SensorModel:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not np.isfinite(self.bias):
-            raise ValueError(f"bias must be finite, got {self.bias}")
+        lower = {"gamma": POSITIVE, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
+                 "min_force": NON_NEGATIVE, "gain_scale": POSITIVE}
+        check_fields(self, lower)
         if self.noise_sigma is None:
             self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if not (np.isfinite(self.min_force) and self.min_force >= 0.0):
-            raise ValueError(f"min_force must be finite and >= 0, got {self.min_force}")
-        if not (np.isfinite(self.gain_scale) and self.gain_scale > 0.0):
-            raise ValueError(f"gain_scale must be finite and > 0, got {self.gain_scale}")
+            check_fields(self, lower)  # a subnormal gamma overflows the default to inf
         self._rng = np.random.default_rng(self.seed)
 
 

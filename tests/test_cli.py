@@ -138,6 +138,20 @@ def bad_override_cases():
     # Not an integer >= 1: the bias calibration's sample count.
     for value in ["1.5", "true", '"x"', "0"]:
         cases.append(("run", [f"sensors.calibration_samples={value}"]))
+    # A bool where a number goes, a negative or non-integer count, a flag
+    # given as a (truthy) string, and an integer too large for a float.
+    for item in ["control.f_goal=true", "plant.dt=true", "sensors.gamma1=true",
+                 'object={"name": "cube", "mass": true, "width": 0.05, "stiffness": 3000}',
+                 'wrist={"t_start": true, "t_end": 2}', "seed=true", "seed=-1",
+                 "control.contact_debounce=1.5", 'control.gravity_comp_enabled="no"',
+                 'sensors.noise="false"', "plant.gravity=1" + "0" * 309]:
+        cases.append(("run", [item]))
+    # Keys each experiment sets per trial and labels its rows by.
+    for item in ["object=styrofoam", "offset=0.001", "controller=trajectory", "seed=3"]:
+        cases.append(("exp-a", [item]))
+    for item in ["controller=trajectory", "ablation=no_deadband", "seed=3", "pushes=[]",
+                 "wrist=null"]:
+        cases.append(("exp-b", [item]))
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 
@@ -153,6 +167,11 @@ class TestBadOverrides:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["exp-a", "exp-b"])
+    def test_experiment_seed_override_points_to_seed_flag(self, command, tmp_path, capsys):
+        assert main([command, "--out-dir", str(tmp_path / "o"), "--set", "seed=3"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestClosure:
@@ -176,6 +195,17 @@ class TestClosure:
     def test_malformed_contact_file(self, tmp_path, capsys):
         payload = {"contacts": [{"position": [0.0, 0.0, 0.0]}]}
         code = main(["closure", write_json(tmp_path / "c.json", payload)])
+        assert code == 2
+        assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("contacts", [
+        [5, 6],
+        [ANTIPODAL["contacts"][0], "x"],
+        [dict(c, mu=True) for c in ANTIPODAL["contacts"]],
+        [dict(c, mu="0.5") for c in ANTIPODAL["contacts"]],
+    ], ids=["numbers", "string entry", "bool mu", "string mu"])
+    def test_malformed_entries_exit_2(self, contacts, tmp_path, capsys):
+        code = main(["closure", write_json(tmp_path / "c.json", {"contacts": contacts})])
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
