@@ -53,14 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one scenario file and write its time series")
     run.add_argument("scenario", help="path to a scenario JSON file")
     run.add_argument("--out-dir", default="out", help="directory for the time-series CSV")
-    run.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a scenario field by dotted path, e.g. control.f_goal=2.5 (repeatable)",
-    )
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     expa = sub.add_parser(
@@ -72,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (expa, expb):
         p.add_argument("--out-dir", default="out", help="directory for report CSVs")
         p.add_argument("--seed", type=int, default=0, help="base seed for sensor noise")
-        p.add_argument(
-            "--set",
-            dest="overrides",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override a scenario field for every trial, e.g. sensors.noise=false",
-        )
 
     closure = sub.add_parser("closure", help="evaluate force closure of a contact set")
     closure.add_argument("contacts", help="path to a contact-list JSON file")
@@ -91,8 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--noise-sigma", type=float, default=None, help="raw noise sigma")
     cal.add_argument("--samples", type=int, default=1000, help="unloaded samples to average")
     cal.add_argument("--seed", type=int, default=0, help="noise stream seed")
-    # -v also after the subcommand; main adds the two counts.
-    for p in sub.choices.values():
+    # --set on the scenario commands; -v also after any subcommand, and main adds the two counts.
+    for name, p in sub.choices.items():
+        if name in ("run", "exp-a", "exp-b"):
+            p.add_argument(
+                "--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE",
+                help="override a scenario field by dotted path, e.g. control.f_goal=2.5 "
+                     "(repeatable; the experiments apply it to every trial)",
+            )
         p.add_argument(
             "-v", "--verbose", dest="sub_verbose", action="count", default=0,
             help="increase log verbosity (-v, -vv)",
@@ -212,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeFault as exc:

@@ -80,9 +80,6 @@ class ControllerConfig:
     joint_max: float = 0.08
 
     def __post_init__(self):
-        limits = (self.joint_min, self.joint_max)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in limits):
-            raise ValueError(f"joint limits must be finite, got {limits}")
         check_fields(self, {
             **dict.fromkeys(("f_goal", "f_theta", "kp_int", "ki_int", "ks_int", "kp_ext",
                              "k_ext", "control_rate", "goal_tolerance"), POSITIVE),
@@ -100,18 +97,15 @@ class GraspRequest:
     """Trajectory-shaped grasp goal: close from start to end aperture over duration.
 
     end_aperture should be smaller than the object so the closing posture
-    would penetrate it; f_goal and mode optionally override the configured
-    goal force and phase-III mode for this request only.
+    would penetrate it.
     """
 
     start_aperture: float
     end_aperture: float
     duration: float
-    f_goal: float | None = None
-    mode: str | None = None
 
     def __post_init__(self):
-        check_fields(self, {"duration": POSITIVE, "f_goal": POSITIVE})
+        check_fields(self, {"duration": POSITIVE})
         if not self.start_aperture > self.end_aperture >= 0.0:
             raise ValueError("apertures must satisfy start > end >= 0")
 
@@ -160,13 +154,6 @@ class GraspController:
         request: GraspRequest,
         closure_probe: Callable[[tuple[bool, bool]], bool] | None = None,
     ):
-        if request.f_goal is not None or request.mode is not None:
-            overrides = {}
-            if request.f_goal is not None:
-                overrides["f_goal"] = request.f_goal
-            if request.mode is not None:
-                overrides["phase3_mode"] = request.mode
-            config = replace(config, **overrides)
         self.config = config
         self.request = request
         self.closure_probe = closure_probe if closure_probe is not None else _default_probe
@@ -304,10 +291,9 @@ class GraspController:
 class TrajectoryController:
     """Open-loop baseline: linear aperture interpolation, blind to forces."""
 
-    def __init__(self, request: GraspRequest, joint_min: float = 0.0, joint_max: float = 0.08):
+    def __init__(self, config: ControllerConfig, request: GraspRequest):
+        self.config = config
         self.request = request
-        self.joint_min = joint_min
-        self.joint_max = joint_max
         self.ticks = 0
         self.phase = GraspPhase.CLOSING
         self.finished = False
@@ -329,5 +315,6 @@ class TrajectoryController:
         matches the caller's own tick clock bit for bit.
         """
         self.ticks += 1
-        q = min(max(0.5 * self.aperture(self.ticks * dt), self.joint_min), self.joint_max)
+        cfg = self.config
+        q = min(max(0.5 * self.aperture(self.ticks * dt), cfg.joint_min), cfg.joint_max)
         return ControlCommand(q, q)

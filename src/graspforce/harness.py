@@ -145,7 +145,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
 
     plant = Plant(
         resolved.obj,
-        start_aperture=resolved.start_aperture,
+        start_aperture=resolved.request.start_aperture,
         schedule=resolved.schedule,
         config=spec.plant,
     )
@@ -156,11 +156,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             closure_probe=_closure_probe_for(resolved.obj, spec.mu, spec.mu_tau),
         )
     else:
-        controller = TrajectoryController(
-            resolved.request,
-            joint_min=resolved.control.joint_min,
-            joint_max=resolved.control.joint_max,
-        )
+        controller = TrajectoryController(resolved.control, resolved.request)
 
     cfg = resolved.control
     dt = 1.0 / cfg.control_rate
@@ -187,10 +183,10 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
                 controller.last_u_int, controller.last_u_ext,
             )
         )
-        state = plant.step(cmd, dt)
+        plant.step(cmd, dt)
         if not (
-            isfinite(state.x_obj) and isfinite(state.q1) and isfinite(state.q2)
-            and isfinite(state.true_f1) and isfinite(state.true_f2)
+            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
+            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
         ):
             raise RuntimeFault(f"non-finite plant state at t={t:.3f} s")
         if controller.finished:

@@ -163,16 +163,6 @@ def _tracking_velocity(q: float, target: float, period: float, max_speed: float)
     return math.copysign(min(abs(needed) / period, max_speed), needed)
 
 
-@dataclass
-class PlantState:
-    x_obj: float
-    v_obj: float
-    q1: float
-    q2: float
-    true_f1: float
-    true_f2: float
-
-
 class Plant:
     """Steps the finger/object system under zero-order-hold position commands.
 
@@ -212,25 +202,26 @@ class Plant:
         d2 = (self.x_obj + half) - self.q2
         return k * max(0.0, d1), k * max(0.0, d2)
 
-    def _quasi_static_position(self, push: float) -> float:
+    def _quasi_static_position(self, q1: float, q2: float, x: float, push: float) -> float:
         """Static rest position of a massless object, piecewise closed form.
 
         left_end is the object-center position where finger-1 overlap ends
         and right_start the one where finger-2 overlap begins; the net
         spring-plus-push force is strictly decreasing in x wherever any
         contact is active, so each regime has a unique closed-form root.
+        A free object under no push stays at its current center x.
         """
         k = self.contact_stiffness
         half = 0.5 * self.obj.width
-        left_end = -self.q1 + half
-        right_start = self.q2 - half
+        left_end = -q1 + half
+        right_start = q2 - half
         if right_start >= left_end:
             # A free gap exists between the contacts.
             if push > 0.0:
                 return right_start + push / k
             if push < 0.0:
                 return left_end + push / k
-            return min(max(self.x_obj, left_end), right_start)
+            return min(max(x, left_end), right_start)
         # Aperture below object width: try the both-contact balance first.
         x = 0.5 * (left_end + right_start) + 0.5 * push / k
         if right_start < x < left_end:
@@ -252,9 +243,10 @@ class Plant:
             self.true_f2 + (schedule.push_force(FINGER_2, self.t) if by_target[FINGER_2] else 0),
         )
 
-    def step(self, command: ControlCommand, duration: float) -> PlantState:
+    def step(self, command: ControlCommand, duration: float) -> None:
         """Advance by one controller period, holding the command fixed.
 
+        The state advances in place and is read from the plant's attributes.
         Values fixed for the period are bound once; the substeps run on
         locals and write the state back at the end. Only the wrist angle
         (when a sweep is scheduled) and the object pushes (when any exist)
@@ -298,9 +290,7 @@ class Plant:
             if object_pushes:
                 push_obj = sum(p.value(t) for p in object_pushes)
             if quasi_static:
-                # _quasi_static_position reads the state from self.
-                self.q1, self.q2, self.x_obj = q1, q2, x
-                x = self._quasi_static_position(push_obj)
+                x = self._quasi_static_position(q1, q2, x, push_obj)
                 v = 0.0
             else:
                 f1 = k * max(0.0, -q1 - (x - half))
@@ -311,4 +301,3 @@ class Plant:
             t += dt
         self.q1, self.q2, self.x_obj, self.v_obj, self.t = q1, q2, x, v, t
         self.true_f1, self.true_f2 = self._contact_forces()
-        return PlantState(x, v, q1, q2, self.true_f1, self.true_f2)

@@ -254,7 +254,6 @@ class ResolvedScenario:
     schedule: DisturbanceSchedule
     sensor_models: tuple[SensorModel, SensorModel]
     duration: float
-    start_aperture: float
 
 
 def resolve(spec: ScenarioSpec) -> ResolvedScenario:
@@ -322,5 +321,4 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
         schedule=schedule,
         sensor_models=models,
         duration=duration,
-        start_aperture=start,
     )

@@ -6,6 +6,10 @@ under pytest -s or -rA). Tolerances are deliberate and should not be loosened
 to make a failing build pass.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,8 @@ from graspforce.harness import run_experiment_a, run_experiment_b, run_trial
 from graspforce.scenarios import FORCE, TRAJECTORY, ScenarioSpec
 
 F_GOAL = ControllerConfig().f_goal
+# SHA-256 of the CSVs that exp-a and exp-b write, per workload and seed.
+REFERENCE_CSV = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def check(ok: bool, label: str, detail: str) -> None:
@@ -373,10 +379,19 @@ def test_identical_seeds_reproduce_reports_bytewise(tmp_path):
         (first_b / name).read_bytes() == (second_b / name).read_bytes() for name in names_b
     )
 
-    ok = same_a and same_b and len(names_b) == 9
+    reference = json.loads(REFERENCE_CSV.read_text(encoding="utf-8"))
+    stale = [
+        name
+        for out, workload in ((first_a, "grid"), (first_b, "disturbance"))
+        for name, digest in reference[workload]["0"]["csv"].items()
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+    ]
+
+    ok = same_a and same_b and len(names_b) == 9 and not stale
     check(
         ok,
         "determinism",
         f"grid reports byte-identical: {same_a}; disturbance reports "
-        f"({len(names_b)} files) byte-identical: {same_b}",
+        f"({len(names_b)} files) byte-identical: {same_b}; "
+        f"differing from the seed-0 reference hashes: {stale or 'none'}",
     )

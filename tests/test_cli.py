@@ -80,6 +80,16 @@ class TestRun:
         assert code == 1
         assert "fault" in capsys.readouterr().err
 
+    def test_non_finite_plant_state_faults(self, tmp_path, capsys):
+        speck = {"name": "speck", "mass": 1e-310, "width": 0.06, "stiffness": 2000.0}
+        scenario = write_json(tmp_path / "speck.json",
+                              {"object": speck, "offset": 0.003, "sensors": {"noise": False}})
+        code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("fault: non-finite plant state")
+        assert "Traceback" not in err
+
     def test_seed_flag_overrides_scenario(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "a"
         main(["run", scenario_file, "--out-dir", str(out), "--seed", "3",

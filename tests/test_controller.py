@@ -119,19 +119,13 @@ class TestConfigValidation:
     @pytest.mark.parametrize("limits", [(0.0, float("inf")), (float("nan"), 0.08),
                                         (0.0, float("nan"))])
     def test_rejects_non_finite_joint_limits(self, limits):
-        with pytest.raises(ValueError, match="joint limits"):
+        field = "joint_max" if math.isfinite(limits[0]) else "joint_min"
+        with pytest.raises(ValueError, match=f"^{field} "):
             ControllerConfig(joint_min=limits[0], joint_max=limits[1])
 
     def test_request_apertures_ordered(self):
         with pytest.raises(ValueError):
             GraspRequest(start_aperture=0.05, end_aperture=0.08, duration=1.0)
-
-    def test_request_overrides_goal_and_mode(self):
-        config = ControllerConfig()
-        request = GraspRequest(0.08, 0.05, 3.0, f_goal=2.5, mode=STOP_AT_GOAL)
-        ctrl = GraspController(config, request)
-        assert ctrl.config.f_goal == 2.5
-        assert ctrl.config.phase3_mode == STOP_AT_GOAL
 
     def test_set_goal_force_validates(self):
         ctrl = make_controller()
@@ -352,7 +346,7 @@ class TestFaultHandling:
 
 class TestTrajectoryController:
     def make(self):
-        return TrajectoryController(GraspRequest(0.08, 0.05, 3.0))
+        return TrajectoryController(ControllerConfig(), GraspRequest(0.08, 0.05, 3.0))
 
     def test_endpoints(self):
         ctrl = self.make()
@@ -369,7 +363,8 @@ class TestTrajectoryController:
         assert cmd.q1_cmd == cmd.q2_cmd == pytest.approx(0.0325)
 
     def test_joint_clamp(self):
-        ctrl = TrajectoryController(GraspRequest(0.08, 0.05, 3.0), joint_max=0.03)
+        config = ControllerConfig(joint_max=0.03)
+        ctrl = TrajectoryController(config, GraspRequest(0.08, 0.05, 3.0))
         cmd = ctrl.tick(0.0, 0.0, 0.0, 0.0, 0.0, DT)
         assert cmd.q1_cmd == 0.03
 

@@ -86,6 +86,14 @@ class TestRunTrial:
         with pytest.raises(RuntimeFault):
             run_trial(spec)
 
+    def test_non_finite_plant_state_raises_runtime_fault(self):
+        # A subnormal mass passes the spec boundary, but dividing the first
+        # contact force by it drives the object's position to NaN.
+        speck = {"name": "speck", "mass": 1e-310, "width": 0.06, "stiffness": 2000.0}
+        spec = quiet_spec(object=speck, offset=0.003)
+        with pytest.raises(RuntimeFault, match=r"non-finite plant state at t=1\.000 s"):
+            run_trial(spec)
+
     @pytest.mark.parametrize("samples", [0, 1.5, True, "x"])
     def test_bad_calibration_sample_count_rejected_by_spec(self, samples):
         with pytest.raises(ValueError, match="calibration_samples"):

@@ -62,12 +62,12 @@ class TestContactForces:
         q = 0.04
         for _ in range(200):
             q -= 0.00005
-            state = plant.step(ControlCommand(q, q), 0.01)
+            plant.step(ControlCommand(q, q), 0.01)
             half = 0.5 * obj.width
-            if state.true_f1 > 0.0:
-                assert -state.q1 - (state.x_obj - half) > 0.0
-            if state.true_f2 > 0.0:
-                assert (state.x_obj + half) - state.q2 > 0.0
+            if plant.true_f1 > 0.0:
+                assert -plant.q1 - (plant.x_obj - half) > 0.0
+            if plant.true_f2 > 0.0:
+                assert (plant.x_obj + half) - plant.q2 > 0.0
 
 
 class TestQuasiStatic:
@@ -108,8 +108,8 @@ class TestDynamics:
         plant.v_obj = 0.05
         prev_ke = 0.5 * obj.mass * plant.v_obj**2
         for _ in range(50):
-            state = plant.step(hold(plant), 0.01)
-            ke = 0.5 * obj.mass * state.v_obj**2
+            plant.step(hold(plant), 0.01)
+            ke = 0.5 * obj.mass * plant.v_obj**2
             assert ke <= prev_ke
             prev_ke = ke
         assert prev_ke < 1e-12
@@ -118,9 +118,9 @@ class TestDynamics:
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         plant = Plant(obj, start_aperture=0.048)
         for _ in range(100):
-            state = plant.step(hold(plant), 0.01)
-        assert state.x_obj == pytest.approx(0.0, abs=1e-12)
-        assert state.v_obj == pytest.approx(0.0, abs=1e-12)
+            plant.step(hold(plant), 0.01)
+        assert plant.x_obj == pytest.approx(0.0, abs=1e-12)
+        assert plant.v_obj == pytest.approx(0.0, abs=1e-12)
 
     def test_fingers_land_on_reachable_commands(self):
         # The tracker snaps onto the target within one substep's travel, so
@@ -128,29 +128,30 @@ class TestDynamics:
         # ulp), well inside the controller's documented position gate.
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
-        state = plant.step(ControlCommand(0.0399, 0.0398), 0.01)
-        assert state.q1 == pytest.approx(0.0399, abs=1e-15)
-        assert state.q2 == pytest.approx(0.0398, abs=1e-15)
-        again = plant.step(ControlCommand(state.q1, state.q2), 0.01)
-        assert again.q1 == state.q1
-        assert again.q2 == state.q2
+        plant.step(ControlCommand(0.0399, 0.0398), 0.01)
+        q1, q2 = plant.q1, plant.q2
+        assert q1 == pytest.approx(0.0399, abs=1e-15)
+        assert q2 == pytest.approx(0.0398, abs=1e-15)
+        plant.step(ControlCommand(q1, q2), 0.01)
+        assert plant.q1 == q1
+        assert plant.q2 == q2
 
     def test_finger_speed_limit(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
-        state = plant.step(ControlCommand(0.0, 0.04), 0.01)
-        assert state.q1 == pytest.approx(0.04 - 0.05 * 0.01, abs=1e-12)
-        assert state.q2 == 0.04
+        plant.step(ControlCommand(0.0, 0.04), 0.01)
+        assert plant.q1 == pytest.approx(0.04 - 0.05 * 0.01, abs=1e-12)
+        assert plant.q2 == 0.04
 
     def test_gravity_pulls_uncompensated_object_down(self):
         obj = ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0)
         schedule = DisturbanceSchedule(wrist=WristSweep(0.0, 1.0, angle_end=math.pi / 2))
         plant = Plant(obj, start_aperture=0.054, schedule=schedule)
         for _ in range(200):
-            state = plant.step(hold(plant), 0.01)
+            plant.step(hold(plant), 0.01)
         # Finger 1 is at the bottom once the axis is vertical.
-        assert state.x_obj < -1e-5
-        assert state.true_f1 > state.true_f2
+        assert plant.x_obj < -1e-5
+        assert plant.true_f1 > plant.true_f2
 
     def test_ideal_compensating_commands_pin_the_object(self):
         # A controller with perfect knowledge balances the weight through
@@ -169,8 +170,8 @@ class TestDynamics:
             g_next = -9.81 * math.sin(sweep.angle((i + 1) * tick))
             lean = obj.mass * g_next / (2.0 * k)
             cmd = ControlCommand(half - x0 - (base - lean), x0 + half - (base + lean))
-            state = plant.step(cmd, tick)
-            peak = max(peak, abs(state.x_obj - x0))
+            plant.step(cmd, tick)
+            peak = max(peak, abs(plant.x_obj - x0))
         assert peak < 1e-4
 
     def test_freeze_on_touch_bounds_displacement_to_one_tick(self):
@@ -179,7 +180,6 @@ class TestDynamics:
         plant = Plant(obj, start_aperture=0.08)
         frozen = [None, None]
         cmd1 = cmd2 = 0.04
-        state = None
         for _ in range(2000):
             # Each unfrozen finger keeps its share of a 10 mm/s aperture ramp;
             # a frozen finger holds the position it had at detection.
@@ -187,19 +187,19 @@ class TestDynamics:
                 cmd1 -= 0.5 * 0.010 * 0.01
             if frozen[1] is None:
                 cmd2 -= 0.5 * 0.010 * 0.01
-            state = plant.step(ControlCommand(cmd1, cmd2), 0.01)
-            if frozen[0] is None and state.true_f1 > 0.01:
-                frozen[0] = state.q1
-                cmd1 = state.q1
-            if frozen[1] is None and state.true_f2 > 0.01:
-                frozen[1] = state.q2
-                cmd2 = state.q2
+            plant.step(ControlCommand(cmd1, cmd2), 0.01)
+            if frozen[0] is None and plant.true_f1 > 0.01:
+                frozen[0] = plant.q1
+                cmd1 = plant.q1
+            if frozen[1] is None and plant.true_f2 > 0.01:
+                frozen[1] = plant.q2
+                cmd2 = plant.q2
             if all(f is not None for f in frozen):
                 break
         assert all(f is not None for f in frozen)
         for _ in range(50):
-            state = plant.step(ControlCommand(cmd1, cmd2), 0.01)
-        assert abs(state.x_obj - 0.005) <= 0.010 * 0.01
+            plant.step(ControlCommand(cmd1, cmd2), 0.01)
+        assert abs(plant.x_obj - 0.005) <= 0.010 * 0.01
 
     def test_steps_are_deterministic(self):
         def run():
@@ -209,8 +209,8 @@ class TestDynamics:
             q = 0.04
             for _ in range(300):
                 q -= 0.00005
-                state = plant.step(ControlCommand(q, q), 0.01)
-                out.append((state.x_obj, state.v_obj, state.true_f1, state.true_f2))
+                plant.step(ControlCommand(q, q), 0.01)
+                out.append((plant.x_obj, plant.v_obj, plant.true_f1, plant.true_f2))
             return out
 
         assert run() == run()
@@ -518,9 +518,9 @@ class TestFrozenReference:
                     half_width + rng.uniform(-0.002, 0.001),
                 )
             duration = (0.01, 0.01, 0.005, 0.0123, 0.0004)[i % 5]
-            state = plant.step(cmd, duration)
+            plant.step(cmd, duration)
             expected = frozen.step(cmd, duration)
-            assert _bits((state.x_obj, state.v_obj, state.q1, state.q2,
-                          state.true_f1, state.true_f2)) == _bits(expected)
+            assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
+                          plant.true_f1, plant.true_f2)) == _bits(expected)
             assert _snapshot(plant) == _snapshot(frozen)
         assert plant.t == frozen.t > 2.0

@@ -158,20 +158,21 @@ class TestOverrides:
 class TestResolve:
     def test_default_apertures(self):
         resolved = resolve(ScenarioSpec(object="tape_roll", offset=0.005))
-        assert resolved.start_aperture == pytest.approx(0.06 + 0.01 + 0.01)
+        assert resolved.request.start_aperture == pytest.approx(0.06 + 0.01 + 0.01)
         assert resolved.request.end_aperture == pytest.approx(0.058)
 
     def test_duration_covers_closing_plus_settle(self):
         spec = ScenarioSpec(object="tape_roll", offset=0.0, settle_time=1.5)
         resolved = resolve(spec)
-        closing = (resolved.start_aperture - resolved.request.end_aperture) / spec.closing_speed
+        request = resolved.request
+        closing = (request.start_aperture - request.end_aperture) / spec.closing_speed
         assert resolved.duration == pytest.approx(closing + 1.5)
 
     def test_duration_budgets_extra_march_for_large_offsets(self):
         near = resolve(ScenarioSpec(object="tape_roll", offset=0.0))
         far = resolve(ScenarioSpec(object="tape_roll", offset=0.014))
-        closing_near = (near.start_aperture - near.request.end_aperture) / 0.010
-        closing_far = (far.start_aperture - far.request.end_aperture) / 0.010
+        closing_near = (near.request.start_aperture - near.request.end_aperture) / 0.010
+        closing_far = (far.request.start_aperture - far.request.end_aperture) / 0.010
         assert near.duration - closing_near == pytest.approx(1.5)
         assert far.duration - closing_far > 1.5
 
