@@ -29,7 +29,7 @@ from .controller import (
     compute_external_force,
     distribute,
 )
-from .geometry import Wrench, adjoint_transform, rotation_from_normal, wrench_basis_apply
+from .geometry import adjoint_transform, rotation_from_normal
 from .harness import (
     ConfigError,
     RuntimeFault,
@@ -66,7 +66,6 @@ __all__ = [
     "SensorSetup",
     "TrajectoryController",
     "TrialResult",
-    "Wrench",
     "WristSweep",
     "adjoint_transform",
     "apply_overrides",
@@ -85,7 +84,6 @@ __all__ = [
     "run_experiment_a",
     "run_experiment_b",
     "run_trial",
-    "wrench_basis_apply",
     "write_csv",
     "__version__",
 ]

@@ -21,20 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import NON_NEGATIVE, check_fields
-from .geometry import (
-    FZ,
-    adjoint_transform,
-    as_vec3,
-    require_rotation,
-    rotation_from_normal,
-    wrench_basis_apply,
-)
+from .geometry import FZ, adjoint_transform, as_vec3, require_rotation, rotation_from_normal
 from .simplex import all_feasible, solve_lp
 
 RANK_RTOL = 1e-8
 MARGIN_TOL = 1e-9
 DEFAULT_CONE_SIDES = 8
 ORACLE_NORMAL_BOUND = 1e9
+
+# Contact-frame wrenches of unit fx, fy, fz and tau, one per column: a soft
+# finger transmits no torque about its tangents.
+_SOFT_FINGER = np.zeros((6, 4))
+_SOFT_FINGER[[0, 1, 2, 5], [0, 1, 2, 3]] = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,7 @@ def build_grasp_matrix(contacts: list[Contact]) -> np.ndarray:
     """
     if not contacts:
         raise ValueError("cannot build a grasp matrix from zero contacts")
-    return np.column_stack([
-        adjoint_transform(c.position, c.rotation, wrench_basis_apply(basis)).as_vector()
-        for c in contacts
-        for basis in np.eye(4)
-    ])
+    return np.hstack([adjoint_transform(c.position, c.rotation, _SOFT_FINGER) for c in contacts])
 
 
 def in_friction_cone(f, mu: float, mu_tau: float, margin: float = 0.0) -> bool:
@@ -194,6 +188,11 @@ def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES)
     block of wrenches at a time in lockstep, returning False at the first
     wrench that cannot be balanced. This is the oracle that checks
     is_force_closure, so it deliberately does not go through solve_lp.
+
+    Phase 1 accepts a residual artificial sum up to an absolute 1e-7, so
+    verdicts hold for wrenches of order 1 N, the scale resistance_oracle
+    samples; they are not scale-invariant, and a 1e-8 N wrench the
+    contacts cannot balance still reads as resisted.
     """
     g, neg_cone, norm_row = _cone_program(contacts, sides)
     a_ub = np.vstack([neg_cone, norm_row])

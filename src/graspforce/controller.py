@@ -23,7 +23,7 @@ toward +axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -173,10 +173,6 @@ class GraspController:
         self._dwell = 0.0
         self._prev_cmd: ControlCommand | None = None
         self._was_holding = False
-
-    def set_goal_force(self, f_goal: float) -> None:
-        """Runtime adaptation hook for the desired grip force."""
-        self.config = replace(self.config, f_goal=f_goal)
 
     def closing_aperture(self, t: float) -> float:
         """Aperture target while approaching, not bounded by end_aperture.

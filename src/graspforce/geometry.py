@@ -1,7 +1,8 @@
 """Fixed-size spatial algebra for contact and wrench bookkeeping.
 
 Everything here operates on plain numpy arrays: 3-vectors, 3x3 rotation
-matrices and 6-component force/torque pairs. Units are metres, Newtons
+matrices and wrenches. A wrench is a 6-vector [force, torque], and a
+(6, k) array stacks k wrenches as columns. Units are metres, Newtons
 and Newton-metres throughout. Contact-local frames put the inward
 surface normal on the local z axis; a per-contact force is a length-4
 array [fx, fy, fz, tau] holding the tangential force components, the
@@ -10,14 +11,12 @@ normal force and the torque about the normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 ORTHONORMAL_TOL = 1e-9
 
-# Index layout of a per-contact force vector.
-FX, FY, FZ, FTAU = 0, 1, 2, 3
+# Index of the normal force in a per-contact force vector.
+FZ = 2
 
 
 def as_vec3(v) -> np.ndarray:
@@ -85,57 +84,28 @@ def rotation_from_normal(normal) -> np.ndarray:
     return np.column_stack([t1, t2, n])
 
 
-@dataclass(frozen=True)
-class Wrench:
-    """A spatial force: linear force plus torque, both in one frame."""
-
-    force: np.ndarray
-    torque: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", as_vec3(self.force))
-        object.__setattr__(self, "torque", as_vec3(self.torque))
-
-    @classmethod
-    def from_vector(cls, w) -> "Wrench":
-        w = np.asarray(w, dtype=float)
-        if w.shape != (6,):
-            raise ValueError(f"expected a 6-vector, got shape {w.shape}")
-        return cls(w[:3], w[3:])
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
-
-
-def wrench_basis_apply(f) -> Wrench:
-    """Map a contact-local force [fx, fy, fz, tau] to a contact-local wrench.
-
-    A soft fingertip transmits three force components and a torque about
-    its surface normal only; the returned wrench never carries torque
-    about the local x or y axis.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (4,):
-        raise ValueError(f"expected a 4-component contact force, got shape {f.shape}")
-    return Wrench(f[:3].copy(), np.array([0.0, 0.0, f[FTAU]]))
-
-
-def adjoint_transform(p, r, w: Wrench) -> Wrench:
-    """Express a wrench given in a contact frame in the object frame.
+def adjoint_transform(p, r, w) -> np.ndarray:
+    """Express wrenches given in a contact frame in the object frame.
 
     The contact frame sits at position p with orientation r relative to
-    the object frame. Forces rotate; torques pick up the moment of the
-    rotated force about the object origin.
+    the object frame. w is one wrench, a (6,) array, or a (6, k) stack of
+    them as columns; the result has the same shape. Forces rotate; torques
+    pick up the moment of the rotated force about the object origin.
     """
     p = as_vec3(p)
     r = require_rotation(r)
-    force = r @ w.force
-    # p x force with np.cross's formulas in its operand order, on Python
-    # floats: same bits, without np.cross's axis handling.
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2) or w.shape[0] != 6:
+        raise ValueError(f"expected a 6-vector or a (6, k) stack, got shape {w.shape}")
+    # One matrix-vector product per 3-vector: each column then has the bits
+    # of r @ v whatever k is, which a (3, 3) @ (3, k) product does not give.
+    force, torque = (r @ w.T.reshape(-1, 2, 3, 1))[..., 0].transpose(1, 2, 0)
+    # p x force with np.cross's formulas in its operand order, row-wise:
+    # same bits, without np.cross's axis handling.
     px, py, pz = p.tolist()
-    fx, fy, fz = force.tolist()
+    fx, fy, fz = force
     moment = np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx])
-    return Wrench(force, moment + r @ w.torque)
+    return np.concatenate([force, moment + torque]).reshape(w.shape)
 
 
 def compose_frames(p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,9 @@
 """Grasp matrix, friction cones, and the force-closure certificate."""
 
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,7 +19,12 @@ from graspforce.closure import (
     resistance_oracle,
     sample_unit_wrenches,
 )
-from graspforce.geometry import adjoint_transform, wrench_basis_apply
+from graspforce.geometry import adjoint_transform, as_vec3, require_rotation
+from graspforce.scenarios import OBJECTS
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import instances  # noqa: E402
 
 
 def antipodal_pair(mu=0.5, mu_tau=0.005, spacing=0.03):
@@ -77,15 +86,28 @@ class TestGraspMatrix:
             f = rng.standard_normal(4 * len(contacts))
             total = np.zeros(6)
             for i, c in enumerate(contacts):
-                w = adjoint_transform(
-                    c.position, c.rotation, wrench_basis_apply(f[4 * i : 4 * i + 4])
+                fx, fy, fz, tau = f[4 * i : 4 * i + 4]
+                total += adjoint_transform(
+                    c.position, c.rotation, np.array([fx, fy, fz, 0.0, 0.0, tau])
                 )
-                total += w.as_vector()
             np.testing.assert_allclose(g @ f, total, atol=1e-12)
 
     def test_empty_contacts_rejected(self):
         with pytest.raises(ValueError):
             build_grasp_matrix([])
+
+    def test_one_adjoint_call_per_contact(self, monkeypatch):
+        calls = []
+
+        def counting(p, r, w):
+            calls.append(np.shape(w))
+            return adjoint_transform(p, r, w)
+
+        monkeypatch.setattr(closure, "adjoint_transform", counting)
+        for count in (1, 2, 3):
+            calls.clear()
+            build_grasp_matrix(random_contacts(np.random.default_rng(count), count))
+            assert calls == [(6, 4)] * count
 
 
 class TestQuadraticCone:
@@ -249,3 +271,79 @@ class TestOracle:
             contacts.append(Contact.from_normal(pos, -pos / np.linalg.norm(pos), mu=0.5))
         verdict = is_force_closure(contacts).is_force_closure
         assert verdict == resistance_oracle(contacts, wrench_samples=100)
+
+
+# The grasp matrix as it was built before wrenches became plain 6-vectors:
+# a Wrench record, the soft-finger basis map and four adjoint calls per
+# contact. Kept as it was, less the unused from_vector and the docstrings,
+# with FTAU spelled as 3, so the new build can be checked against it bit for
+# bit.
+@dataclass(frozen=True)
+class Wrench:
+    """A spatial force: linear force plus torque, both in one frame."""
+
+    force: np.ndarray
+    torque: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "force", as_vec3(self.force))
+        object.__setattr__(self, "torque", as_vec3(self.torque))
+
+    def as_vector(self) -> np.ndarray:
+        return np.concatenate([self.force, self.torque])
+
+
+def wrench_basis_apply(f) -> Wrench:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (4,):
+        raise ValueError(f"expected a 4-component contact force, got shape {f.shape}")
+    return Wrench(f[:3].copy(), np.array([0.0, 0.0, f[3]]))
+
+
+def frozen_adjoint_transform(p, r, w: Wrench) -> Wrench:
+    p = as_vec3(p)
+    r = require_rotation(r)
+    force = r @ w.force
+    px, py, pz = p.tolist()
+    fx, fy, fz = force.tolist()
+    moment = np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx])
+    return Wrench(force, moment + r @ w.torque)
+
+
+def frozen_grasp_matrix(contacts):
+    return np.column_stack([
+        frozen_adjoint_transform(c.position, c.rotation, wrench_basis_apply(basis)).as_vector()
+        for c in contacts
+        for basis in np.eye(4)
+    ])
+
+
+def probe_contact_sets():
+    """The harness's closure-probe contacts: normals +-x across each catalog width.
+
+    Rotations built from axis normals hold signed zeros, which a column copy
+    instead of a matrix product would flip.
+    """
+    sets = []
+    for obj in OBJECTS.values():
+        half = 0.5 * obj.width
+        left = Contact.from_normal((-half, 0.0, 0.0), (1.0, 0.0, 0.0))
+        right = Contact.from_normal((half, 0.0, 0.0), (-1.0, 0.0, 0.0))
+        sets += [[left], [right], [left, right]]
+    return sets
+
+
+class TestFrozenGraspMatrix:
+    def test_benchmark_sets_match_bitwise(self):
+        mismatches = 0
+        for seed in range(4):
+            for _, contacts in instances.generate(seed, 64):
+                g = build_grasp_matrix(contacts)
+                mismatches += g.tobytes() != frozen_grasp_matrix(contacts).tobytes()
+        assert mismatches == 0
+
+    def test_probe_contacts_match_bitwise(self):
+        for contacts in probe_contact_sets():
+            g = build_grasp_matrix(contacts)
+            assert g.shape == (6, 4 * len(contacts))
+            assert g.tobytes() == frozen_grasp_matrix(contacts).tobytes()

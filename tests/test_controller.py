@@ -127,13 +127,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GraspRequest(start_aperture=0.05, end_aperture=0.08, duration=1.0)
 
-    def test_set_goal_force_validates(self):
-        ctrl = make_controller()
-        ctrl.set_goal_force(3.0)
-        assert ctrl.config.f_goal == 3.0
-        with pytest.raises(ValueError):
-            ctrl.set_goal_force(0.0)
-
 
 class TestClosingPhase:
     def test_both_fingers_follow_the_ramp(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from graspforce.geometry import (
-    Wrench,
     adjoint_transform,
     as_vec3,
     compose_frames,
@@ -13,7 +12,6 @@ from graspforce.geometry import (
     require_rotation,
     rotation_about_axis,
     rotation_from_normal,
-    wrench_basis_apply,
 )
 
 
@@ -24,7 +22,7 @@ def random_rotation(rng):
 
 
 def random_wrench(rng):
-    return Wrench(rng.standard_normal(3), rng.standard_normal(3))
+    return rng.standard_normal(6)
 
 
 class TestHat:
@@ -97,23 +95,6 @@ class TestRotationFromNormal:
             rotation_from_normal([0.0, 0.0, 0.0])
 
 
-class TestWrenchBasis:
-    def test_force_components_pass_through(self):
-        w = wrench_basis_apply([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(w.force, [1.0, 2.0, 3.0])
-
-    def test_torque_only_about_normal(self):
-        # The soft-finger basis transmits no torque about the tangents.
-        w = wrench_basis_apply([0.5, -0.5, 2.0, 0.25])
-        assert w.torque[0] == 0.0
-        assert w.torque[1] == 0.0
-        assert w.torque[2] == 0.25
-
-    def test_vector_round_trip(self):
-        w = Wrench([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        np.testing.assert_array_equal(Wrench.from_vector(w.as_vector()).as_vector(), w.as_vector())
-
-
 class TestAdjoint:
     def test_linearity(self):
         rng = np.random.default_rng(19)
@@ -123,11 +104,8 @@ class TestAdjoint:
             wa = random_wrench(rng)
             wb = random_wrench(rng)
             alpha = rng.standard_normal()
-            combined = Wrench(alpha * wa.force + wb.force, alpha * wa.torque + wb.torque)
-            lhs = adjoint_transform(p, r, combined).as_vector()
-            rhs = alpha * adjoint_transform(p, r, wa).as_vector() + adjoint_transform(
-                p, r, wb
-            ).as_vector()
+            lhs = adjoint_transform(p, r, alpha * wa + wb)
+            rhs = alpha * adjoint_transform(p, r, wa) + adjoint_transform(p, r, wb)
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_composition_matches_composed_frame(self):
@@ -141,7 +119,7 @@ class TestAdjoint:
             p12, r12 = compose_frames(p1, r1, p2, r2)
             step = adjoint_transform(p2, r2, adjoint_transform(p1, r1, w))
             direct = adjoint_transform(p12, r12, w)
-            np.testing.assert_allclose(step.as_vector(), direct.as_vector(), atol=1e-9)
+            np.testing.assert_allclose(step, direct, atol=1e-9)
 
     def test_torque_bits_match_np_cross(self):
         # Components span 1e-3 to 1e3 in magnitude, with both signs of zero,
@@ -160,17 +138,40 @@ class TestAdjoint:
         for i in range(400):
             p, f, tau = vector(), vector(), vector()
             r = exact[i % 3] if i % 2 else random_rotation(rng)
-            out = adjoint_transform(p, r, Wrench(f, tau))
-            assert out.torque.tobytes() == (np.cross(p, r @ f) + r @ tau).tobytes()
-            assert out.force.tobytes() == (r @ f).tobytes()
+            out = adjoint_transform(p, r, np.concatenate([f, tau]))
+            assert out[3:].tobytes() == (np.cross(p, r @ f) + r @ tau).tobytes()
+            assert out[:3].tobytes() == (r @ f).tobytes()
+
+    def test_stack_matches_column_calls_bitwise(self):
+        # Same magnitudes and signed zeros as above, k from 1 to 8 columns.
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            p = rng.standard_normal(3) * 10.0 ** rng.uniform(-3.0, 3.0)
+            r = random_rotation(rng)
+            k = int(rng.integers(1, 9))
+            stack = rng.standard_normal((6, k)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(6, k))
+            stack[rng.random((6, k)) < 0.1] = -0.0
+            out = adjoint_transform(p, r, stack)
+            assert out.shape == (6, k)
+            for j in range(k):
+                assert out[:, j].tobytes() == adjoint_transform(p, r, stack[:, j]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 6), (6, 2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError):
+            adjoint_transform(np.zeros(3), np.eye(3), np.zeros(shape))
+
+    def test_rejects_non_rotation(self):
+        with pytest.raises(ValueError):
+            adjoint_transform(np.zeros(3), 2.0 * np.eye(3), np.zeros(6))
 
     def test_identity_frame_is_identity(self):
-        w = Wrench([1.0, -2.0, 3.0], [0.5, 0.0, -0.5])
+        w = np.array([1.0, -2.0, 3.0, 0.5, 0.0, -0.5])
         out = adjoint_transform(np.zeros(3), np.eye(3), w)
-        np.testing.assert_allclose(out.as_vector(), w.as_vector(), atol=1e-15)
+        np.testing.assert_allclose(out, w, atol=1e-15)
 
     def test_pure_force_gains_moment_arm(self):
-        w = Wrench([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+        w = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         out = adjoint_transform([1.0, 0.0, 0.0], np.eye(3), w)
-        np.testing.assert_allclose(out.force, [0.0, 0.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(out.torque, [0.0, -1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(out[:3], [0.0, 0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(out[3:], [0.0, -1.0, 0.0], atol=1e-15)
