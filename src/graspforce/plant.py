@@ -105,8 +105,14 @@ class WristSweep:
             raise ValueError("wrist sweep needs t_end > t_start")
 
     def angle(self, t: float) -> float:
+        """The angle at time t; the plant calls this on every substep of a sweep.
+
+        The clamp is `min(max(frac, 0.0), 1.0)` written without the builtin
+        calls, with the same result for every frac, NaN and -0.0 included.
+        """
         frac = (t - self.t_start) / (self.t_end - self.t_start)
-        frac = min(max(frac, 0.0), 1.0)
+        frac = 0.0 if 0.0 > frac else frac
+        frac = 1.0 if 1.0 < frac else frac
         return self.angle_start + (self.angle_end - self.angle_start) * frac
 
 
@@ -200,7 +206,7 @@ class Plant:
         half = 0.5 * self.obj.width
         d1 = -self.q1 - (self.x_obj - half)
         d2 = (self.x_obj + half) - self.q2
-        return k * max(0.0, d1), k * max(0.0, d2)
+        return k * (d1 if d1 > 0.0 else 0.0), k * (d2 if d2 > 0.0 else 0.0)
 
     def _quasi_static_position(self, q1: float, q2: float, x: float, push: float) -> float:
         """Static rest position of a massless object, piecewise closed form.
@@ -250,7 +256,9 @@ class Plant:
         Values fixed for the period are bound once; the substeps run on
         locals and write the state back at the end. Only the wrist angle
         (when a sweep is scheduled) and the object pushes (when any exist)
-        are evaluated per substep.
+        are evaluated per substep. The substep body calls no builtins:
+        `d if d > 0.0 else 0.0` is `max(0.0, d)` bit for bit, NaN and -0.0
+        included, and `-reach <= d <= reach` is `abs(d) <= reach`.
         """
         if not duration > 0.0:
             raise ValueError(f"duration must be > 0, got {duration}")
@@ -262,10 +270,17 @@ class Plant:
         q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
         # One constant velocity per finger for the whole period, sized to
         # land on the command, capped at the slew limit; a finger lands
-        # exactly on its command once within one substep's travel.
+        # exactly on its command once within one substep's travel, and a
+        # finger on its command stays there. Equal values differ in bits
+        # only as 0.0 and -0.0, so a finger that starts the period on its
+        # command takes the command's bits, as its first landing would.
         move1 = _tracking_velocity(q1, q1_cmd, duration, cfg.max_finger_speed) * dt
         move2 = _tracking_velocity(q2, q2_cmd, duration, cfg.max_finger_speed) * dt
         reach1, reach2 = abs(move1), abs(move2)
+        if q1 == q1_cmd:
+            q1 = q1_cmd
+        if q2 == q2_cmd:
+            q2 = q2_cmd
         k = self.contact_stiffness
         half = 0.5 * obj.width
         mass = obj.mass
@@ -283,8 +298,12 @@ class Plant:
         if not quasi_static:
             drag = 1.0 + dt * obj.damping / mass
         for _ in range(n_sub):
-            q1 = q1_cmd if abs(q1_cmd - q1) <= reach1 else q1 + move1
-            q2 = q2_cmd if abs(q2_cmd - q2) <= reach2 else q2 + move2
+            if q1 != q1_cmd:
+                d = q1_cmd - q1
+                q1 = q1_cmd if -reach1 <= d <= reach1 else q1 + move1
+            if q2 != q2_cmd:
+                d = q2_cmd - q2
+                q2 = q2_cmd if -reach2 <= d <= reach2 else q2 + move2
             if wrist is not None:
                 g_dot_n = -gravity * math.sin(wrist.angle(t))
             if object_pushes:
@@ -293,8 +312,10 @@ class Plant:
                 x = self._quasi_static_position(q1, q2, x, push_obj)
                 v = 0.0
             else:
-                f1 = k * max(0.0, -q1 - (x - half))
-                f2 = k * max(0.0, (x + half) - q2)
+                d = -q1 - (x - half)
+                f1 = k * (d if d > 0.0 else 0.0)
+                d = (x + half) - q2
+                f2 = k * (d if d > 0.0 else 0.0)
                 net = f1 - f2 + mass * g_dot_n + push_obj
                 v = (v + dt * net / mass) / drag
                 x += dt * v

@@ -260,10 +260,16 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     """Validate a spec and derive every unset quantity.
 
     Raises ValueError when the object does not fit between the fingers at
-    the start aperture or the apertures fall outside the joint range.
+    the start aperture, the apertures fall outside the joint range, or the
+    plant step is longer than the control period.
     """
     obj = spec.object_spec()
     control = spec.control
+    period = 1.0 / control.control_rate
+    if spec.plant.dt > period:
+        raise ValueError(
+            f"plant.dt {spec.plant.dt:g} s is longer than the control period {period:g} s"
+        )
     overrides = dict(ABLATIONS[spec.ablation])
     if control.mass == 0.0:
         # The controller's gravity model defaults to the true object mass.

@@ -27,6 +27,8 @@ DEFAULT_GAMMA_2 = 11.03
 # Raw-units noise sized so a 5-sigma excursion calibrates to about 0.1 N,
 # half of the default 0.2 N contact threshold.
 DEFAULT_CALIBRATED_NOISE_5SIGMA = 0.1
+# Standard normals drawn ahead per refill of a model's noise buffer.
+_NORMALS_AHEAD = 256
 
 
 @dataclass
@@ -46,6 +48,8 @@ class SensorModel:
     min_force: float = 0.0
     gain_scale: float = 1.0
     _rng: np.random.Generator = field(init=False, repr=False)
+    # Standard normals drawn from _rng but not used yet, the next one last.
+    _normals: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         lower = {"gamma": POSITIVE, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
@@ -55,14 +59,26 @@ class SensorModel:
             self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
             check_fields(self, lower)  # a subnormal gamma overflows the default to inf
         self._rng = np.random.default_rng(self.seed)
+        self._normals = []
 
 
 def sample_raw(true_force: float, model: SensorModel) -> float:
-    """Draw one raw sample for the given true force, advancing the noise stream."""
+    """Draw one raw sample for the given true force, advancing the noise stream.
+
+    The noise is `rng.normal(0.0, sigma)` bit for bit: numpy computes that
+    as 0.0 + sigma * z from one standard normal z, and a chunk of
+    `standard_normal(n)` holds the z values that n single draws give, in
+    the same order. Scaling at read time lets a changed sigma apply to the
+    next read.
+    """
     effective = true_force if true_force >= model.min_force else 0.0
     raw = effective / model.gamma + model.bias
-    if model.noise_sigma > 0.0:
-        raw += model._rng.normal(0.0, model.noise_sigma)
+    sigma = model.noise_sigma
+    if sigma > 0.0:
+        normals = model._normals
+        if not normals:
+            normals.extend(model._rng.standard_normal(_NORMALS_AHEAD)[::-1].tolist())
+        raw += 0.0 + sigma * normals.pop()
     return raw
 
 
@@ -72,8 +88,17 @@ def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     # sample_raw(0.0, model) n times over, summed in the same order.
     raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
-    if model.noise_sigma > 0.0:
-        raw += model._rng.normal(0.0, model.noise_sigma, n_samples)
+    sigma = model.noise_sigma
+    if sigma > 0.0:
+        normals = model._normals
+        if normals:
+            # The stream goes on through the normals sample_raw drew ahead.
+            ahead = normals[:-n_samples - 1:-1]
+            del normals[-len(ahead):]
+            raw[:len(ahead)] += 0.0 + sigma * np.array(ahead)
+            raw[len(ahead):] += model._rng.normal(0.0, sigma, n_samples - len(ahead))
+        else:
+            raw += model._rng.normal(0.0, sigma, n_samples)
     return sum(raw.tolist()) / n_samples
 
 

@@ -162,6 +162,9 @@ def bad_override_cases():
     for item in ["controller=trajectory", "ablation=no_deadband", "seed=3", "pushes=[]",
                  "wrist=null"]:
         cases.append(("exp-b", [item]))
+    # A plant step longer than the control period.
+    cases += [("run", ["plant.dt=0.5"]), ("run", ["control.control_rate=50", "plant.dt=0.021"]),
+              ("exp-a", ["plant.dt=0.011"]), ("exp-b", ["plant.dt=0.5"])]
     return [pytest.param(c, i, id=f"{c} {' '.join(i)}") for c, i in cases]
 
 

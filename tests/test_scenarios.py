@@ -176,6 +176,15 @@ class TestResolve:
         assert near.duration - closing_near == pytest.approx(1.5)
         assert far.duration - closing_far > 1.5
 
+    def test_plant_step_fits_the_control_period(self):
+        # 100 Hz control: a 10 ms substep is one substep per period.
+        resolve(ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": 0.01}}))
+        spec = ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": 0.0101}})
+        with pytest.raises(ValueError, match="control period"):
+            resolve(spec)
+        fast = {"object": "tape_roll", "plant": {"dt": 0.0101}, "control": {"control_rate": 50.0}}
+        resolve(ScenarioSpec.from_dict(fast))
+
     def test_explicit_duration_wins(self):
         resolved = resolve(ScenarioSpec(object="tape_roll", duration=9.0))
         assert resolved.duration == 9.0

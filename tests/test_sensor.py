@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from graspforce import sensor
 from graspforce.sensor import (
     DEFAULT_CALIBRATED_NOISE_5SIGMA,
     DEFAULT_GAMMA_1,
@@ -99,6 +101,62 @@ class TestBiasEstimate:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             estimate_bias(SensorModel(), 0)
+
+
+def scalar_raw(true_force, model, rng):
+    """sample_raw with one scalar draw from rng per sample, as the stream is defined."""
+    effective = true_force if true_force >= model.min_force else 0.0
+    raw = effective / model.gamma + model.bias
+    raw += rng.normal(0.0, model.noise_sigma)
+    return raw
+
+
+class TestNoiseStream:
+    """Noise drawn ahead in chunks reads as one scalar draw per sample."""
+
+    def test_calibrated_reads_match_a_scalar_draw_loop(self):
+        model = SensorModel(gamma=11.03, bias=0.47, seed=31, gain_scale=1.01)
+        calibrated = CalibratedSensor(model, calibration_samples=10)
+        rng = np.random.default_rng(31)
+        sigma = model.noise_sigma
+        bias_est = sum(0.0 / 11.03 + 0.47 + rng.normal(0.0, sigma) for _ in range(10)) / 10
+        assert calibrated.bias_estimate.hex() == bias_est.hex()
+        n_reads = 5 * sensor._NORMALS_AHEAD // 2
+        forces = [0.01 * (i % 300) for i in range(n_reads)]
+        got = [calibrated.read(f).hex() for f in forces]
+        expected = [calibrate(scalar_raw(f, model, rng), model, bias_est).hex() for f in forces]
+        assert got == expected
+
+    @pytest.mark.parametrize("reads_before", [1, sensor._NORMALS_AHEAD - 3,
+                                              sensor._NORMALS_AHEAD])
+    def test_order_holds_across_sample_raw_and_estimate_bias(self, reads_before):
+        # 7 calibration samples from inside the drawn-ahead chunk, across
+        # its end, and from an empty buffer.
+        model = SensorModel(bias=0.52, seed=5, noise_sigma=0.003)
+        rng = np.random.default_rng(5)
+        before = [sample_raw(0.4, model).hex() for _ in range(reads_before)]
+        assert before == [scalar_raw(0.4, model, rng).hex() for _ in range(reads_before)]
+        expected_bias = sum(scalar_raw(0.0, model, rng) for _ in range(7)) / 7
+        assert estimate_bias(model, 7).hex() == expected_bias.hex()
+        after = [sample_raw(1.3, model).hex() for _ in range(300)]
+        assert after == [scalar_raw(1.3, model, rng).hex() for _ in range(300)]
+
+    def test_bias_then_reads_keep_the_order(self):
+        model = SensorModel(seed=12, noise_sigma=0.002)
+        rng = np.random.default_rng(12)
+        expected_bias = sum(scalar_raw(0.0, model, rng) for _ in range(7)) / 7
+        assert estimate_bias(model, 7).hex() == expected_bias.hex()
+        after = [sample_raw(0.9, model).hex() for _ in range(20)]
+        assert after == [scalar_raw(0.9, model, rng).hex() for _ in range(20)]
+
+    def test_changed_sigma_applies_to_the_next_read(self):
+        model = SensorModel(seed=8, noise_sigma=0.001)
+        rng = np.random.default_rng(8)
+        assert sample_raw(0.5, model).hex() == scalar_raw(0.5, model, rng).hex()
+        model.noise_sigma = 0.05
+        assert sample_raw(0.5, model).hex() == scalar_raw(0.5, model, rng).hex()
+        model.noise_sigma = 0.0
+        assert sample_raw(0.5, model) == 0.5 / model.gamma + model.bias
 
 
 class TestCalibration:
