@@ -107,8 +107,7 @@ class WristSweep:
     def angle(self, t: float) -> float:
         """The angle at time t; the plant calls this on every substep of a sweep.
 
-        The clamp is `min(max(frac, 0.0), 1.0)` written without the builtin
-        calls, with the same result for every frac, NaN and -0.0 included.
+        The clamp passes a NaN or -0.0 frac through unchanged; keep it that way.
         """
         frac = (t - self.t_start) / (self.t_end - self.t_start)
         frac = 0.0 if 0.0 > frac else frac
@@ -256,9 +255,9 @@ class Plant:
         Values fixed for the period are bound once; the substeps run on
         locals and write the state back at the end. Only the wrist angle
         (when a sweep is scheduled) and the object pushes (when any exist)
-        are evaluated per substep. The substep body calls no builtins:
-        `d if d > 0.0 else 0.0` is `max(0.0, d)` bit for bit, NaN and -0.0
-        included, and `-reach <= d <= reach` is `abs(d) <= reach`.
+        are evaluated per substep. The substep body calls no builtins. A
+        penetration `d` that is NaN, -0.0 or negative gives the force
+        `k * 0.0`, so an infinite stiffness still gives NaN; keep it that way.
         """
         if not duration > 0.0:
             raise ValueError(f"duration must be > 0, got {duration}")
@@ -270,17 +269,10 @@ class Plant:
         q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
         # One constant velocity per finger for the whole period, sized to
         # land on the command, capped at the slew limit; a finger lands
-        # exactly on its command once within one substep's travel, and a
-        # finger on its command stays there. Equal values differ in bits
-        # only as 0.0 and -0.0, so a finger that starts the period on its
-        # command takes the command's bits, as its first landing would.
+        # exactly on its command once within one substep's travel.
         move1 = _tracking_velocity(q1, q1_cmd, duration, cfg.max_finger_speed) * dt
         move2 = _tracking_velocity(q2, q2_cmd, duration, cfg.max_finger_speed) * dt
         reach1, reach2 = abs(move1), abs(move2)
-        if q1 == q1_cmd:
-            q1 = q1_cmd
-        if q2 == q2_cmd:
-            q2 = q2_cmd
         k = self.contact_stiffness
         half = 0.5 * obj.width
         mass = obj.mass
@@ -298,12 +290,10 @@ class Plant:
         if not quasi_static:
             drag = 1.0 + dt * obj.damping / mass
         for _ in range(n_sub):
-            if q1 != q1_cmd:
-                d = q1_cmd - q1
-                q1 = q1_cmd if -reach1 <= d <= reach1 else q1 + move1
-            if q2 != q2_cmd:
-                d = q2_cmd - q2
-                q2 = q2_cmd if -reach2 <= d <= reach2 else q2 + move2
+            d = q1_cmd - q1
+            q1 = q1_cmd if -reach1 <= d <= reach1 else q1 + move1
+            d = q2_cmd - q2
+            q2 = q2_cmd if -reach2 <= d <= reach2 else q2 + move2
             if wrist is not None:
                 g_dot_n = -gravity * math.sin(wrist.angle(t))
             if object_pushes:

@@ -269,6 +269,7 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     if spec.plant.dt > period:
         raise ValueError(
             f"plant.dt {spec.plant.dt:g} s is longer than the control period {period:g} s"
+            f" (the plant runs round(period / dt) equal substeps per period)"
         )
     overrides = dict(ABLATIONS[spec.ablation])
     if control.mass == 0.0:

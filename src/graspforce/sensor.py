@@ -90,15 +90,13 @@ def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
     raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
     sigma = model.noise_sigma
     if sigma > 0.0:
+        # The stream goes on through any normals sample_raw drew ahead,
+        # then through the generator.
         normals = model._normals
-        if normals:
-            # The stream goes on through the normals sample_raw drew ahead.
-            ahead = normals[:-n_samples - 1:-1]
-            del normals[-len(ahead):]
-            raw[:len(ahead)] += 0.0 + sigma * np.array(ahead)
-            raw[len(ahead):] += model._rng.normal(0.0, sigma, n_samples - len(ahead))
-        else:
-            raw += model._rng.normal(0.0, sigma, n_samples)
+        ahead = normals[:-n_samples - 1:-1]
+        del normals[len(normals) - len(ahead):]
+        raw[:len(ahead)] += 0.0 + sigma * np.array(ahead)
+        raw[len(ahead):] += model._rng.normal(0.0, sigma, n_samples - len(ahead))
     return sum(raw.tolist()) / n_samples
 
 

@@ -532,16 +532,3 @@ class TestFrozenReference:
                           plant.true_f1, plant.true_f2)) == _bits(expected)
             assert _snapshot(plant) == _snapshot(frozen)
         assert plant.t == frozen.t > 2.0
-
-    def test_finger_on_its_command_takes_the_command_sign_of_zero(self):
-        # 0.0 == -0.0, so a finger that starts a period on its command
-        # skips the landing test; it must still end on the command's bits.
-        obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
-        plant = Plant(obj, start_aperture=0.07)
-        frozen = FrozenPlant(obj, 0.07, DisturbanceSchedule(), PlantConfig())
-        for cmd in [ControlCommand(0.0, -0.0)] * 80 + [ControlCommand(-0.0, 0.0)] * 3:
-            plant.step(cmd, 0.01)
-            expected = frozen.step(cmd, 0.01)
-            assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
-                          plant.true_f1, plant.true_f2)) == _bits(expected)
-        assert _bits((plant.q1, plant.q2)) == _bits((-0.0, 0.0))

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from graspforce.controller import STOP_AT_GOAL
+from graspforce.controller import STOP_AT_GOAL, ControlCommand
 from graspforce.harness import run_experiment_a
-from graspforce.plant import ObjectSpec
+from graspforce.plant import ObjectSpec, Plant, PlantConfig
 from graspforce.scenarios import (
     ABLATIONS,
     OBJECTS,
@@ -184,6 +184,17 @@ class TestResolve:
             resolve(spec)
         fast = {"object": "tape_roll", "plant": {"dt": 0.0101}, "control": {"control_rate": 50.0}}
         resolve(ScenarioSpec.from_dict(fast))
+        # Just below the period, dt rounds to one substep of the whole period.
+        for dt in (0.0099, 0.0067):
+            resolve(ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": dt}}))
+        plants = [Plant(OBJECTS["tape_roll"], 0.07, config=PlantConfig(dt=dt))
+                  for dt in (0.01, 0.0067)]
+        for plant in plants:
+            for _ in range(50):
+                plant.step(ControlCommand(-0.02, 0.02), 0.01)
+        coarse, rounded = ([p.q1, p.q2, p.x_obj, p.v_obj, p.t, p.true_f1, p.true_f2]
+                           for p in plants)
+        assert rounded == coarse
 
     def test_explicit_duration_wins(self):
         resolved = resolve(ScenarioSpec(object="tape_roll", duration=9.0))
