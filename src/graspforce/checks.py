@@ -7,7 +7,7 @@ import functools
 import math
 import numbers
 
-# Lower bounds as (bound, inclusive) pairs.
+# Lower bounds as (bound, inclusive) pairs; upper bounds take the same form.
 POSITIVE = (0.0, False)
 NON_NEGATIVE = (0.0, True)
 _KINDS = {"float": "a finite number", "float | None": "null or a finite number",
@@ -30,7 +30,8 @@ def _has_kind(value, kind: str) -> bool:
         return False
 
 
-def check_fields(record, lower: dict[str, tuple[float, bool]] | None = None) -> None:
+def check_fields(record, lower: dict[str, tuple[float, bool]] | None = None,
+                 upper: dict[str, tuple[float, bool]] | None = None) -> None:
     """Check each scalar init field of a dataclass record by its annotation.
 
     ``float`` is a finite real number, ``float | None`` the same or None,
@@ -38,16 +39,22 @@ def check_fields(record, lower: dict[str, tuple[float, bool]] | None = None) -> 
     Other annotations are skipped. Annotations are read as strings, so the
     record's module starts with ``from __future__ import annotations``.
     lower maps a field name to (bound, inclusive), a bound the value must
-    reach (inclusive) or exceed. Raises ValueError starting with the name.
+    reach (inclusive) or exceed; upper likewise to a bound the value must
+    not pass (inclusive) or must stay below. Raises ValueError starting
+    with the name.
     """
     for name, kind in _checked_fields(type(record)):
         value = getattr(record, name)
-        bound, inclusive = (lower or {}).get(name, (None, True))
+        low, low_inclusive = (lower or {}).get(name, (None, True))
+        high, high_inclusive = (upper or {}).get(name, (None, True))
         if (value is None and kind == "float | None") or _has_kind(value, kind) and (
-            bound is None or (value >= bound if inclusive else value > bound)
-        ):
+            low is None or (value >= low if low_inclusive else value > low)
+        ) and (high is None or (value <= high if high_inclusive else value < high)):
             continue
         need = _KINDS[kind]
-        if bound is not None:
-            need += f" {'>=' if inclusive else '>'} {bound:g}"
+        if low is not None:
+            need += f" {'>=' if low_inclusive else '>'} {low:.15g}"
+        if high is not None:
+            joint = " and" if low is not None else ""
+            need += f"{joint} {'<=' if high_inclusive else '<'} {high:.15g}"
         raise ValueError(f"{name} must be {need}, got {value!r}")

@@ -80,6 +80,9 @@ class TimeSeriesRow:
 CSV_HEADER = ",".join(f.name for f in fields(TimeSeriesRow))
 # A row's values in CSV_HEADER order, as a tuple.
 _row_values = attrgetter(*CSV_HEADER.split(","))
+# One CSV line per row: "%.9g" gives the bytes format(float(v), ".9g") gives
+# for every float, int and bool, so a series reads as the report tables do.
+_ROW_FORMAT = ",".join("%s" if f.type == "str" else "%.9g" for f in fields(TimeSeriesRow)) + "\n"
 
 
 @dataclass
@@ -239,12 +242,17 @@ def _fmt(value) -> str:
     return format(float(value), ".9g")
 
 
+def _report_line(cells) -> str:
+    """One report-table line; its cells may be None, str or bool as well as numbers."""
+    return ",".join([_fmt(v) for v in cells]) + "\n"
+
+
 def write_csv(rows: list[TimeSeriesRow], path: str | Path) -> Path:
     """Write a time series with the fixed header, 9 significant digits, LF endings."""
     if not rows:
         raise ValueError("refusing to write an empty time series")
     path = Path(path)
-    _write_table(path, CSV_HEADER.split(","), map(_row_values, rows))
+    _write_table(path, CSV_HEADER.split(","), map(_ROW_FORMAT.__mod__, map(_row_values, rows)))
     return path
 
 
@@ -253,12 +261,12 @@ def _columns(record_cls, *skip: str) -> list[str]:
     return [f.name for f in fields(record_cls) if f.name not in skip]
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
+def _write_table(path: Path, header: list[str], lines) -> None:
+    """The one CSV writer: the header, then lines that already end in a newline."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join([_fmt(v) for v in row]) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise RuntimeFault(f"cannot write {path}: {exc}") from exc
 
@@ -364,15 +372,17 @@ def run_experiment_a(
             out / "exp_a_trials.csv",
             [*_SPEC_COLUMNS, *metrics],
             (
-                [t.spec.object, t.spec.controller, t.spec.offset, (i // 2) % reps, t.spec.seed]
-                + [getattr(t, name) for name in metrics]
+                _report_line(
+                    [t.spec.object, t.spec.controller, t.spec.offset, (i // 2) % reps, t.spec.seed]
+                    + [getattr(t, name) for name in metrics]
+                )
                 for i, t in enumerate(trials)
             ),
         )
         _write_table(
             out / "exp_a_summary.csv",
             _columns(ExperimentASummary),
-            (vars(s).values() for s in summary),
+            (_report_line(vars(s).values()) for s in summary),
         )
     return result
 
@@ -516,7 +526,7 @@ def run_experiment_b(
         _write_table(
             out / "exp_b_metrics.csv",
             columns,
-            ([getattr(run, name) for name in columns] for run in runs.values()),
+            (_report_line([getattr(run, name) for name in columns]) for run in runs.values()),
         )
     return runs
 

@@ -160,14 +160,6 @@ class PlantConfig:
         check_fields(self, dict.fromkeys(("dt", "max_finger_speed", "pad_stiffness"), POSITIVE))
 
 
-def _tracking_velocity(q: float, target: float, period: float, max_speed: float) -> float:
-    """Constant velocity that lands on target within the period, speed-capped."""
-    needed = target - q
-    if needed == 0.0:
-        return 0.0
-    return math.copysign(min(abs(needed) / period, max_speed), needed)
-
-
 class Plant:
     """Steps the finger/object system under zero-order-hold position commands.
 
@@ -269,9 +261,13 @@ class Plant:
         q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
         # One constant velocity per finger for the whole period, sized to
         # land on the command, capped at the slew limit; a finger lands
-        # exactly on its command once within one substep's travel.
-        move1 = _tracking_velocity(q1, q1_cmd, duration, cfg.max_finger_speed) * dt
-        move2 = _tracking_velocity(q2, q2_cmd, duration, cfg.max_finger_speed) * dt
+        # exactly on its command once within one substep's travel. The cap
+        # keeps min's semantics, so a NaN speed passes through it.
+        cap = cfg.max_finger_speed
+        need1, need2 = q1_cmd - q1, q2_cmd - q2
+        speed1, speed2 = abs(need1) / duration, abs(need2) / duration
+        move1 = 0.0 if need1 == 0.0 else math.copysign(cap if cap < speed1 else speed1, need1) * dt
+        move2 = 0.0 if need2 == 0.0 else math.copysign(cap if cap < speed2 else speed2, need2) * dt
         reach1, reach2 = abs(move1), abs(move2)
         k = self.contact_stiffness
         half = 0.5 * obj.width

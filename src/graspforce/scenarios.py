@@ -24,7 +24,7 @@ from pathlib import Path
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
 from .controller import ControllerConfig, GraspRequest
 from .plant import DisturbanceSchedule, ObjectSpec, PlantConfig, Push, WristSweep
-from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, SensorModel
+from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, MAX_CALIBRATION_SAMPLES, SensorModel
 
 STYROFOAM = ObjectSpec("styrofoam", mass=0.002, width=0.050, stiffness=500.0, damping=1.0)
 TAPE_ROLL = ObjectSpec("tape_roll", mass=0.049, width=0.060, stiffness=2000.0, damping=60.0)
@@ -70,7 +70,7 @@ class SensorSetup:
         check_fields(self, {
             **dict.fromkeys(("gamma1", "gamma2", "gain_scale1", "gain_scale2"), POSITIVE),
             "noise_sigma": NON_NEGATIVE, "min_force": NON_NEGATIVE, "calibration_samples": (1, True),
-        })
+        }, {"calibration_samples": (MAX_CALIBRATION_SAMPLES, True)})
 
 
 @dataclass

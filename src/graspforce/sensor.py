@@ -29,6 +29,9 @@ DEFAULT_GAMMA_2 = 11.03
 DEFAULT_CALIBRATED_NOISE_5SIGMA = 0.1
 # Standard normals drawn ahead per refill of a model's noise buffer.
 _NORMALS_AHEAD = 256
+# estimate_bias holds about 49 bytes per sample at once, so this many take
+# about 49 MB.
+MAX_CALIBRATION_SAMPLES = 10**6
 
 
 @dataclass
@@ -84,8 +87,10 @@ def sample_raw(true_force: float, model: SensorModel) -> float:
 
 def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
     """Average unloaded raw samples; the standard error shrinks as 1/sqrt(n)."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not 1 <= n_samples <= MAX_CALIBRATION_SAMPLES:
+        raise ValueError(
+            f"n_samples must be >= 1 and <= {MAX_CALIBRATION_SAMPLES}, got {n_samples}"
+        )
     # sample_raw(0.0, model) n times over, summed in the same order.
     raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
     sigma = model.noise_sigma

@@ -122,6 +122,20 @@ class TestCheckFields:
             check_fields(_Sample(**args), bounds)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("args,message", [
+        (dict(n=11), "n must be an integer >= 1 and <= 10, got 11"),
+        (dict(x=5.0), "x must be a finite number > 0 and < 5, got 5.0"),
+        (dict(y=2.5), "y must be null or a finite number <= 2, got 2.5"),
+        (dict(x=math.inf), "x must be a finite number > 0 and < 5, got inf"),
+    ])
+    def test_upper_bound_messages(self, args, message):
+        lower = {"x": POSITIVE, "n": (1, True)}
+        upper = {"x": (5.0, False), "y": (2.0, True), "n": (10, True)}
+        check_fields(_Sample(x=4.9, y=2.0, n=10), lower, upper)
+        with pytest.raises(ValueError) as info:
+            check_fields(_Sample(**args), lower, upper)
+        assert str(info.value) == message
+
     def test_skips_other_annotations(self):
         check_fields(_Sample(label=None))
 

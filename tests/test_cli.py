@@ -145,8 +145,9 @@ def bad_override_cases():
                  'wrist={"t_start": 1, "t_end": Infinity}',
                  'wrist={"t_start": 1, "t_end": 2, "angle_end": NaN}']:
         cases.append(("run", [item]))
-    # Not an integer >= 1: the bias calibration's sample count.
-    for value in ["1.5", "true", '"x"', "0"]:
+    # Not an integer from 1 to 10**6: the bias calibration's sample count.
+    # 10**9 would need about 49 GB; the spec rejects it before any is drawn.
+    for value in ["1.5", "true", '"x"', "0", "1000001", "1000000000"]:
         cases.append(("run", [f"sensors.calibration_samples={value}"]))
     # A bool where a number goes, a negative or non-integer count, a flag
     # given as a (truthy) string, and an integer too large for a float.

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graspforce.harness import (
     CSV_HEADER,
@@ -94,7 +95,7 @@ class TestRunTrial:
         with pytest.raises(RuntimeFault, match=r"non-finite plant state at t=1\.000 s"):
             run_trial(spec)
 
-    @pytest.mark.parametrize("samples", [0, 1.5, True, "x"])
+    @pytest.mark.parametrize("samples", [0, 1.5, True, "x", 10**6 + 1])
     def test_bad_calibration_sample_count_rejected_by_spec(self, samples):
         with pytest.raises(ValueError, match="calibration_samples"):
             quiet_spec(sensors={"noise": False, "calibration_samples": samples})
@@ -104,6 +105,14 @@ class TestRunTrial:
         spec = quiet_spec()
         spec.sensors.calibration_samples = 0
         with pytest.raises(ConfigError, match="n_samples"):
+            run_trial(spec)
+
+    def test_oversized_calibration_sample_count_is_config_error(self):
+        # Set after validation, a count over the cap is refused before any
+        # sample is drawn (10**9 samples would take about 49 GB).
+        spec = quiet_spec()
+        spec.sensors.calibration_samples = 10**9
+        with pytest.raises(ConfigError, match="n_samples must be >= 1 and <= 1000000"):
             run_trial(spec)
 
     def test_series_rate_is_the_control_rate(self):
@@ -181,6 +190,39 @@ class TestCsv:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv([], tmp_path / "empty.csv")
+
+    @staticmethod
+    def cell_csv(rows) -> str:
+        """A series as per-cell formatting writes it: format(float(v), ".9g") per number."""
+        lines = [CSV_HEADER]
+        for row in rows:
+            cells = [getattr(row, name) for name in CSV_HEADER.split(",")]
+            lines.append(",".join(v if isinstance(v, str) else format(float(v), ".9g")
+                                  for v in cells))
+        return "\n".join(lines) + "\n"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(), st.integers(-(2**1000), 2**1000), st.booleans()))
+    @example(-0.0)
+    @example(5e-324)
+    @example(-math.inf)
+    @example(1.8e308)
+    def test_cells_match_per_cell_formatting(self, tmp_path_factory, value):
+        row = TimeSeriesRow(*[value] * 8, "contact", value, value)
+        path = write_csv([row], tmp_path_factory.mktemp("cell") / "cell.csv")
+        assert path.read_bytes() == self.cell_csv([row]).encode()
+
+    def test_bytes_match_per_cell_formatting(self, tmp_path):
+        edges = [
+            TimeSeriesRow(0.0, -0.0, 5e-324, 1e308, 0, True, -1e-310, math.nan, "closing",
+                          math.inf, -math.inf),
+            TimeSeriesRow(0.01, 0.0399999987, 2**53 + 1, False, 1, 123456789012.0, -0.0193,
+                          1.23456789e-4, "holding", -0.0038, 0.0019),
+        ]
+        series = run_trial(_experiment_b_spec("push", "none", 0, True, True, None)).series
+        for name, rows in (("edges", edges), ("exp_b_push", series)):
+            path = write_csv(rows, tmp_path / f"{name}.csv")
+            assert path.read_bytes() == self.cell_csv(rows).encode(), name
 
 
 class TestExperimentPlumbing:

@@ -532,3 +532,28 @@ class TestFrozenReference:
                           plant.true_f1, plant.true_f2)) == _bits(expected)
             assert _snapshot(plant) == _snapshot(frozen)
         assert plant.t == frozen.t > 2.0
+
+
+class TestFrozenSpeedCap:
+    @pytest.mark.parametrize("nan_finger", [None, 1, 2])
+    def test_speed_exactly_at_the_cap(self, nan_finger):
+        # Both fingers need exactly the capped speed, where min's two
+        # operands tie; a NaN command gives a NaN speed, which passes
+        # min(speed, cap) but not min(cap, speed).
+        obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
+        start, duration = 0.07, 0.01
+        q = 0.5 * start
+        target = q - 0.0004
+        config = PlantConfig(max_finger_speed=abs(target - q) / duration)
+        assert abs(target - q) / duration == config.max_finger_speed
+        plant = Plant(obj, start_aperture=start, config=config)
+        frozen = FrozenPlant(obj, start, DisturbanceSchedule(), config)
+        cmd = ControlCommand(math.nan if nan_finger == 1 else target,
+                             math.nan if nan_finger == 2 else target)
+        for _ in range(3):
+            plant.step(cmd, duration)
+            expected = frozen.step(cmd, duration)
+            assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
+                          plant.true_f1, plant.true_f2)) == _bits(expected)
+            assert _snapshot(plant) == _snapshot(frozen)
+        assert [math.isnan(plant.q1), math.isnan(plant.q2)] == [nan_finger == 1, nan_finger == 2]

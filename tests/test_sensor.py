@@ -102,6 +102,12 @@ class TestBiasEstimate:
         with pytest.raises(ValueError):
             estimate_bias(SensorModel(), 0)
 
+    def test_sample_count_capped(self):
+        assert estimate_bias(noiseless(), sensor.MAX_CALIBRATION_SAMPLES) == 0.5
+        for n in (sensor.MAX_CALIBRATION_SAMPLES + 1, 10**9):
+            with pytest.raises(ValueError, match="n_samples"):
+                estimate_bias(SensorModel(), n)
+
 
 def scalar_raw(true_force, model, rng):
     """sample_raw with one scalar draw from rng per sample, as the stream is defined."""
