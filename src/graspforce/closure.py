@@ -27,7 +27,6 @@ from .simplex import all_feasible, solve_lp
 RANK_RTOL = 1e-8
 MARGIN_TOL = 1e-9
 DEFAULT_CONE_SIDES = 8
-ORACLE_NORMAL_BOUND = 1e9
 
 # Contact-frame wrenches of unit fx, fy, fz and tau, one per column: a soft
 # finger transmits no torque about its tangents.
@@ -178,27 +177,49 @@ def is_force_closure(contacts: list[Contact], sides: int = DEFAULT_CONE_SIDES) -
     )
 
 
+def cone_rays(mu: float, mu_tau: float, sides: int = DEFAULT_CONE_SIDES) -> np.ndarray:
+    """Generators of the cone linearize_cone describes, one per column (4 x 2*sides).
+
+    At fz = 1 the tangential parts are the inscribed polygon's vertices,
+    mu * (cos, sin)((2k+1)pi/sides), halfway between the face normals, each
+    paired with tau = +mu_tau and -mu_tau. Their nonnegative combinations
+    are exactly the forces linearize_cone accepts.
+    """
+    if sides < 3:
+        raise ValueError(f"cone linearization needs at least 3 sides, got {sides}")
+    theta = np.repeat((2.0 * np.arange(sides) + 1.0) * np.pi / sides, 2)
+    tau = np.tile((mu_tau, -mu_tau), sides)
+    return np.array([mu * np.cos(theta), mu * np.sin(theta), np.ones(2 * sides), tau])
+
+
 def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES) -> bool:
     """Feasibility test: can cone-admissible contact forces balance the wrench.
 
-    Looks for f with G @ f = -wrench inside the linearized cones, with a
-    very large (effectively non-binding) bound on total normal force to
-    keep the program bounded. wrench may also be a (k, 6) stack: the
-    program is assembled once and simplex.all_feasible runs phase 1 for a
-    block of wrenches at a time in lockstep, returning False at the first
-    wrench that cannot be balanced. This is the oracle that checks
-    is_force_closure, so it deliberately does not go through solve_lp.
+    The wrenches the contacts can balance are the nonnegative combinations
+    of G times every contact's cone_rays (Ferrari and Canny's grasp wrench
+    space), so the test asks whether -wrench is one: a 6-row standard-form
+    phase 1. wrench may also be a (k, 6) stack: the ray matrix is built
+    once and simplex.all_feasible runs a block of wrenches at a time in
+    lockstep, returning False at the first wrench that cannot be balanced.
+    This is the oracle that checks is_force_closure, so it deliberately
+    does not go through solve_lp.
 
-    Phase 1 accepts a residual artificial sum up to an absolute 1e-7, so
-    verdicts hold for wrenches of order 1 N, the scale resistance_oracle
-    samples; they are not scale-invariant, and a 1e-8 N wrench the
-    contacts cannot balance still reads as resisted.
+    Cone membership does not change under positive scaling, so each
+    nonzero wrench is scaled to unit norm first, and phase 1's absolute
+    1e-7 tolerance gives the same verdict at 1e-12 N as at 1e8 N.
     """
-    g, neg_cone, norm_row = _cone_program(contacts, sides)
-    a_ub = np.vstack([neg_cone, norm_row])
-    b_ub = np.zeros(a_ub.shape[0])
-    b_ub[-1] = ORACLE_NORMAL_BOUND
-    return all_feasible(a_ub, b_ub, g, -np.asarray(wrench, dtype=float).reshape(-1, 6))
+    g = build_grasp_matrix(contacts)
+    rays = np.hstack(
+        [g[:, 4 * i : 4 * i + 4] @ cone_rays(c.mu, c.mu_tau, sides) for i, c in enumerate(contacts)]
+    )
+    w = np.asarray(wrench, dtype=float).reshape(-1, 6)
+    if not np.isfinite(w).all():
+        raise ValueError("wrenches must be finite")
+    # Scaling by the largest component first keeps the norm from under- or
+    # overflowing; a nonzero row then has norm >= 1, a zero row stays zero.
+    w = w / np.where(w.any(axis=1), np.abs(w).max(axis=1), 1.0)[:, None]
+    w /= np.maximum(np.linalg.norm(w, axis=1), 1.0)[:, None]
+    return all_feasible(rays, -w)
 
 
 def sample_unit_wrenches(count: int, seed: int = 0) -> np.ndarray:

@@ -34,9 +34,9 @@ HOLD_FOREVER = "hold_forever"
 STOP_AT_GOAL = "stop_at_goal"
 
 # A finger counts as having executed the previous command when its measured
-# position matches to this tolerance; the plant assigns commands exactly
-# when they are reachable within the speed limit, so this is a float-noise
-# guard, not a physical band.
+# position matches to this tolerance. The plant usually lands a reachable
+# command exactly, but can leave a finger a rounding error (about 1e-17 m)
+# short of it for good, so this is a float-noise guard, not a physical band.
 _CMD_REACHED_TOL = 1e-12
 
 

@@ -260,9 +260,12 @@ class Plant:
         q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
         q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
         # One constant velocity per finger for the whole period, sized to
-        # land on the command, capped at the slew limit; a finger lands
-        # exactly on its command once within one substep's travel. The cap
-        # keeps min's semantics, so a NaN speed passes through it.
+        # land on the command, capped at the slew limit; a finger within one
+        # substep's travel of its command snaps onto it. A gap of a rounding
+        # error can escape both: when it exceeds the travel but the travel
+        # is below half an ulp of q, q + move == q, and the finger stays
+        # that gap (about 1e-17 m) short of a held command for good. The
+        # cap keeps min's semantics, so a NaN speed passes through it.
         cap = cfg.max_finger_speed
         need1, need2 = q1_cmd - q1, q2_cmd - q2
         speed1, speed2 = abs(need1) / duration, abs(need2) / duration

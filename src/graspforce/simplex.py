@@ -11,10 +11,10 @@ The problems here are tiny, a few dozen variables and rows, so a plain
 tableau with full row updates is both adequate and easy to audit.
 
 all_feasible is a second, independent solver for one question: do many
-systems that share a_ub, b_ub and a_eq, and differ only in b_eq, all have
-a feasible point? It runs phase 1 alone over a stack of tableaux, one per
-right-hand side, pivoting every still-running system in lockstep with
-array operations. It shares no code with solve_lp, so it can check
+standard-form systems a_eq.x = b, x >= 0 that share a_eq and differ only
+in b all have a solution? It runs phase 1 alone over a stack of tableaux,
+one per right-hand side, pivoting every still-running system in lockstep
+with array operations. It shares no code with solve_lp, so it can check
 results that solve_lp produced.
 """
 
@@ -33,9 +33,10 @@ _TOL = 1e-9
 _FEAS_TOL = 1e-7
 _MAX_PIVOTS = 50000
 # Systems all_feasible holds at once, one tableau each. More run faster
-# but cost memory: on the closure benchmark, 128 instead of 32 raised the
-# peak RSS from 41 to 45 MB.
-_BLOCK = 32
+# but cost memory: the closure benchmark, whose oracle tableaux are 7 x 33
+# and 7 x 49, peaked at 40.5 MB RSS with 32, 41.4 MB with 128 and 45.9 MB
+# with 512 (Python 3.11, numpy 2.4), and 512 gained no reliable speed.
+_BLOCK = 128
 
 
 @dataclass
@@ -201,58 +202,34 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     return LpResult(OPTIMAL, x, float(c @ x), phase1, phase2)
 
 
-def all_feasible(a_ub, b_ub, a_eq, b_eqs) -> bool:
-    """Whether a_ub.x <= b_ub, a_eq.x = b has a free solution x for every row b of b_eqs.
+def all_feasible(a_eq, b_eqs) -> bool:
+    """Whether a_eq.x = b has a solution x >= 0 for every row b of b_eqs.
 
-    Runs phase 1 for up to _BLOCK systems at once as a (k, m, n + m_ub + 1)
-    stack of tableaux with a (k, m) basis: every lockstep iteration makes
-    one Bland pivot in each running system with array operations, and a
-    system that finishes hands its slot to the next right-hand side.
-    Returns False as soon as one system ends phase 1 with an artificial
-    sum above _FEAS_TOL or finds no pivot row, without solving the rest.
+    Runs phase 1 for up to _BLOCK systems at once as a (k, m + 1, n + 1)
+    stack of tableaux, the last row of each holding the reduced costs, with
+    a (k, m) basis: every lockstep iteration makes one Bland pivot in each
+    running system with array operations, and a system that finishes hands
+    its slot to the next right-hand side. Returns False as soon as one
+    system ends phase 1 with an artificial sum above _FEAS_TOL or finds no
+    pivot row, without solving the rest.
 
-    The columns are stored compactly. Each free variable is split into
-    x+ - x- as in solve_lp, but only the x+ column is kept: row operations
-    keep the x- column and its reduced cost the exact negation of x+'s.
-    Artificial columns are not stored at all: an artificial that leaves
-    the basis never re-enters, and since every point with all artificials
-    at zero stays reachable, the phase-1 minimum is still zero exactly
-    when the system is feasible.
+    Each row is negated where its b is negative and starts on its own
+    artificial. Artificial columns are not stored: an artificial that
+    leaves the basis never re-enters, and since every point with all
+    artificials at zero stays reachable, the phase-1 minimum is still zero
+    exactly when the system is feasible. Bland's rule ranks the artificials
+    after the n real columns.
     """
-    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-    m_ub, n = a_ub.shape
-    m_eq = a_eq.shape[0]
-    b_eqs = np.asarray(b_eqs, dtype=float).reshape(-1, m_eq)
-    if b_ub.shape != (m_ub,) or a_eq.shape[1] != n:
-        raise ValueError(
-            f"constraint shapes disagree: a_ub {a_ub.shape}, b_ub {b_ub.shape}, a_eq {a_eq.shape}"
-        )
-    m = m_ub + m_eq
+    m, n = a_eq.shape
+    b_eqs = np.asarray(b_eqs, dtype=float)
+    if b_eqs.shape[-1:] != (m,):
+        raise ValueError(f"constraint shapes disagree: a_eq {a_eq.shape}, b_eqs {b_eqs.shape}")
+    b_eqs = b_eqs.reshape(-1, m)
     total = b_eqs.shape[0]
 
-    # Stored columns: the n free variables, the m_ub slacks, the right-hand
-    # side. Inequality rows with b_ub < 0 are negated and start on an
-    # artificial, like every equality row; equality signs are per system.
-    shared = np.zeros((m, n + m_ub + 1))
-    shared[:m_ub, :n] = a_ub
-    shared[m_ub:, :n] = a_eq
-    shared[:m_ub, n:-1] = np.eye(m_ub)
-    shared[:m_ub, -1] = b_ub
-    flip_ub = b_ub < 0.0
-    shared[:m_ub][flip_ub] *= -1.0
-    artificial = np.concatenate([flip_ub, np.ones(m_eq, dtype=bool)])
-    artificial_rows = np.flatnonzero(artificial)
-    # Variables are numbered in solve_lp's column order, x+, x-, slacks,
-    # then artificials, which is the order Bland's rule ranks them by.
-    start_basis = np.where(artificial, 2 * n + m_ub, 2 * n) + np.arange(m)
-    stored_column = np.concatenate([np.arange(n), np.arange(n + m_ub)])
-    column_sign = np.concatenate([np.ones(n), -np.ones(n), np.ones(m_ub)])
-
     slots = min(_BLOCK, total)
-    tableau = np.empty((slots, m, shared.shape[1]))
-    obj = np.empty((slots, shared.shape[1]))
+    tableau = np.empty((slots, m + 1, n + 1))
     basis = np.empty((slots, m), dtype=np.int64)
     pivots = np.empty(slots, dtype=np.int64)
     no_row = np.iinfo(basis.dtype).max
@@ -264,45 +241,41 @@ def all_feasible(a_ub, b_ub, a_eq, b_eqs) -> bool:
             if fill.size:
                 rhs = b_eqs[queued : queued + fill.size]
                 queued += fill.size
-                tableau[fill] = shared
-                tableau[fill, m_ub:, -1] = rhs
-                tableau[fill, m_ub:] *= np.where(rhs < 0.0, -1.0, 1.0)[:, :, None]
-                obj[fill] = -tableau[fill[:, None], artificial_rows].sum(axis=1)
-                basis[fill] = start_basis
+                rows = np.empty((fill.size, m, n + 1))
+                rows[:, :, :-1] = a_eq
+                rows[:, :, -1] = rhs
+                rows *= np.where(rhs < 0.0, -1.0, 1.0)[:, :, None]
+                tableau[fill, :m] = rows
+                tableau[fill, m] = -rows.sum(axis=1)
+                basis[fill] = n + np.arange(m)
                 pivots[fill] = 0
             if drop.size:
                 keep = np.ones(tableau.shape[0], dtype=bool)
                 keep[drop] = False
-                tableau, obj, basis, pivots = tableau[keep], obj[keep], basis[keep], pivots[keep]
+                tableau, basis, pivots = tableau[keep], basis[keep], pivots[keep]
         if not tableau.shape[0]:
             return True
 
-        cost = obj[:, :-1]
-        # Bland's order: x+ (cost < 0), then x- (x+'s cost > 0), then slacks.
-        eligible = np.concatenate(
-            [cost[:, :n] < -_TOL, cost[:, :n] > _TOL, cost[:, n:] < -_TOL], axis=1
-        )
-        idle = np.flatnonzero(~eligible.any(axis=1))
+        live = np.arange(tableau.shape[0])
+        eligible = tableau[:, m, :-1] < -_TOL
+        entering = eligible.argmax(axis=1)  # Bland: smallest eligible index
+        idle = np.flatnonzero(~eligible[live, entering])
         if idle.size:
-            if np.any(obj[idle, -1] < -_FEAS_TOL):
+            if np.any(tableau[idle, m, -1] < -_FEAS_TOL):
                 return False
             continue
         if pivots.max() >= _MAX_PIVOTS:
             raise RuntimeError("lockstep phase 1 failed to terminate")
 
-        live = np.arange(tableau.shape[0])
-        entering = eligible.argmax(axis=1)
-        stored, sign = stored_column[entering], column_sign[entering]
-        col = tableau[live, :, stored] * sign[:, None]
-        usable = col > _TOL
+        col = tableau[live, :, entering]
+        usable = col[:, :m] > _TOL
         if not usable.any(axis=1).all():
             return False
-        ratio = np.where(usable, tableau[:, :, -1] / np.where(usable, col, 1.0), np.inf)
+        ratio = np.where(usable, tableau[:, :m, -1] / np.where(usable, col[:, :m], 1.0), np.inf)
         tie = ratio <= ratio.min(axis=1, keepdims=True) + _TOL
         row = np.where(tie, basis, no_row).argmin(axis=1)
         pivot_row = tableau[live, row] / col[live, row][:, None]
         tableau -= np.einsum("km,kn->kmn", col, pivot_row)
         tableau[live, row] = pivot_row
-        obj -= (sign * obj[live, stored])[:, None] * pivot_row
         basis[live, row] = entering
         pivots += 1

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from graspforce import closure
 from graspforce.closure import (
@@ -13,6 +14,7 @@ from graspforce.closure import (
     Contact,
     build_grasp_matrix,
     can_resist,
+    cone_rays,
     in_friction_cone,
     is_force_closure,
     linearize_cone,
@@ -172,6 +174,58 @@ class TestLinearizedCone:
             linearize_cone(0.5, 0.005, sides=2)
 
 
+class TestConeRays:
+    CASES = [(0.5, 0.005, 8), (0.3, 0.01, 3), (1.0, 0.0, 5), (0.0, 0.004, 8),
+             (0.0, 0.0, 4), (0.8, 0.002, 12)]
+
+    @pytest.mark.parametrize("mu,mu_tau,sides", CASES)
+    def test_rays_lie_in_the_linearized_cone(self, mu, mu_tau, sides):
+        rays = cone_rays(mu, mu_tau, sides)
+        assert rays.shape == (4, 2 * sides)
+        assert np.all(linearize_cone(mu, mu_tau, sides) @ rays >= -1e-12)
+
+    @pytest.mark.parametrize("mu,mu_tau,sides", [c for c in CASES if c[0] > 0 and c[1] > 0])
+    def test_every_face_is_tight_on_a_facet_of_rays(self, mu, mu_tau, sides):
+        # On a full-dimensional cone every tangential and torsional face is a
+        # facet: the rays on it span rank 3. The last row, fz >= 0, is implied
+        # by the others and meets the cone only at the origin.
+        rays = cone_rays(mu, mu_tau, sides)
+        faces = linearize_cone(mu, mu_tau, sides)
+        for face in faces[:-1]:
+            tight = rays[:, np.abs(face @ rays) <= 1e-12]
+            assert np.linalg.matrix_rank(tight) == 3
+        assert np.all(faces[-1] @ rays > 0.0)
+
+    @pytest.mark.parametrize("mu,mu_tau,sides", CASES)
+    def test_points_inside_the_cone_are_ray_combinations(self, mu, mu_tau, sides):
+        # Points drawn strictly inside the polygon and the torsion band, at
+        # random fz; where mu or mu_tau is 0 that interior is relative.
+        rng = np.random.default_rng(sides)
+        faces = linearize_cone(mu, mu_tau, sides)
+        rays = cone_rays(mu, mu_tau, sides)
+        apothem = mu * np.cos(np.pi / sides)
+        for _ in range(40):
+            fz = rng.uniform(0.1, 2.0)
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            radius = 0.99 * apothem * fz * rng.uniform(0.0, 1.0)
+            point = np.array([
+                radius * np.cos(angle),
+                radius * np.sin(angle),
+                fz,
+                0.99 * mu_tau * fz * rng.uniform(-1.0, 1.0),
+            ])
+            assert np.all(faces @ point >= 0.0)
+            ref = linprog(np.zeros(rays.shape[1]), A_eq=rays, b_eq=point, bounds=(0, None),
+                          method="highs")
+            assert ref.status == 0, ref.message
+
+    def test_too_few_sides_rejected_by_the_oracle(self):
+        with pytest.raises(ValueError):
+            cone_rays(0.5, 0.005, sides=2)
+        with pytest.raises(ValueError):
+            can_resist(antipodal_pair(), np.zeros(6), sides=2)
+
+
 class TestForceClosure:
     def test_antipodal_with_friction_is_closure(self):
         report = is_force_closure(antipodal_pair(mu=0.5))
@@ -252,6 +306,25 @@ class TestOracle:
         assert singles[0]
         assert can_resist(contacts, wrenches) == all(singles)
         assert can_resist(contacts, wrenches[:1])
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
+    def test_verdict_is_scale_free(self, scale):
+        # One contact pressing along -y resists -G f for any f in its cone
+        # and cannot balance a pure force along z, at any size.
+        contact = [Contact.from_normal((0.0, 0.03, 0.0), (0.0, -1.0, 0.0))]
+        resisted = -build_grasp_matrix(contact) @ np.array([0.1, -0.05, 1.0, 0.002])
+        unresisted = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        assert can_resist(contact, scale * resisted)
+        assert not can_resist(contact, scale * unresisted)
+        assert can_resist(contact, scale * np.zeros(6))
+        assert not can_resist(contact, scale * np.vstack([resisted, unresisted, np.zeros(6)]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_wrench_rejected(self, bad):
+        wrenches = np.zeros((3, 6))
+        wrenches[1, 2] = bad
+        with pytest.raises(ValueError):
+            can_resist(antipodal_pair(), wrenches)
 
     def test_oracle_builds_the_grasp_matrix_once(self, monkeypatch):
         calls = []

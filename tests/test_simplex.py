@@ -8,9 +8,9 @@ from scipy.optimize import linprog
 
 from graspforce import closure, simplex
 from graspforce.closure import (
-    ORACLE_NORMAL_BOUND,
     Contact,
     can_resist,
+    cone_rays,
     is_force_closure,
     linearize_cone,
 )
@@ -196,12 +196,29 @@ def random_contacts(rng, count):
 
 
 def oracle_program(contacts):
-    """The a_ub, b_ub and G that can_resist hands to all_feasible."""
-    g, neg_cone, norm_row = closure._cone_program(contacts, closure.DEFAULT_CONE_SIDES)
-    a_ub = np.vstack([neg_cone, norm_row])
-    b_ub = np.zeros(a_ub.shape[0])
-    b_ub[-1] = ORACLE_NORMAL_BOUND
-    return a_ub, b_ub, g
+    """The H-form program scipy solves: G f = -w with f in every linearized cone.
+
+    The a_ub, b_ub and G returned describe the same resistible wrenches as
+    the rays can_resist hands to all_feasible, in the other representation.
+    """
+    g, neg_cone, _ = closure._cone_program(contacts, closure.DEFAULT_CONE_SIDES)
+    return neg_cone, np.zeros(neg_cone.shape[0]), g
+
+
+def oracle_rays(contacts):
+    """The 6 x 16n ray matrix can_resist hands to all_feasible."""
+    g = closure.build_grasp_matrix(contacts)
+    return np.hstack(
+        [g[:, 4 * i : 4 * i + 4] @ cone_rays(c.mu, c.mu_tau) for i, c in enumerate(contacts)]
+    )
+
+
+def scipy_nonnegative_solution(a_eq, b_eq):
+    ref = linprog(
+        np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs"
+    )
+    assert ref.status in (0, 2), ref.message
+    return ref.status == 0
 
 
 def resistible_wrenches(rng, contacts, count):
@@ -226,6 +243,8 @@ def resistible_wrenches(rng, contacts, count):
 
 class TestAllFeasible:
     def test_verdict_per_wrench_matches_scipy(self):
+        # can_resist works on the rays (V-form); scipy solves the cone rows
+        # (H-form), so agreement also checks that both describe one cone.
         rng = np.random.default_rng(41)
         verdicts = {True: 0, False: 0}
         for trial in range(16):
@@ -237,31 +256,37 @@ class TestAllFeasible:
                 resistible_wrenches(rng, contacts, 3),
             ])
             want = [scipy_feasible(a_ub, b_ub, g, -w) for w in wrenches]
-            got = [all_feasible(a_ub, b_ub, g, -w[None]) for w in wrenches]
+            got = [can_resist(contacts, w) for w in wrenches]
             assert got == want
-            assert all_feasible(a_ub, b_ub, g, -wrenches) == all(want)
+            assert can_resist(contacts, wrenches) == all(want)
+            assert all_feasible(oracle_rays(contacts), -wrenches) == all(want)
             for verdict in want:
                 verdicts[verdict] += 1
         assert min(verdicts.values()) >= 20
 
     def test_general_systems_match_scipy(self):
-        # Inequality rows with b_ub < 0 start on an artificial, and equality
-        # right-hand sides of both signs flip rows per system.
+        # Right-hand sides of both signs flip rows per system, and every
+        # fourth system repeats a row combination, so an artificial can stay
+        # basic at zero on a dependent row, or the copy is inconsistent.
         rng = np.random.default_rng(43)
         verdicts = {True: 0, False: 0}
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            a_ub = rng.standard_normal((int(rng.integers(2, 7)), n))
-            a_eq = rng.standard_normal((int(rng.integers(1, 3)), n))
-            x0 = rng.standard_normal(n)
-            b_ub = a_ub @ x0 + rng.uniform(-1.0, 1.0, size=a_ub.shape[0])
-            b_eqs = (a_eq @ x0)[None] + rng.uniform(-2.0, 2.0, size=(4, a_eq.shape[0]))
-            want = [scipy_feasible(a_ub, b_ub, a_eq, b) for b in b_eqs]
-            assert [all_feasible(a_ub, b_ub, a_eq, b[None]) for b in b_eqs] == want
-            assert all_feasible(a_ub, b_ub, a_eq, b_eqs) == all(want)
+        mixed_signs = 0
+        for trial in range(30):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(2, 9))
+            a_eq = rng.standard_normal((m, n))
+            x0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, size=n), 0.0)
+            b_eqs = (a_eq @ x0)[None] + rng.uniform(-1.0, 1.0, size=(4, m))
+            if trial % 4 == 0:
+                mix = rng.standard_normal(m)
+                a_eq = np.vstack([a_eq, mix @ a_eq])
+                b_eqs = np.hstack([b_eqs, b_eqs @ mix[:, None] + rng.choice([0.0, 0.5])])
+            want = [scipy_nonnegative_solution(a_eq, b) for b in b_eqs]
+            assert [all_feasible(a_eq, b[None]) for b in b_eqs] == want
+            assert all_feasible(a_eq, b_eqs) == all(want)
             for verdict in want:
                 verdicts[verdict] += 1
-        assert (b_ub < 0.0).any()
+            mixed_signs += int(np.sum((b_eqs < 0.0).any(axis=1) & (b_eqs > 0.0).any(axis=1)))
+        assert mixed_signs >= 20
         assert min(verdicts.values()) >= 20
 
     @pytest.mark.parametrize(
@@ -272,6 +297,9 @@ class TestAllFeasible:
             (_BLOCK, None), (_BLOCK, _BLOCK - 1),
             (_BLOCK + 1, None), (_BLOCK + 1, _BLOCK),
             (500, None), (500, 0), (500, 3 * _BLOCK + 5), (500, 499),
+            # The edges of the 32-system block all_feasible used to run:
+            # stacks that now fill part of one block.
+            (31, None), (31, 30), (32, None), (32, 31), (33, None), (33, 32), (500, 101),
         ],
     )
     def test_stack_verdict_at_block_edges(self, size, unresisted_at):
@@ -288,21 +316,21 @@ class TestAllFeasible:
         stack = resistible_wrenches(rng, contacts, size)
         if unresisted_at is not None:
             stack[unresisted_at] = unresisted
-        assert all_feasible(a_ub, b_ub, g, -stack) == (unresisted_at is None)
+        assert all_feasible(oracle_rays(contacts), -stack) == (unresisted_at is None)
         stacked = can_resist(contacts, stack)
         assert stacked == (unresisted_at is None)
         if size <= _BLOCK + 1:
             assert stacked == all(can_resist(contacts, w) for w in stack)
 
     def test_empty_stack_is_feasible(self):
-        a_ub, b_ub, g = oracle_program(random_contacts(np.random.default_rng(3), 2))
-        assert all_feasible(a_ub, b_ub, g, np.zeros((0, 6)))
+        rays = oracle_rays(random_contacts(np.random.default_rng(3), 2))
+        assert all_feasible(rays, np.zeros((0, 6)))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            all_feasible(np.eye(3), np.zeros(2), np.ones((1, 3)), [[1.0]])
+            all_feasible(np.ones((2, 3)), [[1.0]])
         with pytest.raises(ValueError):
-            all_feasible(np.eye(3), np.zeros(3), np.ones((1, 4)), [[1.0]])
+            all_feasible(np.ones((2, 3)), [1.0, 2.0, 3.0])
 
     def test_oracle_does_not_use_the_certifier_solver(self, monkeypatch):
         def forbidden(*args, **kwargs):
