@@ -3,9 +3,9 @@
 The grasping motion runs through three phases. While closing, both fingers
 follow a constant-rate aperture trajectory aimed at a posture that would
 penetrate the object, so contact is guaranteed. Each finger that feels more
-than the contact threshold f_theta freezes in place; once every new contact
-has been established and the resulting grasp passes a force-closure probe,
-the controller switches to holding. While holding, the measured forces are
+than the contact threshold f_theta freezes in place; once both fingers
+have latched and the caller's verdict says the pair is force-closure, the
+controller switches to holding. While holding, the measured forces are
 decoupled into an internal (squeeze) component regulated to f_goal by a PI
 law and an external component handled by a P-type compliance law with a
 deadband: forces beyond f_phi shift the grasp center along the applied
@@ -22,10 +22,8 @@ toward +axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
 from .sensor import contact_detected
@@ -139,24 +137,20 @@ def distribute(u_int: float, u_ext: float) -> tuple[float, float]:
     return 0.5 * (-u_ext + u_int), 0.5 * (u_ext + u_int)
 
 
-def _default_probe(latched: tuple[bool, bool]) -> bool:
-    # Without an injected closure evaluator, a two-finger opposing grasp is
-    # taken as closed once both fingers touch.
-    return all(latched)
-
-
 class GraspController:
-    """State machine advanced once per control tick by a single caller."""
+    """State machine advanced once per control tick by a single caller.
 
-    def __init__(
-        self,
-        config: ControllerConfig,
-        request: GraspRequest,
-        closure_probe: Callable[[tuple[bool, bool]], bool] | None = None,
-    ):
+    pair_closes is whether the two finger contacts together are
+    force-closure. They sit on the object's faces wherever the fingers
+    latch, so the caller decides it once per trial; True, the default,
+    takes an opposing pair as closed once both fingers touch. The caller
+    also owns the check that every measurement passed to tick is finite.
+    """
+
+    def __init__(self, config: ControllerConfig, request: GraspRequest, pair_closes: bool = True):
         self.config = config
         self.request = request
-        self.closure_probe = closure_probe if closure_probe is not None else _default_probe
+        self.pair_closes = pair_closes
         self.closing_rate = (request.start_aperture - request.end_aperture) / request.duration
 
         self.t = 0.0
@@ -167,7 +161,6 @@ class GraspController:
         self.integral = 0.0
         self.ref_center: float | None = None
         self.finished = False
-        self.fault = False
         self.last_u_int = 0.0
         self.last_u_ext = 0.0
         self._dwell = 0.0
@@ -187,21 +180,11 @@ class GraspController:
     def _clamp(self, q: float) -> float:
         return min(max(q, self.config.joint_min), self.config.joint_max)
 
-    def _hold_previous(self, q1: float, q2: float) -> ControlCommand:
-        if self._prev_cmd is not None:
-            return self._prev_cmd
-        return ControlCommand(q1, q2)
-
     def tick(
         self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
     ) -> ControlCommand:
         """Advance one control period and return the commanded joint positions."""
         cfg = self.config
-        isfinite = math.isfinite
-        if not (isfinite(f1) and isfinite(f2) and isfinite(q1) and isfinite(q2)
-                and isfinite(g_dot_n)):
-            self.fault = True
-            return self._hold_previous(q1, q2)
         t_next = self.t + dt
         self.t = t_next
 
@@ -218,7 +201,7 @@ class GraspController:
                     self.latched[i] = True
                     self.freeze_q[i] = (q1, q2)[i]
                     new_contact = True
-            if new_contact and self.closure_probe(tuple(self.latched)):
+            if new_contact and self.pair_closes and all(self.latched):
                 self.phase = GraspPhase.HOLDING
                 self.integral = 0.0
                 self.ref_center = 0.5 * (q2 - q1)
@@ -293,7 +276,6 @@ class TrajectoryController:
         self.ticks = 0
         self.phase = GraspPhase.CLOSING
         self.finished = False
-        self.fault = False
         self.last_u_int = 0.0
         self.last_u_ext = 0.0
 

@@ -23,6 +23,8 @@ def as_vec3(v) -> np.ndarray:
     out = np.asarray(v, dtype=float)
     if out.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"expected a finite 3-vector, got {out.tolist()}")
     return out
 
 

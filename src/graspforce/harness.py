@@ -116,26 +116,6 @@ class TrialResult:
         return self.series[min(max(idx, 0), len(self.series) - 1)]
 
 
-def _closure_probe_for(obj, mu, mu_tau):
-    half = 0.5 * obj.width
-    descriptions = (
-        ((-half, 0.0, 0.0), (1.0, 0.0, 0.0)),
-        ((half, 0.0, 0.0), (-1.0, 0.0, 0.0)),
-    )
-
-    def probe(latched: tuple[bool, bool]) -> bool:
-        contacts = [
-            Contact.from_normal(pos, normal, mu, mu_tau)
-            for flag, (pos, normal) in zip(latched, descriptions)
-            if flag
-        ]
-        if not contacts:
-            return False
-        return is_force_closure(contacts).is_force_closure
-
-    return probe
-
-
 def run_trial(spec: ScenarioSpec) -> TrialResult:
     """Simulate one grasp trial and compute its metrics."""
     try:
@@ -156,10 +136,15 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         config=spec.plant,
     )
     if spec.controller == FORCE:
+        # The fingers touch the object's two faces wherever they latch, so
+        # one verdict on that pair gates the handoff for the whole trial.
+        half = 0.5 * resolved.obj.width
+        pair = [
+            Contact.from_normal((-half, 0.0, 0.0), (1.0, 0.0, 0.0), spec.mu, spec.mu_tau),
+            Contact.from_normal((half, 0.0, 0.0), (-1.0, 0.0, 0.0), spec.mu, spec.mu_tau),
+        ]
         controller = GraspController(
-            resolved.control,
-            resolved.request,
-            closure_probe=_closure_probe_for(resolved.obj, spec.mu, spec.mu_tau),
+            resolved.control, resolved.request, pair_closes=is_force_closure(pair).is_force_closure
         )
     else:
         controller = TrajectoryController(resolved.control, resolved.request)
@@ -176,11 +161,11 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         f1 = sensors[0].read(true_f1)
         f2 = sensors[1].read(true_f2)
         g_dot_n = plant.g_dot_n()
+        if not (isfinite(f1) and isfinite(f2)):
+            raise RuntimeFault(f"non-finite measurement at t={t:.3f} s")
         q1, q2 = plant.q1, plant.q2
 
         cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
-        if controller.fault:
-            raise RuntimeFault(f"non-finite measurement at t={t:.3f} s")
 
         f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         rows.append(

@@ -81,8 +81,8 @@ class ScenarioSpec:
     aperture then clears the offset object by 5 mm per side, the end
     aperture undershoots the object width by 2 mm so the closing posture
     would penetrate it, and the duration covers the closing motion plus
-    settle_time. mu and mu_tau parameterize the force-closure probe run
-    when contacts are established.
+    settle_time. mu and mu_tau are the friction of the two face contacts
+    that a force trial certifies once, before it starts, to gate holding.
     """
 
     object: str | ObjectSpec = "tape_roll"

@@ -75,10 +75,14 @@ class TestRun:
     def test_pathological_config_faults(self, scenario_file, tmp_path, capsys):
         # Finite and in range, so it passes the spec boundary, but the
         # calibrated gain overflows and the first reading is not finite.
-        code = main(["run", scenario_file, "--out-dir", str(tmp_path / "o"),
-                     "--set", "sensors.gain_scale1=1e308"])
-        assert code == 1
-        assert "fault" in capsys.readouterr().err
+        for controller in ("force", "trajectory"):
+            out = tmp_path / controller
+            code = main(["run", scenario_file, "--out-dir", str(out),
+                         "--set", "sensors.gain_scale1=1e308",
+                         "--set", f"controller={controller}"])
+            assert code == 1
+            assert capsys.readouterr().err == "fault: non-finite measurement at t=0.000 s\n"
+            assert not list(out.glob("*.csv"))
 
     def test_non_finite_plant_state_faults(self, tmp_path, capsys):
         speck = {"name": "speck", "mass": 1e-310, "width": 0.06, "stiffness": 2000.0}
@@ -222,6 +226,20 @@ class TestClosure:
         code = main(["closure", write_json(tmp_path / "c.json", {"contacts": contacts})])
         assert code == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("position", [float("nan"), 0.03, 0.0]),
+        ("normal", [float("inf"), -1.0, 0.0]),
+    ], ids=["nan position", "infinite normal"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_vector_exits_2(self, field, value, tmp_path, capsys):
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        contacts = [dict(ANTIPODAL["contacts"][0], **{field: value}), ANTIPODAL["contacts"][1]]
+        code = main(["closure", write_json(tmp_path / "c.json", {"contacts": contacts})])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "contact 0" in err and "expected a finite 3-vector" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_empty_contact_list(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", {"contacts": []})])

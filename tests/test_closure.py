@@ -392,7 +392,10 @@ def frozen_grasp_matrix(contacts):
 
 
 def probe_contact_sets():
-    """The harness's closure-probe contacts: normals +-x across each catalog width.
+    """Face contacts with normals +-x across each catalog width, alone and paired.
+
+    The pair is the one contact set a force trial certifies; the single
+    contacts widen the bitwise check.
 
     Rotations built from axis normals hold signed zeros, which a column copy
     instead of a matrix product would flip.

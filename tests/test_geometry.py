@@ -25,6 +25,10 @@ def random_wrench(rng):
     return rng.standard_normal(6)
 
 
+NON_FINITE = [[np.nan, 0.03, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]]
+NON_FINITE_IDS = ["nan", "inf", "-inf"]
+
+
 class TestHat:
     def test_matches_cross_product(self):
         rng = np.random.default_rng(3)
@@ -40,6 +44,18 @@ class TestHat:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             as_vec3([1.0, 2.0])
+
+
+class TestAsVec3:
+    def test_returns_a_float_array(self):
+        out = as_vec3([1, 2, 3])
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("v", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_entries(self, v):
+        with pytest.raises(ValueError, match="expected a finite 3-vector"):
+            as_vec3(v)
 
 
 class TestRotations:
@@ -93,6 +109,12 @@ class TestRotationFromNormal:
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
             rotation_from_normal([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_normal(self, n):
+        # Refused before the normalisation could divide by an infinite norm.
+        with pytest.raises(ValueError, match="expected a finite 3-vector"):
+            rotation_from_normal(n)
 
 
 class TestAdjoint:
@@ -164,6 +186,11 @@ class TestAdjoint:
     def test_rejects_non_rotation(self):
         with pytest.raises(ValueError):
             adjoint_transform(np.zeros(3), 2.0 * np.eye(3), np.zeros(6))
+
+    @pytest.mark.parametrize("p", NON_FINITE, ids=NON_FINITE_IDS)
+    def test_rejects_non_finite_position(self, p):
+        with pytest.raises(ValueError, match="expected a finite 3-vector"):
+            adjoint_transform(p, np.eye(3), np.zeros(6))
 
     def test_identity_frame_is_identity(self):
         w = np.array([1.0, -2.0, 3.0, 0.5, 0.0, -0.5])

@@ -5,6 +5,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graspforce import harness
+from graspforce.closure import is_force_closure
 from graspforce.harness import (
     CSV_HEADER,
     EXPERIMENT_A_OFFSETS,
@@ -82,10 +84,34 @@ class TestRunTrial:
 
     def test_overflowing_config_raises_runtime_fault(self):
         # A finite gain passes the spec boundary, but gamma * gain_scale
-        # overflows and the first calibrated reading is NaN.
-        spec = quiet_spec(sensors={"noise": False, "gain_scale1": 1e308})
-        with pytest.raises(RuntimeFault):
-            run_trial(spec)
+        # overflows and the first calibrated reading is NaN. The check is
+        # the harness's, so the force-blind baseline faults too.
+        for controller in ("force", "trajectory"):
+            spec = quiet_spec(controller=controller,
+                              sensors={"noise": False, "gain_scale1": 1e308})
+            with pytest.raises(RuntimeFault, match=r"non-finite measurement at t=0\.000 s"):
+                run_trial(spec)
+
+    def test_frictionless_pair_never_holds(self):
+        # Two face contacts without tangential friction cannot resist a
+        # sideways force, so the certifier keeps the controller out of
+        # holding for the whole trial.
+        result = run_trial(quiet_spec(offset=0.0, mu=0.0))
+        assert {r.phase for r in result.series} == {"closing", "contact"}
+        assert result.series[-1].phase == "contact"
+
+    def test_closure_is_certified_once_per_force_trial(self, monkeypatch):
+        calls = []
+
+        def counting(contacts, *args, **kwargs):
+            calls.append(len(contacts))
+            return is_force_closure(contacts, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "is_force_closure", counting)
+        run_trial(quiet_spec(controller="force", offset=0.005))
+        assert calls == [2]
+        run_trial(quiet_spec(controller="trajectory", offset=0.005))
+        assert calls == [2]
 
     def test_non_finite_plant_state_raises_runtime_fault(self):
         # A subnormal mass passes the spec boundary, but dividing the first
