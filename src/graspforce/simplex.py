@@ -14,8 +14,11 @@ all_feasible is a second, independent solver for one question: do many
 standard-form systems a_eq.x = b, x >= 0 that share a_eq and differ only
 in b all have a solution? It runs phase 1 alone over a stack of tableaux,
 one per right-hand side, pivoting every still-running system in lockstep
-with array operations. It shares no code with solve_lp, so it can check
-results that solve_lp produced.
+with array operations. Its entering column is the one with the most
+negative reduced cost (Dantzig's rule), which takes far fewer pivots than
+Bland's smallest index; after a degenerate pivot it falls back to Bland's
+rule until the objective falls again, so it cannot cycle. It shares no
+code with solve_lp, so it can check results that solve_lp produced.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ def _iterate(
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     """Minimise c.x with x free, subject to a_ub.x <= b_ub and a_eq.x = b_eq."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    if not np.isfinite(c).all():
+        raise ValueError("objective must be finite")
     n = c.shape[0]
 
     def _block(a, b, kind):
@@ -124,6 +129,8 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
         b = np.atleast_1d(np.asarray(b, dtype=float))
         if a.shape != (b.shape[0], n):
             raise ValueError(f"{kind} constraint shapes disagree: {a.shape} vs {b.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError(f"{kind} constraints must be finite")
         return a, b
 
     a_ub, b_ub = _block(a_ub, b_ub, "inequality")
@@ -207,24 +214,33 @@ def all_feasible(a_eq, b_eqs) -> bool:
 
     Runs phase 1 for up to _BLOCK systems at once as a (k, m + 1, n + 1)
     stack of tableaux, the last row of each holding the reduced costs, with
-    a (k, m) basis: every lockstep iteration makes one Bland pivot in each
+    a (k, m) basis: every lockstep iteration makes one pivot in each
     running system with array operations, and a system that finishes hands
     its slot to the next right-hand side. Returns False as soon as one
     system ends phase 1 with an artificial sum above _FEAS_TOL or finds no
     pivot row, without solving the rest.
 
+    A system enters the column with the most negative reduced cost. After
+    a degenerate pivot (minimum ratio within _TOL of 0) it enters the
+    smallest eligible index instead, until a pivot moves the objective.
+    The objective falls on every nondegenerate pivot, and within a
+    degenerate run every pivot after the first follows Bland's rule, which
+    cannot cycle. The ratio test breaks ties by the smallest basis index.
+
     Each row is negated where its b is negative and starts on its own
     artificial. Artificial columns are not stored: an artificial that
     leaves the basis never re-enters, and since every point with all
     artificials at zero stays reachable, the phase-1 minimum is still zero
-    exactly when the system is feasible. Bland's rule ranks the artificials
-    after the n real columns.
+    exactly when the system is feasible. The ratio test ranks the
+    artificials after the n real columns.
     """
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
     m, n = a_eq.shape
     b_eqs = np.asarray(b_eqs, dtype=float)
     if b_eqs.shape[-1:] != (m,):
         raise ValueError(f"constraint shapes disagree: a_eq {a_eq.shape}, b_eqs {b_eqs.shape}")
+    if not (np.isfinite(a_eq).all() and np.isfinite(b_eqs).all()):
+        raise ValueError("constraints must be finite")
     b_eqs = b_eqs.reshape(-1, m)
     total = b_eqs.shape[0]
 
@@ -232,6 +248,7 @@ def all_feasible(a_eq, b_eqs) -> bool:
     tableau = np.empty((slots, m + 1, n + 1))
     basis = np.empty((slots, m), dtype=np.int64)
     pivots = np.empty(slots, dtype=np.int64)
+    bland = np.empty(slots, dtype=bool)  # the system's last pivot was degenerate
     no_row = np.iinfo(basis.dtype).max
     queued = 0
     idle = np.arange(slots)
@@ -249,16 +266,21 @@ def all_feasible(a_eq, b_eqs) -> bool:
                 tableau[fill, m] = -rows.sum(axis=1)
                 basis[fill] = n + np.arange(m)
                 pivots[fill] = 0
+                bland[fill] = False
             if drop.size:
                 keep = np.ones(tableau.shape[0], dtype=bool)
                 keep[drop] = False
-                tableau, basis, pivots = tableau[keep], basis[keep], pivots[keep]
+                tableau, basis, pivots, bland = (
+                    tableau[keep], basis[keep], pivots[keep], bland[keep]
+                )
         if not tableau.shape[0]:
             return True
 
         live = np.arange(tableau.shape[0])
-        eligible = tableau[:, m, :-1] < -_TOL
-        entering = eligible.argmax(axis=1)  # Bland: smallest eligible index
+        cost = tableau[:, m, :-1]
+        eligible = cost < -_TOL
+        # Either choice is eligible exactly when some column is.
+        entering = np.where(bland, eligible.argmax(axis=1), cost.argmin(axis=1))
         idle = np.flatnonzero(~eligible[live, entering])
         if idle.size:
             if np.any(tableau[idle, m, -1] < -_FEAS_TOL):
@@ -272,8 +294,10 @@ def all_feasible(a_eq, b_eqs) -> bool:
         if not usable.any(axis=1).all():
             return False
         ratio = np.where(usable, tableau[:, :m, -1] / np.where(usable, col[:, :m], 1.0), np.inf)
-        tie = ratio <= ratio.min(axis=1, keepdims=True) + _TOL
+        least = ratio.min(axis=1, keepdims=True)
+        tie = ratio <= least + _TOL
         row = np.where(tie, basis, no_row).argmin(axis=1)
+        bland = least[:, 0] <= _TOL
         pivot_row = tableau[live, row] / col[live, row][:, None]
         tableau -= np.einsum("km,kn->kmn", col, pivot_row)
         tableau[live, row] = pivot_row

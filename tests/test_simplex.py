@@ -1,9 +1,11 @@
 """Two-phase simplex solver and the lockstep feasibility oracle, cross-checked against scipy."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from graspforce import closure, simplex
@@ -81,6 +83,21 @@ class TestBasics:
         result = solve_lp(np.array([-1.0, -2.0]), a_ub=a_ub, b_ub=b_ub)
         assert result.status == OPTIMAL
         assert result.fun == pytest.approx(-2.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c": [math.nan]},
+            {"c": [1.0], "a_ub": [[math.inf]], "b_ub": [1.0]},
+            {"c": [1.0], "a_ub": [[1.0]], "b_ub": [math.nan]},
+            {"c": [1.0], "a_eq": [[math.nan]], "b_eq": [1.0]},
+            {"c": [1.0], "a_eq": [[1.0]], "b_eq": [-math.inf]},
+        ],
+        ids=["c", "a_ub", "b_ub", "a_eq", "b_eq"],
+    )
+    def test_non_finite_input_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            solve_lp(**kwargs)
 
 
 class TestAgainstScipy:
@@ -241,6 +258,38 @@ def resistible_wrenches(rng, contacts, count):
     return -forces @ g.T
 
 
+@st.composite
+def certified_systems(draw):
+    """A small integer system a_eq.x = b, x >= 0 that carries its own verdict.
+
+    Feasible: b = a_eq @ x0 with x0 >= 1. Infeasible: columns are negated
+    until y @ a_eq >= 0 for a drawn y, and b until y @ b <= -1, so no x >= 0
+    solves it. Also draws a column permutation and positive column scales.
+    """
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+
+    def ints(size, low, high):
+        return np.array(draw(st.lists(st.integers(low, high), min_size=size, max_size=size)), float)
+
+    a_eq = ints(m * n, -3, 3).reshape(m, n)
+    feasible = draw(st.booleans())
+    if feasible:
+        b = a_eq @ ints(n, 1, 3)
+    else:
+        y = ints(m, -3, 3)
+        if not y.any():
+            y[0] = 1.0
+        a_eq *= np.where(y @ a_eq < 0.0, -1.0, 1.0)
+        b = ints(m, -3, 3)
+        if y @ b > 0.0:
+            b = -b
+        if y @ b == 0.0:
+            b -= y
+    perm = draw(st.permutations(range(n)))
+    scale = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    return a_eq, b, feasible, perm, scale
+
+
 class TestAllFeasible:
     def test_verdict_per_wrench_matches_scipy(self):
         # can_resist works on the rays (V-form); scipy solves the cone rows
@@ -322,6 +371,65 @@ class TestAllFeasible:
         if size <= _BLOCK + 1:
             assert stacked == all(can_resist(contacts, w) for w in stack)
 
+    def test_degenerate_systems_match_scipy(self):
+        # Small integer systems whose ratio tests tie at 0: right-hand sides
+        # with zero components (the zero vector among them), b equal to one
+        # column, and columns repeated. Their pivots are degenerate, so the
+        # next entering column comes from Bland's rule.
+        rng = np.random.default_rng(53)
+        verdicts = {True: 0, False: 0}
+        for trial in range(40):
+            m, n = int(rng.integers(2, 6)), int(rng.integers(3, 8))
+            a_eq = rng.integers(-2, 3, size=(m, n)).astype(float)
+            a_eq = np.hstack([a_eq, a_eq[:, rng.integers(0, n, size=2)]])
+            sparse = np.where(rng.random(n + 2) < 0.5, rng.integers(1, 4, size=n + 2), 0)
+            b_eqs = np.array([
+                np.zeros(m),
+                a_eq[:, rng.integers(0, n + 2)],
+                np.where(rng.random(m) < 0.5, 0.0, a_eq @ sparse),
+                np.where(rng.random(m) < 0.5, 0.0, rng.integers(-2, 3, size=m)),
+            ])
+            want = [scipy_nonnegative_solution(a_eq, b) for b in b_eqs]
+            assert [all_feasible(a_eq, b[None]) for b in b_eqs] == want
+            assert all_feasible(a_eq, b_eqs) == all(want)
+            for verdict in want:
+                verdicts[verdict] += 1
+        assert min(verdicts.values()) >= 20
+
+    def test_cycle_of_most_negative_pricing_terminates(self):
+        # Chvatal's cycling example (Linear Programming, 1983, ch. 3):
+        # min -10x1 + 57x2 + 9x3 + 24x4 over three rows with slacks x5..x7,
+        # the first two at rhs 0. Entering on the most negative cost, with
+        # ratio ties to the smallest index, returns to the first basis after
+        # six degenerate pivots. Here those rows are scaled by 2, 2 and 10,
+        # and a fourth row at rhs 0 makes the initial phase-1 costs equal
+        # that objective. Every entry of that row is negative, so the row
+        # forces x = 0 and the system is infeasible.
+        cost = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+        rows = np.array([
+            [1.0, -11.0, -5.0, 18.0, 2.0, 0.0, 0.0],
+            [1.0, -3.0, -1.0, 2.0, 0.0, 2.0, 0.0],
+            [10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 10.0],
+        ])
+        a_eq = np.vstack([rows, -cost - rows.sum(axis=0)])
+        assert np.all(a_eq[3] < 0.0)
+        b = np.array([0.0, 0.0, 10.0, 0.0])
+        assert not scipy_nonnegative_solution(a_eq, b)
+        assert not all_feasible(a_eq, b[None])
+
+    # Which column enters depends on the column order and on the column
+    # scales, so the pivot path does; the verdict must not. Every tableau
+    # entry of these systems is a ratio of small integer minors times a
+    # ratio of scales in [1/4, 4], so a nonzero one is far above _TOL, and
+    # the phase-1 minimum is 0 (feasible) or at least 1/3 (y certifies it),
+    # far from _FEAS_TOL either way.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(certified_systems())
+    def test_verdict_ignores_column_order_and_scale(self, system):
+        a_eq, b, feasible, perm, scale = system
+        assert all_feasible(a_eq, b[None]) == feasible
+        assert all_feasible(a_eq[:, perm] * scale, b[None]) == feasible
+
     def test_empty_stack_is_feasible(self):
         rays = oracle_rays(random_contacts(np.random.default_rng(3), 2))
         assert all_feasible(rays, np.zeros((0, 6)))
@@ -331,6 +439,19 @@ class TestAllFeasible:
             all_feasible(np.ones((2, 3)), [[1.0]])
         with pytest.raises(ValueError):
             all_feasible(np.ones((2, 3)), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize(
+        "a_eq,b_eqs",
+        [
+            (np.eye(2), [[math.nan, 1.0]]),
+            (np.eye(2), [[1.0, math.inf]]),
+            ([[math.nan, 1.0]], [[1.0]]),
+        ],
+        ids=["nan_b", "inf_b", "nan_a_eq"],
+    )
+    def test_non_finite_input_rejected(self, a_eq, b_eqs):
+        with pytest.raises(ValueError, match="finite"):
+            all_feasible(a_eq, b_eqs)
 
     def test_oracle_does_not_use_the_certifier_solver(self, monkeypatch):
         def forbidden(*args, **kwargs):
