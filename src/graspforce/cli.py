@@ -1,8 +1,8 @@
 """Command-line front end for trials, experiments, and closure analysis.
 
 Exit codes: 0 success (and closure-yes), 1 runtime fault inside a started
-simulation, 2 usage or configuration errors, 3 closure-no from the closure
-subcommand.
+simulation or a solver that hit its pivot cap, 2 usage or configuration
+errors, 3 closure-no from the closure subcommand.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from . import __version__
 from .closure import Contact, is_force_closure
 from .harness import (
     ConfigError,
-    RuntimeFault,
     experiment_b_table,
     run_experiment_a,
     run_experiment_b,
@@ -205,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeFault as exc:
+    except RuntimeError as exc:  # a RuntimeFault, or a solver's pivot cap
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

@@ -201,8 +201,11 @@ def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES)
     phase 1. wrench may also be a (k, 6) stack: the ray matrix is built
     once and simplex.all_feasible runs a block of wrenches at a time in
     lockstep, returning False at the first wrench that cannot be balanced.
-    This is the oracle that checks is_force_closure, so it deliberately
-    does not go through solve_lp.
+    Each wrench that finishes leaves 6 rays whose cone holds it, and a
+    queued wrench inside such a cone is accepted without its own phase 1,
+    so on a closure grasp most of a 500-wrench stack never pivots. This is
+    the oracle that checks is_force_closure, so it deliberately does not go
+    through solve_lp.
 
     Cone membership does not change under positive scaling, so each
     nonzero wrench is scaled to unit norm first, and phase 1's absolute

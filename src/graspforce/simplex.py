@@ -17,8 +17,12 @@ one per right-hand side, pivoting every still-running system in lockstep
 with array operations. Its entering column is the one with the most
 negative reduced cost (Dantzig's rule), which takes far fewer pivots than
 Bland's smallest index; after a degenerate pivot it falls back to Bland's
-rule until the objective falls again, so it cannot cycle. It shares no
-code with solve_lp, so it can check results that solve_lp produced.
+rule until the objective falls again, so it cannot cycle. A system that
+finishes feasible leaves a basis B, and A_B^-1 b >= 0 proves every b in
+B's simplicial cone feasible (right-hand-side ranging), so the right-hand
+sides still queued are screened against each new basis and only those no
+basis covers take a lockstep slot. It shares no code with solve_lp, so it
+can check results that solve_lp produced.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ UNBOUNDED = "unbounded"
 _TOL = 1e-9
 _FEAS_TOL = 1e-7
 _MAX_PIVOTS = 50000
-# Systems all_feasible holds at once, one tableau each. More run faster
-# but cost memory: the closure benchmark, whose oracle tableaux are 7 x 33
-# and 7 x 49, peaked at 40.5 MB RSS with 32, 41.4 MB with 128 and 45.9 MB
-# with 512 (Python 3.11, numpy 2.4), and 512 gained no reliable speed.
-_BLOCK = 128
+# Systems all_feasible holds at once, one tableau each. A small first block
+# finishes sooner and hands the screen its bases sooner; too small a block
+# pivots the wrenches no basis covers a few at a time. On the closure
+# benchmark's oracle calls (seeds 0-31, 500 wrenches each; Python 3.11,
+# numpy 2.4, 2 vCPUs), 32, 48 and 64 took 4.6-4.7 ms per call, 16 took
+# 6.3 ms and 128 took 5.2 ms; 30 s closure runs at seeds 1 and 2 peaked at
+# 42.9-44.0 MB RSS at every size from 16 to 128.
+_BLOCK = 32
 
 
 @dataclass
@@ -220,6 +227,14 @@ def all_feasible(a_eq, b_eqs) -> bool:
     system ends phase 1 with an artificial sum above _FEAS_TOL or finds no
     pivot row, without solving the rest.
 
+    A system that finishes feasible with no artificial left in its basis
+    has found m columns whose cone holds its b. Before queued right-hand
+    sides fill idle slots, each such basis not seen before screens the
+    queue (_screen), and every b it proves feasible is dropped unsolved.
+    The screen only drops, so a b that no basis covers, an unresisted one
+    among them, still reaches a slot; on the closure benchmark's oracle
+    calls, after the first block about 45 of every 468 wrenches do.
+
     A system enters the column with the most negative reduced cost. After
     a degenerate pivot (minimum ratio within _TOL of 0) it enters the
     smallest eligible index instead, until a pivot moves the objective.
@@ -250,14 +265,18 @@ def all_feasible(a_eq, b_eqs) -> bool:
     pivots = np.empty(slots, dtype=np.int64)
     bland = np.empty(slots, dtype=bool)  # the system's last pivot was degenerate
     no_row = np.iinfo(basis.dtype).max
-    queued = 0
+    pending = b_eqs  # right-hand sides not yet given a slot, in order
+    seen = set()  # feasible bases, as sorted column tuples
+    fresh = []  # those of them pending has not yet been screened against
     idle = np.arange(slots)
     while True:
         if idle.size:
-            fill, drop = idle[: total - queued], idle[total - queued :]
+            if fresh:
+                pending = _screen(a_eq, np.array(fresh), pending)
+                fresh = []
+            fill, drop = idle[: pending.shape[0]], idle[pending.shape[0] :]
             if fill.size:
-                rhs = b_eqs[queued : queued + fill.size]
-                queued += fill.size
+                rhs, pending = pending[: fill.size], pending[fill.size :]
                 rows = np.empty((fill.size, m, n + 1))
                 rows[:, :, :-1] = a_eq
                 rows[:, :, -1] = rhs
@@ -285,6 +304,11 @@ def all_feasible(a_eq, b_eqs) -> bool:
         if idle.size:
             if np.any(tableau[idle, m, -1] < -_FEAS_TOL):
                 return False
+            if pending.shape[0]:
+                for cols in map(tuple, np.sort(basis[idle], axis=1).tolist()):
+                    if cols[-1] < n and cols not in seen:  # no artificial left
+                        seen.add(cols)
+                        fresh.append(cols)
             continue
         if pivots.max() >= _MAX_PIVOTS:
             raise RuntimeError("lockstep phase 1 failed to terminate")
@@ -303,3 +327,30 @@ def all_feasible(a_eq, b_eqs) -> bool:
         tableau[live, row] = pivot_row
         basis[live, row] = entering
         pivots += 1
+
+
+def _screen(a_eq: np.ndarray, bases: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """The rows b of pending that no basis in bases proves feasible.
+
+    bases is a (q, m) array of column indices into a_eq. A basis B proves b
+    feasible when x = A_B^-1 b >= 0 and |A_B x - b|_1 <= _FEAS_TOL, the
+    slack phase 1 allows its artificial sum. The residual is that of the x
+    actually computed, so an inaccurate inverse of a near-singular basis
+    makes the gate fail rather than pass a b outside the basis's cone. A
+    singular basis proves nothing.
+    """
+    a_bt = a_eq.T[bases]  # each A_B transposed
+    try:
+        inv_t = np.linalg.inv(a_bt)
+    except np.linalg.LinAlgError:  # some basis is singular: screen one at a time
+        if bases.shape[0] == 1:
+            return pending
+        for cols in bases:
+            pending = _screen(a_eq, cols[None], pending)
+        return pending
+    x = pending @ inv_t
+    q, k = np.nonzero((x >= 0.0).all(axis=2))
+    residual = np.abs(np.einsum("cj,cji->ci", x[q, k], a_bt[q]) - pending[k]).sum(axis=1)
+    proved = np.zeros(pending.shape[0], dtype=bool)
+    proved[k[residual <= _FEAS_TOL]] = True
+    return pending[~proved]

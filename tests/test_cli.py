@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from graspforce import simplex
 from graspforce.cli import build_parser, main
 
 ANTIPODAL = {
@@ -209,6 +210,13 @@ class TestClosure:
     def test_single_contact_is_no_closure(self, tmp_path, capsys):
         payload = {"contacts": ANTIPODAL["contacts"][:1]}
         assert main(["closure", write_json(tmp_path / "c.json", payload)]) == 3
+
+    def test_pivot_cap_is_a_fault_without_traceback(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
+        code = main(["closure", write_json(tmp_path / "c.json", ANTIPODAL)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "fault: simplex failed to terminate\n"
 
     def test_malformed_contact_file(self, tmp_path, capsys):
         payload = {"contacts": [{"position": [0.0, 0.0, 0.0]}]}

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +20,19 @@ from graspforce.closure import (
 )
 from graspforce.simplex import (
     _BLOCK,
+    _FEAS_TOL,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     _pivot,
+    _screen,
     all_feasible,
     solve_lp,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import instances  # noqa: E402
 
 
 def scipy_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -346,9 +354,9 @@ class TestAllFeasible:
             (_BLOCK, None), (_BLOCK, _BLOCK - 1),
             (_BLOCK + 1, None), (_BLOCK + 1, _BLOCK),
             (500, None), (500, 0), (500, 3 * _BLOCK + 5), (500, 499),
-            # The edges of the 32-system block all_feasible used to run:
-            # stacks that now fill part of one block.
-            (31, None), (31, 30), (32, None), (32, 31), (33, None), (33, 32), (500, 101),
+            # The edges of the 128-system block all_feasible used to run:
+            # stacks that now span several blocks.
+            (127, None), (127, 126), (128, None), (128, 127), (129, None), (129, 128), (500, 389),
         ],
     )
     def test_stack_verdict_at_block_edges(self, size, unresisted_at):
@@ -368,7 +376,7 @@ class TestAllFeasible:
         assert all_feasible(oracle_rays(contacts), -stack) == (unresisted_at is None)
         stacked = can_resist(contacts, stack)
         assert stacked == (unresisted_at is None)
-        if size <= _BLOCK + 1:
+        if size < 500:
             assert stacked == all(can_resist(contacts, w) for w in stack)
 
     def test_degenerate_systems_match_scipy(self):
@@ -466,6 +474,107 @@ class TestAllFeasible:
         ]
         assert closure.resistance_oracle(pair, wrench_samples=100)
         assert not closure.resistance_oracle(pair[:1], wrench_samples=100)
+
+
+def recording_screen(monkeypatch):
+    """Wrap simplex._screen; return the list of (bases, pending, kept) it sees."""
+    calls = []
+
+    def recording(a_eq, bases, pending):
+        kept = _screen(a_eq, bases, pending)
+        calls.append((bases, pending, kept))
+        return kept
+
+    monkeypatch.setattr(simplex, "_screen", recording)
+    return calls
+
+
+class TestBasisScreen:
+    def test_dropped_wrenches_are_feasible_alone(self, monkeypatch):
+        # One set of each perfbench kind per seed, closure and not. Each gets
+        # a block of wrenches it resists by construction, so the first block
+        # finishes feasible, then 250 sampled unit wrenches. Every basis the
+        # call caches then screens all 250, unresisted ones among them where
+        # the set does not resist them all; that drops every wrench the call
+        # dropped, and more. Once the screen is off, the lockstep runs each
+        # dropped wrench as its own phase 1, pivot for pivot as a one-row call
+        # would, so True over all of them means each one is feasible alone.
+        calls = recording_screen(monkeypatch)
+        rng = np.random.default_rng(59)
+        checks = []
+        dropped = {True: 0, False: 0}
+        kept_where_some_unresisted = 0
+        for seed in range(32):
+            for _, contacts in instances.generate(seed, 1):
+                rays = oracle_rays(contacts)
+                sampled = -closure.sample_unit_wrenches(250, seed)
+                del calls[:]
+                resisted = all_feasible(rays, np.vstack([
+                    -resistible_wrenches(rng, contacts, _BLOCK), sampled
+                ]))
+                assert calls
+                kept = _screen(rays, np.vstack([bases for bases, _, _ in calls]), sampled)
+                kept_rows = {row.tobytes() for row in kept}
+                rows = [row for row in sampled if row.tobytes() not in kept_rows]
+                dropped[resisted] += len(rows)
+                kept_where_some_unresisted += 0 if resisted else kept.shape[0]
+                checks.append((rays, np.array(rows).reshape(-1, 6)))
+        monkeypatch.setattr(simplex, "_screen", lambda a_eq, bases, pending: pending)
+        assert all(all_feasible(rays, rows) for rays, rows in checks)
+        # 15,313 and 144 dropped, and 15,606 kept on sets with an unresisted
+        # sample: the check covers both kinds of set.
+        assert dropped[True] >= 10000 and dropped[False] >= 100
+        assert kept_where_some_unresisted >= 10000
+
+    def test_singular_basis_proves_nothing(self):
+        # Columns 0 and 1 are equal, so the basis {0, 1} has no inverse,
+        # although b = (1, 0) is column 0 itself. Screened with a good basis
+        # in the same batch, the good one still drops what it proves.
+        a_eq = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        pending = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        assert np.array_equal(_screen(a_eq, np.array([[0, 1]]), pending), pending)
+        kept = _screen(a_eq, np.array([[0, 1], [0, 2]]), pending)
+        assert np.array_equal(kept, pending[[2]])
+
+    def test_basis_that_fails_the_residual_gate_proves_nothing(self):
+        # Nearly antiparallel columns: x = (0.3 + 0.7e10, 0.7e10) solves
+        # A_B x = (0.3, 0.7) exactly, but rounding x1 leaves a residual near
+        # 1e-6, so the first two rows are kept although x >= 0. The third
+        # rounds exactly and is dropped.
+        a_eq = np.array([[1.0, -1.0], [0.0, 1e-10]])
+        pending = np.array([[0.3, 0.7], [0.1, 0.2], [1.0, 1.0]])
+        x = pending @ np.linalg.inv(a_eq.T)
+        assert np.all(x >= 0.0)
+        assert np.all(np.abs(x[:2] @ a_eq.T - pending[:2]).sum(axis=1) > _FEAS_TOL)
+        kept = _screen(a_eq, np.array([[0, 1]]), pending)
+        assert np.array_equal(kept, pending[:2])
+
+    def test_unresisted_wrench_queued_behind_a_warm_cache(self, monkeypatch):
+        # The unresisted wrench sits at 499, or first in the queue after each
+        # block edge, behind resistible wrenches whose finished bases are
+        # cached. It must reach a slot and give False, and it must have met
+        # the screen on its way there.
+        calls = recording_screen(monkeypatch)
+        rng = np.random.default_rng(61)
+        while True:
+            contacts = random_contacts(rng, 2)
+            if not is_force_closure(contacts).is_force_closure:
+                break
+        a_ub, b_ub, g = oracle_program(contacts)
+        while True:
+            unresisted = rng.standard_normal(6)
+            if not scipy_feasible(a_ub, b_ub, g, -unresisted):
+                break
+        rays = oracle_rays(contacts)
+        resisted = resistible_wrenches(rng, contacts, 500)
+        assert all_feasible(rays, -resisted)
+        for at in [499] + list(range(_BLOCK, 500, _BLOCK)):
+            stack = resisted.copy()
+            stack[at] = unresisted
+            del calls[:]
+            assert not all_feasible(rays, -stack)
+            met = [kept for _, pending, kept in calls if (pending == -unresisted).all(axis=1).any()]
+            assert met and (met[-1] == -unresisted).all(axis=1).any()
 
 
 class TestPivotCounts:
