@@ -203,9 +203,11 @@ def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES)
     lockstep, returning False at the first wrench that cannot be balanced.
     Each wrench that finishes leaves 6 rays whose cone holds it, and a
     queued wrench inside such a cone is accepted without its own phase 1,
-    so on a closure grasp most of a 500-wrench stack never pivots. This is
-    the oracle that checks is_force_closure, so it deliberately does not go
-    through solve_lp.
+    so on a closure grasp most of a 500-wrench stack never pivots. A queued
+    wrench outside every such cone starts its phase 1 from the 6 rays that
+    come nearest to holding it, and a False from that start is checked by a
+    phase 1 from scratch. This is the oracle that checks is_force_closure,
+    so it deliberately does not go through solve_lp.
 
     Cone membership does not change under positive scaling, so each
     nonzero wrench is scaled to unit norm first, and phase 1's absolute

@@ -21,8 +21,11 @@ rule until the objective falls again, so it cannot cycle. A system that
 finishes feasible leaves a basis B, and A_B^-1 b >= 0 proves every b in
 B's simplicial cone feasible (right-hand-side ranging), so the right-hand
 sides still queued are screened against each new basis and only those no
-basis covers take a lockstep slot. It shares no code with solve_lp, so it
-can check results that solve_lp produced.
+basis covers take a lockstep slot. Such a b does not start from scratch:
+it starts from the cached basis nearest to holding it (a crash basis, as
+in Bixby, ORSA J. Computing 1992), with artificials only on the rows that
+basis gets wrong. It shares no code with solve_lp, so it can check results
+that solve_lp produced.
 """
 
 from __future__ import annotations
@@ -40,12 +43,11 @@ _TOL = 1e-9
 _FEAS_TOL = 1e-7
 _MAX_PIVOTS = 50000
 # Systems all_feasible holds at once, one tableau each. A small first block
-# finishes sooner and hands the screen its bases sooner; too small a block
-# pivots the wrenches no basis covers a few at a time. On the closure
-# benchmark's oracle calls (seeds 0-31, 500 wrenches each; Python 3.11,
-# numpy 2.4, 2 vCPUs), 32, 48 and 64 took 4.6-4.7 ms per call, 16 took
-# 6.3 ms and 128 took 5.2 ms; 30 s closure runs at seeds 1 and 2 peaked at
-# 42.9-44.0 MB RSS at every size from 16 to 128.
+# finishes sooner and hands the screen and the warm start its bases
+# sooner; too small a block pivots the wrenches no basis covers a few at a
+# time. On the closure benchmark's oracle calls (seeds 0-31, 500 wrenches
+# each; Python 3.11, numpy 2.4, 2 vCPUs; median of 12 interleaved rounds)
+# 32 took 3.41 ms per call, 48 3.45 ms, 64 3.57 ms and 16 3.78 ms.
 _BLOCK = 32
 
 
@@ -232,8 +234,18 @@ def all_feasible(a_eq, b_eqs) -> bool:
     sides fill idle slots, each such basis not seen before screens the
     queue (_screen), and every b it proves feasible is dropped unsolved.
     The screen only drops, so a b that no basis covers, an unresisted one
-    among them, still reaches a slot; on the closure benchmark's oracle
-    calls, after the first block about 45 of every 468 wrenches do.
+    among them, still reaches a slot.
+
+    A b that reaches a slot while bases are cached starts warm (_start)
+    from the cached basis B with the largest min(A_B^-1 b), so that few
+    rows need an artificial. Every other b, the whole first block among
+    them, starts cold: each row is negated where its b is negative and
+    starts on its own artificial. On the closure benchmark's oracle calls
+    (seeds 0-31, 500 wrenches each) about 36 wrenches per call start warm,
+    and pivoting iterations fell from 25.1 to 12.7 per call. A warm
+    system's rows are scaled by A_B^-1, so _TOL and _FEAS_TOL act on them
+    in other units; a warm system that ends infeasible is therefore decided
+    again by a cold one-row call, and every False comes from a cold phase 1.
 
     A system enters the column with the most negative reduced cost. After
     a degenerate pivot (minimum ratio within _TOL of 0) it enters the
@@ -242,12 +254,11 @@ def all_feasible(a_eq, b_eqs) -> bool:
     degenerate run every pivot after the first follows Bland's rule, which
     cannot cycle. The ratio test breaks ties by the smallest basis index.
 
-    Each row is negated where its b is negative and starts on its own
-    artificial. Artificial columns are not stored: an artificial that
-    leaves the basis never re-enters, and since every point with all
-    artificials at zero stays reachable, the phase-1 minimum is still zero
-    exactly when the system is feasible. The ratio test ranks the
-    artificials after the n real columns.
+    Artificial columns are not stored: an artificial that leaves the basis
+    never re-enters, and since every point with all artificials at zero
+    stays reachable, the phase-1 minimum is still zero exactly when the
+    system is feasible. The ratio test ranks the artificials after the n
+    real columns.
     """
     a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
     m, n = a_eq.shape
@@ -264,33 +275,38 @@ def all_feasible(a_eq, b_eqs) -> bool:
     basis = np.empty((slots, m), dtype=np.int64)
     pivots = np.empty(slots, dtype=np.int64)
     bland = np.empty(slots, dtype=bool)  # the system's last pivot was degenerate
+    warm = np.empty(slots, dtype=bool)
+    own_b = np.empty((slots, m))  # each system's b, untransformed
     no_row = np.iinfo(basis.dtype).max
     pending = b_eqs  # right-hand sides not yet given a slot, in order
     seen = set()  # feasible bases, as sorted column tuples
     fresh = []  # those of them pending has not yet been screened against
+    cached = np.empty((0, m), dtype=np.int64)  # the screened ones that have an inverse
+    inverses = np.empty((0, m, m))  # and their A_B^-1
     idle = np.arange(slots)
     while True:
         if idle.size:
             if fresh:
-                pending = _screen(a_eq, np.array(fresh), pending)
+                fresh = np.array(fresh)
+                pending = _screen(a_eq, fresh, pending)
+                if pending.shape[0]:  # a start may still use them
+                    invertible, fresh_inverses = _inverses(a_eq, fresh)
+                    cached = np.vstack([cached, fresh[invertible]])
+                    inverses = np.concatenate([inverses, fresh_inverses])
                 fresh = []
             fill, drop = idle[: pending.shape[0]], idle[pending.shape[0] :]
             if fill.size:
-                rhs, pending = pending[: fill.size], pending[fill.size :]
-                rows = np.empty((fill.size, m, n + 1))
-                rows[:, :, :-1] = a_eq
-                rows[:, :, -1] = rhs
-                rows *= np.where(rhs < 0.0, -1.0, 1.0)[:, :, None]
-                tableau[fill, :m] = rows
-                tableau[fill, m] = -rows.sum(axis=1)
-                basis[fill] = n + np.arange(m)
+                own_b[fill], pending = pending[: fill.size], pending[fill.size :]
+                tableau[fill], basis[fill], warm[fill] = _start(
+                    a_eq, own_b[fill], cached, inverses
+                )
                 pivots[fill] = 0
                 bland[fill] = False
             if drop.size:
                 keep = np.ones(tableau.shape[0], dtype=bool)
                 keep[drop] = False
-                tableau, basis, pivots, bland = (
-                    tableau[keep], basis[keep], pivots[keep], bland[keep]
+                tableau, basis, pivots, bland, warm, own_b = (
+                    tableau[keep], basis[keep], pivots[keep], bland[keep], warm[keep], own_b[keep]
                 )
         if not tableau.shape[0]:
             return True
@@ -300,12 +316,18 @@ def all_feasible(a_eq, b_eqs) -> bool:
         eligible = cost < -_TOL
         # Either choice is eligible exactly when some column is.
         entering = np.where(bland, eligible.argmax(axis=1), cost.argmin(axis=1))
-        idle = np.flatnonzero(~eligible[live, entering])
+        col = tableau[live, :, entering]
+        usable = col[:, :m] > _TOL
+        optimal = ~eligible[live, entering]
+        # A system ends at its phase-1 optimum, or where no row can pivot.
+        idle = np.flatnonzero(optimal | ~usable.any(axis=1))
         if idle.size:
-            if np.any(tableau[idle, m, -1] < -_FEAS_TOL):
-                return False
+            infeasible = ~optimal[idle] | (tableau[idle, m, -1] < -_FEAS_TOL)
+            for k in idle[infeasible]:
+                if not (warm[k] and all_feasible(a_eq, own_b[k])):
+                    return False
             if pending.shape[0]:
-                for cols in map(tuple, np.sort(basis[idle], axis=1).tolist()):
+                for cols in map(tuple, np.sort(basis[idle[~infeasible]], axis=1).tolist()):
                     if cols[-1] < n and cols not in seen:  # no artificial left
                         seen.add(cols)
                         fresh.append(cols)
@@ -313,10 +335,6 @@ def all_feasible(a_eq, b_eqs) -> bool:
         if pivots.max() >= _MAX_PIVOTS:
             raise RuntimeError("lockstep phase 1 failed to terminate")
 
-        col = tableau[live, :, entering]
-        usable = col[:, :m] > _TOL
-        if not usable.any(axis=1).all():
-            return False
         ratio = np.where(usable, tableau[:, :m, -1] / np.where(usable, col[:, :m], 1.0), np.inf)
         least = ratio.min(axis=1, keepdims=True)
         tie = ratio <= least + _TOL
@@ -329,6 +347,60 @@ def all_feasible(a_eq, b_eqs) -> bool:
         pivots += 1
 
 
+def _start(
+    a_eq: np.ndarray, rhs: np.ndarray, bases: np.ndarray, inverses: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase-1 tableaux, bases and warm flags for the rows b of rhs.
+
+    bases holds cached feasible bases and inverses their A_B^-1. Each b
+    takes the basis B with the largest min(A_B^-1 b) and, when that minimum
+    is negative, starts warm: its rows are A_B^-1 [A | b], a row with
+    (A_B^-1 b)_i >= 0 starts on B's column i, and the others are negated and
+    start on their artificial. Multiplying by A_B^-1 leaves the solutions x
+    unchanged. Where the minimum is >= 0 the screen kept b only on its
+    residual gate, so b starts cold, on m artificials, as it does when no
+    basis is cached. The cost row sums the artificial rows alone.
+    """
+    f, m = rhs.shape
+    n = a_eq.shape[1]
+    block = np.empty((f, m + 1, n + 1))
+    rows = block[:, :m]
+    rows[:, :, :-1] = a_eq
+    rows[:, :, -1] = rhs
+    basis = (n + np.arange(m))[None].repeat(f, axis=0)
+    warm = np.zeros(f, dtype=bool)
+    if bases.shape[0]:
+        x = inverses @ rhs.T  # x[q, :, k] = A_B^-1 b_k for the q-th cached basis
+        least = x.min(axis=1)
+        best = least.argmax(axis=0)
+        warm = least[best, np.arange(f)] < 0.0
+        w, pick = np.flatnonzero(warm), best[warm]
+        if w.size:
+            rows[w, :, :-1] = inverses[pick] @ a_eq
+            rows[w, :, -1] = x[pick, :, w]
+            rows[w[:, None], :, bases[pick]] = np.eye(m)  # B's columns, exactly
+            basis[w] = np.where(x[pick, :, w] < 0.0, basis[w], bases[pick])
+    rows *= np.where(rows[:, :, -1:] < 0.0, -1.0, 1.0)
+    block[:, m] = -(rows * (basis >= n)[:, :, None]).sum(axis=1)
+    return block, basis, warm
+
+
+def _inverses(a_eq: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which bases in bases have an inverse, and A_B^-1 for each that does."""
+    a_b = a_eq[:, bases].transpose(1, 0, 2)  # each A_B
+    try:
+        return np.ones(bases.shape[0], dtype=bool), np.linalg.inv(a_b)
+    except np.linalg.LinAlgError:  # some basis is singular: find which, one at a time
+        pass
+    invertible = np.ones(bases.shape[0], dtype=bool)
+    for k, one in enumerate(a_b):
+        try:
+            np.linalg.inv(one)
+        except np.linalg.LinAlgError:
+            invertible[k] = False
+    return invertible, np.linalg.inv(a_b[invertible])
+
+
 def _screen(a_eq: np.ndarray, bases: np.ndarray, pending: np.ndarray) -> np.ndarray:
     """The rows b of pending that no basis in bases proves feasible.
 
@@ -338,19 +410,17 @@ def _screen(a_eq: np.ndarray, bases: np.ndarray, pending: np.ndarray) -> np.ndar
     actually computed, so an inaccurate inverse of a near-singular basis
     makes the gate fail rather than pass a b outside the basis's cone. A
     singular basis proves nothing.
+
+    Each b is a column of x here, so that the tests over the m components
+    of every b run as m passes along rows as long as pending, several times
+    faster in numpy than reducing a last axis of length m.
     """
-    a_bt = a_eq.T[bases]  # each A_B transposed
-    try:
-        inv_t = np.linalg.inv(a_bt)
-    except np.linalg.LinAlgError:  # some basis is singular: screen one at a time
-        if bases.shape[0] == 1:
-            return pending
-        for cols in bases:
-            pending = _screen(a_eq, cols[None], pending)
-        return pending
-    x = pending @ inv_t
-    q, k = np.nonzero((x >= 0.0).all(axis=2))
-    residual = np.abs(np.einsum("cj,cji->ci", x[q, k], a_bt[q]) - pending[k]).sum(axis=1)
+    invertible, inverses = _inverses(a_eq, bases)
+    x = inverses @ pending.T
+    nonneg = (x >= 0.0).all(axis=1)
+    some = np.flatnonzero(nonneg.any(axis=0))  # b that some basis may prove
+    a_b = a_eq[:, bases[invertible]].transpose(1, 0, 2)  # each A_B
+    residual = np.abs(a_b @ x[:, :, some] - pending[some].T).sum(axis=1)
     proved = np.zeros(pending.shape[0], dtype=bool)
-    proved[k[residual <= _FEAS_TOL]] = True
+    proved[some] = (nonneg[:, some] & (residual <= _FEAS_TOL)).any(axis=0)
     return pending[~proved]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graspforce import simplex
+from graspforce import cli, simplex
 from graspforce.cli import build_parser, main
 
 ANTIPODAL = {
@@ -256,6 +256,19 @@ class TestClosure:
     def test_sides_validated(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", ANTIPODAL), "--sides", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("sides", ["254", "1000000000"])
+    def test_oversized_check_rejected_before_any_solve(self, sides, tmp_path, capsys, monkeypatch):
+        # Two contacts at 254 sides need 2 x 257 = 514 cone rows, two more
+        # than the budget allows.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an oversized check reached the certifier")
+
+        monkeypatch.setattr(cli, "is_force_closure", forbidden)
+        code = main(["closure", write_json(tmp_path / "c.json", ANTIPODAL), "--sides", sides])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: closure check too large: 2 contacts") and "512" in err
 
 
 class TestCalibrate:

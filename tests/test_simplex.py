@@ -1,5 +1,6 @@
 """Two-phase simplex solver and the lockstep feasibility oracle, cross-checked against scipy."""
 
+import functools
 import itertools
 import math
 import sys
@@ -26,6 +27,7 @@ from graspforce.simplex import (
     UNBOUNDED,
     _pivot,
     _screen,
+    _start,
     all_feasible,
     solve_lp,
 )
@@ -496,9 +498,10 @@ class TestBasisScreen:
         # finishes feasible, then 250 sampled unit wrenches. Every basis the
         # call caches then screens all 250, unresisted ones among them where
         # the set does not resist them all; that drops every wrench the call
-        # dropped, and more. Once the screen is off, the lockstep runs each
-        # dropped wrench as its own phase 1, pivot for pivot as a one-row call
-        # would, so True over all of them means each one is feasible alone.
+        # dropped, and more. Once the screen is off, every dropped wrench
+        # takes a slot and runs its own phase 1, cold or warm from a cached
+        # basis B (whose rows A_B^-1 [A | b] have the same solutions), so True
+        # over all of them means each one is feasible alone.
         calls = recording_screen(monkeypatch)
         rng = np.random.default_rng(59)
         checks = []
@@ -575,6 +578,109 @@ class TestBasisScreen:
             assert not all_feasible(rays, -stack)
             met = [kept for _, pending, kept in calls if (pending == -unresisted).all(axis=1).any()]
             assert met and (met[-1] == -unresisted).all(axis=1).any()
+
+
+def recording_starts(monkeypatch):
+    """Wrap simplex._start; return the (b, warm) pairs it starts, in order."""
+    starts = []
+
+    def recording(a_eq, rhs, bases, inverses):
+        block, basis, warm = _start(a_eq, rhs, bases, inverses)
+        starts.extend(zip(rhs, warm))
+        return block, basis, warm
+
+    monkeypatch.setattr(simplex, "_start", recording)
+    return starts
+
+
+@functools.cache
+def perfbench_sets(seed):
+    return [contacts for _, contacts in instances.generate(seed, 64)]
+
+
+class TestWarmStart:
+    # Right-hand sides of the same a_eq that are feasible by construction
+    # fill the first block, which starts cold, and leave bases behind; a b
+    # queued after them that no basis covers starts warm from one of them
+    # (b starts warm in 53 of the 300 examples, each of them infeasible).
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(certified_systems(), st.integers(_BLOCK, _BLOCK + 8), st.integers(0, 2**16))
+    def test_verdict_behind_feasible_systems(self, system, ahead, seed):
+        a_eq, b, feasible, _, _ = system
+        rng = np.random.default_rng(seed)
+        stack = np.vstack([rng.integers(0, 4, size=(ahead, a_eq.shape[1])) @ a_eq.T, b])
+        assert all_feasible(a_eq, stack) == feasible
+
+    # Which wrench meets which cached basis, and so which start warm, depends
+    # on the order of the stack; the verdict must not.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(0, 7), st.integers(0, 255), st.randoms(use_true_random=False))
+    def test_stack_verdict_ignores_wrench_order(self, seed, index, random):
+        contacts = perfbench_sets(seed)[index]
+        stack = np.vstack([
+            resistible_wrenches(np.random.default_rng(seed), contacts, 2 * _BLOCK),
+            closure.sample_unit_wrenches(16, seed),
+        ])
+        order = list(range(stack.shape[0]))
+        random.shuffle(order)
+        assert can_resist(contacts, stack[order]) == can_resist(contacts, stack)
+
+    def test_start_from_the_best_cached_basis(self):
+        # Columns 0 and 1 are the basis B with A_B^-1 = [[1, 1], [0, 1]].
+        # b0 = (1, -1) gives A_B^-1 b0 = (0, -1): warm, row 1 negated onto
+        # its artificial, row 0 on column 0. b1 gives x >= 0 on the nearly
+        # antiparallel basis of the residual-gate test, which the screen
+        # kept, so it starts cold on both artificials. Column 2 duplicates
+        # column 0, so the basis {0, 2} is singular and never cached.
+        a_eq = np.array([[1.0, -1.0, 1.0, 0.5], [0.0, 1.0, 0.0, 2.0]])
+        invertible, inverses = simplex._inverses(a_eq, np.array([[0, 2], [0, 1]]))
+        assert invertible.tolist() == [False, True]
+        np.testing.assert_array_equal(inverses, [[[1.0, 1.0], [0.0, 1.0]]])
+        block, basis, warm = _start(a_eq, np.array([[1.0, -1.0]]), np.array([[0, 1]]), inverses)
+        assert warm.tolist() == [True] and basis.tolist() == [[0, 5]]
+        np.testing.assert_array_equal(block[0], [
+            [1.0, 0.0, 1.0, 2.5, 0.0],
+            [-0.0, -1.0, -0.0, -2.0, 1.0],
+            [0.0, 1.0, 0.0, 2.0, -1.0],
+        ])
+        gate = np.array([[1.0, -1.0], [0.0, 1e-10]])
+        b1 = np.array([[0.3, 0.7]])
+        invertible, inverses = simplex._inverses(gate, np.array([[0, 1]]))
+        assert (inverses[0] @ b1[0] >= 0.0).all()
+        assert np.array_equal(_screen(gate, np.array([[0, 1]]), b1), b1)
+        block, basis, warm = _start(gate, b1, np.array([[0, 1]]), inverses)
+        assert warm.tolist() == [False] and basis.tolist() == [[2, 3]]
+        np.testing.assert_array_equal(block[0, :2], np.hstack([gate, b1.T]))
+
+    def test_warm_false_is_decided_again_cold(self, monkeypatch):
+        # An unresisted wrench queued behind a block of resisted ones starts
+        # warm, and its phase 1 ends infeasible. The False returned must be
+        # that of a cold one-row call on it.
+        rng = np.random.default_rng(67)
+        while True:
+            contacts = random_contacts(rng, 2)
+            if not is_force_closure(contacts).is_force_closure:
+                break
+        a_ub, b_ub, g = oracle_program(contacts)
+        while True:
+            unresisted = rng.standard_normal(6)
+            if not scipy_feasible(a_ub, b_ub, g, -unresisted):
+                break
+        rays = oracle_rays(contacts)
+        stack = -resistible_wrenches(rng, contacts, 2 * _BLOCK)
+        stack[_BLOCK + 5] = -unresisted
+        starts = recording_starts(monkeypatch)
+        calls = []
+        solve = simplex.all_feasible
+
+        def recording(a_eq, b_eqs):
+            calls.append(np.asarray(b_eqs).reshape(-1, 6))
+            return solve(a_eq, b_eqs)
+
+        monkeypatch.setattr(simplex, "all_feasible", recording)
+        assert not simplex.all_feasible(rays, stack)
+        assert [warm for b, warm in starts if (b == -unresisted).all()] == [True, False]
+        assert len(calls) == 2 and np.array_equal(calls[1], -unresisted[None])
 
 
 class TestPivotCounts:
