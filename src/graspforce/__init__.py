@@ -44,46 +44,3 @@ from .scenarios import ScenarioSpec, SensorSetup, apply_overrides, load_scenario
 from .sensor import CalibratedSensor, SensorModel, calibrate, contact_detected, estimate_bias
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CalibratedSensor",
-    "ClosureReport",
-    "ConfigError",
-    "Contact",
-    "ControlCommand",
-    "ControllerConfig",
-    "DisturbanceSchedule",
-    "GraspController",
-    "GraspPhase",
-    "GraspRequest",
-    "ObjectSpec",
-    "Plant",
-    "PlantConfig",
-    "Push",
-    "RuntimeFault",
-    "ScenarioSpec",
-    "SensorModel",
-    "SensorSetup",
-    "TrajectoryController",
-    "TrialResult",
-    "WristSweep",
-    "adjoint_transform",
-    "apply_overrides",
-    "build_grasp_matrix",
-    "calibrate",
-    "compute_external_force",
-    "contact_detected",
-    "distribute",
-    "estimate_bias",
-    "in_friction_cone",
-    "is_force_closure",
-    "linearize_cone",
-    "load_scenario",
-    "resistance_oracle",
-    "rotation_from_normal",
-    "run_experiment_a",
-    "run_experiment_b",
-    "run_trial",
-    "write_csv",
-    "__version__",
-]

@@ -109,9 +109,3 @@ def adjoint_transform(p, r, w) -> np.ndarray:
     moment = np.array([py * fz - pz * fy, pz * fx - px * fz, px * fy - py * fx])
     return np.concatenate([force, moment + torque]).reshape(w.shape)
 
-
-def compose_frames(p1, r1, p2, r2) -> tuple[np.ndarray, np.ndarray]:
-    """Frame 1 expressed in frame 2's parent: first apply (p1, r1), then (p2, r2)."""
-    p1, p2 = as_vec3(p1), as_vec3(p2)
-    r1, r2 = require_rotation(r1), require_rotation(r2)
-    return p2 + r2 @ p1, r2 @ r1

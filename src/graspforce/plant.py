@@ -45,11 +45,12 @@ _TARGETS = (FINGER_1, FINGER_2, OBJECT)
 class ObjectSpec:
     """A grasp target: slab mass, width, contact stiffness, damping, placement.
 
-    stiffness is the true contact stiffness of the object surface, which
-    the controller does not know (it works from its own ks_int estimate).
-    damping is the object's sliding drag against its support. initial_offset
-    positions the object center relative to the gripper center at trial
-    start, positive toward finger 2.
+    mass is > 0: the plant integrates the object's motion, and a massless
+    object is outside the model. stiffness is the true contact stiffness of
+    the object surface, which the controller does not know (it works from
+    its own ks_int estimate). damping is the object's sliding drag against
+    its support. initial_offset positions the object center relative to
+    the gripper center at trial start, positive toward finger 2.
     """
 
     name: str
@@ -60,7 +61,7 @@ class ObjectSpec:
     initial_offset: float = 0.0
 
     def __post_init__(self):
-        check_fields(self, {"mass": NON_NEGATIVE, "width": POSITIVE, "stiffness": POSITIVE,
+        check_fields(self, {"mass": POSITIVE, "width": POSITIVE, "stiffness": POSITIVE,
                             "damping": NON_NEGATIVE})
 
 
@@ -199,34 +200,6 @@ class Plant:
         d2 = (self.x_obj + half) - self.q2
         return k * (d1 if d1 > 0.0 else 0.0), k * (d2 if d2 > 0.0 else 0.0)
 
-    def _quasi_static_position(self, q1: float, q2: float, x: float, push: float) -> float:
-        """Static rest position of a massless object, piecewise closed form.
-
-        left_end is the object-center position where finger-1 overlap ends
-        and right_start the one where finger-2 overlap begins; the net
-        spring-plus-push force is strictly decreasing in x wherever any
-        contact is active, so each regime has a unique closed-form root.
-        A free object under no push stays at its current center x.
-        """
-        k = self.contact_stiffness
-        half = 0.5 * self.obj.width
-        left_end = -q1 + half
-        right_start = q2 - half
-        if right_start >= left_end:
-            # A free gap exists between the contacts.
-            if push > 0.0:
-                return right_start + push / k
-            if push < 0.0:
-                return left_end + push / k
-            return min(max(x, left_end), right_start)
-        # Aperture below object width: try the both-contact balance first.
-        x = 0.5 * (left_end + right_start) + 0.5 * push / k
-        if right_start < x < left_end:
-            return x
-        if push > 0.0:
-            return right_start + push / k
-        return left_end + push / k
-
     def measured_forces(self) -> tuple[float, float]:
         """True contact forces plus any scheduled finger pushes, as the load cells see them.
 
@@ -285,9 +258,7 @@ class Plant:
         # well-damped catalog objects sit at the edge of the explicit
         # stability bound at this substep, and drag divided into the
         # velocity update cannot flip its sign.
-        quasi_static = mass == 0.0
-        if not quasi_static:
-            drag = 1.0 + dt * obj.damping / mass
+        drag = 1.0 + dt * obj.damping / mass
         for _ in range(n_sub):
             d = q1_cmd - q1
             q1 = q1_cmd if -reach1 <= d <= reach1 else q1 + move1
@@ -297,17 +268,13 @@ class Plant:
                 g_dot_n = -gravity * math.sin(wrist.angle(t))
             if object_pushes:
                 push_obj = sum(p.value(t) for p in object_pushes)
-            if quasi_static:
-                x = self._quasi_static_position(q1, q2, x, push_obj)
-                v = 0.0
-            else:
-                d = -q1 - (x - half)
-                f1 = k * (d if d > 0.0 else 0.0)
-                d = (x + half) - q2
-                f2 = k * (d if d > 0.0 else 0.0)
-                net = f1 - f2 + mass * g_dot_n + push_obj
-                v = (v + dt * net / mass) / drag
-                x += dt * v
+            d = -q1 - (x - half)
+            f1 = k * (d if d > 0.0 else 0.0)
+            d = (x + half) - q2
+            f2 = k * (d if d > 0.0 else 0.0)
+            net = f1 - f2 + mass * g_dot_n + push_obj
+            v = (v + dt * net / mass) / drag
+            x += dt * v
             t += dt
         self.q1, self.q2, self.x_obj, self.v_obj, self.t = q1, q2, x, v, t
         self.true_f1, self.true_f2 = self._contact_forces()

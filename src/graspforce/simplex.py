@@ -233,8 +233,9 @@ def all_feasible(a_eq, b_eqs) -> bool:
     has found m columns whose cone holds its b. Before queued right-hand
     sides fill idle slots, each such basis not seen before screens the
     queue (_screen), and every b it proves feasible is dropped unsolved.
-    The screen only drops, so a b that no basis covers, an unresisted one
-    among them, still reaches a slot.
+    Each such basis is inverted once (_inverses), and the screen and the
+    warm start share its A_B^-1. The screen only drops, so a b that no
+    basis covers, an unresisted one among them, still reaches a slot.
 
     A b that reaches a slot while bases are cached starts warm (_start)
     from the cached basis B with the largest min(A_B^-1 b), so that few
@@ -288,11 +289,11 @@ def all_feasible(a_eq, b_eqs) -> bool:
         if idle.size:
             if fresh:
                 fresh = np.array(fresh)
-                pending = _screen(a_eq, fresh, pending)
-                if pending.shape[0]:  # a start may still use them
-                    invertible, fresh_inverses = _inverses(a_eq, fresh)
-                    cached = np.vstack([cached, fresh[invertible]])
-                    inverses = np.concatenate([inverses, fresh_inverses])
+                invertible, fresh_inverses = _inverses(a_eq, fresh)
+                fresh = fresh[invertible]
+                pending = _screen(a_eq, fresh, fresh_inverses, pending)
+                cached = np.vstack([cached, fresh])
+                inverses = np.concatenate([inverses, fresh_inverses])
                 fresh = []
             fill, drop = idle[: pending.shape[0]], idle[pending.shape[0] :]
             if fill.size:
@@ -401,25 +402,27 @@ def _inverses(a_eq: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return invertible, np.linalg.inv(a_b[invertible])
 
 
-def _screen(a_eq: np.ndarray, bases: np.ndarray, pending: np.ndarray) -> np.ndarray:
+def _screen(
+    a_eq: np.ndarray, bases: np.ndarray, inverses: np.ndarray, pending: np.ndarray
+) -> np.ndarray:
     """The rows b of pending that no basis in bases proves feasible.
 
-    bases is a (q, m) array of column indices into a_eq. A basis B proves b
-    feasible when x = A_B^-1 b >= 0 and |A_B x - b|_1 <= _FEAS_TOL, the
-    slack phase 1 allows its artificial sum. The residual is that of the x
-    actually computed, so an inaccurate inverse of a near-singular basis
-    makes the gate fail rather than pass a b outside the basis's cone. A
-    singular basis proves nothing.
+    bases is a (q, m) array of column indices into a_eq and inverses their
+    A_B^-1, both as _inverses returns them, so a singular basis is never
+    passed and proves nothing. A basis B proves b feasible when
+    x = A_B^-1 b >= 0 and |A_B x - b|_1 <= _FEAS_TOL, the slack phase 1
+    allows its artificial sum. The residual is that of the x actually
+    computed, so an inaccurate inverse of a near-singular basis makes the
+    gate fail rather than pass a b outside the basis's cone.
 
     Each b is a column of x here, so that the tests over the m components
     of every b run as m passes along rows as long as pending, several times
     faster in numpy than reducing a last axis of length m.
     """
-    invertible, inverses = _inverses(a_eq, bases)
     x = inverses @ pending.T
     nonneg = (x >= 0.0).all(axis=1)
     some = np.flatnonzero(nonneg.any(axis=0))  # b that some basis may prove
-    a_b = a_eq[:, bases[invertible]].transpose(1, 0, 2)  # each A_B
+    a_b = a_eq[:, bases].transpose(1, 0, 2)  # each A_B
     residual = np.abs(a_b @ x[:, :, some] - pending[some].T).sum(axis=1)
     proved = np.zeros(pending.shape[0], dtype=bool)
     proved[some] = (nonneg[:, some] & (residual <= _FEAS_TOL)).any(axis=0)

@@ -21,7 +21,7 @@ from graspforce.closure import (
     resistance_oracle,
 )
 from graspforce.controller import ControllerConfig, distribute
-from graspforce.geometry import adjoint_transform, compose_frames, rotation_about_axis
+from graspforce.geometry import adjoint_transform, rotation_about_axis
 from graspforce.harness import run_experiment_a, run_experiment_b, run_trial
 from graspforce.scenarios import FORCE, TRAJECTORY, ScenarioSpec
 
@@ -321,7 +321,7 @@ def test_algebraic_identities_hold():
         lhs = adjoint_transform(p1, r1, a * w1 + b * w2)
         rhs = a * adjoint_transform(p1, r1, w1) + b * adjoint_transform(p1, r1, w2)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        pc, rc = compose_frames(p1, r1, p2, r2)
+        pc, rc = p2 + r2 @ p1, r2 @ r1
         nested = adjoint_transform(p2, r2, adjoint_transform(p1, r1, w1))
         worst = max(worst, float(np.max(np.abs(adjoint_transform(pc, rc, w1) - nested))))
 

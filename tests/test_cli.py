@@ -95,6 +95,16 @@ class TestRun:
         assert err.startswith("fault: non-finite plant state")
         assert "Traceback" not in err
 
+    def test_massless_object_rejected(self, tmp_path, capsys):
+        speck = {"name": "speck", "mass": 0, "width": 0.06, "stiffness": 2000.0}
+        scenario = write_json(tmp_path / "speck.json", {"object": speck})
+        code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: mass must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_overrides_scenario(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "a"
         main(["run", scenario_file, "--out-dir", str(out), "--seed", "3",

@@ -277,6 +277,23 @@ class TestForceClosure:
         assert not report.surjective
         assert not report.is_force_closure
 
+    @pytest.mark.parametrize("sides", [8, 64, 253] + [
+        pytest.param(sides, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the certify LP's ratio-test tie-break; the fix changes"
+            " perfbench closure letters, so it waits for the benchmark PR (item 1)"
+        )))
+        for sides in (96, 128, 160, 200)
+    ])
+    def test_antipodal_margin_at_every_cone_resolution(self, sides):
+        # The README's pair. Balance puts fz = 0.5 on each contact under
+        # sum(fz) <= 1, and the torsion faces cap the slack at mu_tau * fz,
+        # which zero tangential force and torque reach: the margin is
+        # 0.005 * 0.5 = 2.5e-3 at any number of sides. Today 96, 128 and 200
+        # sides give a false "no" and 160 a margin of 0.137.
+        report = is_force_closure(antipodal_pair(), sides=sides)
+        assert report.is_force_closure
+        assert report.margin == pytest.approx(2.5e-3, rel=1e-6)
+
 
 class TestOracle:
     def test_zero_wrench_always_resistable(self):

@@ -6,7 +6,6 @@ import pytest
 from graspforce.geometry import (
     adjoint_transform,
     as_vec3,
-    compose_frames,
     hat,
     is_rotation,
     require_rotation,
@@ -136,9 +135,9 @@ class TestAdjoint:
             p1, p2 = rng.standard_normal(3), rng.standard_normal(3)
             r1, r2 = random_rotation(rng), random_rotation(rng)
             w = random_wrench(rng)
-            # compose_frames applies (p1, r1) first, so that frame is the
-            # inner adjoint when mapping step by step.
-            p12, r12 = compose_frames(p1, r1, p2, r2)
+            # Frame (p1, r1) inside frame (p2, r2): (p1, r1) applies first,
+            # so it is the inner adjoint when mapping step by step.
+            p12, r12 = p2 + r2 @ p1, r2 @ r1
             step = adjoint_transform(p2, r2, adjoint_transform(p1, r1, w))
             direct = adjoint_transform(p12, r12, w)
             np.testing.assert_allclose(step, direct, atol=1e-9)

@@ -1,4 +1,8 @@
-"""Every name a package module imports, or defines as private, is used in that module."""
+"""Every name a package module imports, or defines as private, is used in that module.
+
+Every public function or class a package module defines is read somewhere in
+the package or in perfbench.
+"""
 
 import ast
 from pathlib import Path
@@ -7,9 +11,9 @@ import pytest
 
 import graspforce
 
-MODULES = sorted(
-    p for p in Path(graspforce.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(graspforce.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -76,3 +80,53 @@ def test_detects_an_unreferenced_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def read_names(source: str) -> set[str]:
+    """Loaded names, attribute names, imported names and identifier strings in a source.
+
+    Strings count because perfbench wraps functions by attribute name.
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+    return names
+
+
+def unread_public_names(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public module-level functions and classes in sources that no source or reader reads.
+
+    Module constants are left out.
+    """
+    read = set().union(*map(read_names, [*sources.values(), *readers]))
+    return [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_detects_an_unread_public_name():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef wrapped():\n    pass\n\nclass Dead:\n    pass\n",
+        "b": "from .a import used\n\ndef dead_too():\n    return used()\n",
+    }
+    readers = ['setattr(a, "wrapped", None)\n']
+    assert unread_public_names(sources, readers) == ["a.Dead (line 7)", "b.dead_too (line 3)"]
+
+
+def test_no_unread_public_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
+    assert unread_public_names(sources, readers) == []

@@ -1,4 +1,4 @@
-"""Contact physics: spring law, quasi-statics, disturbances, determinism."""
+"""Contact physics: spring law, dynamics, disturbances, determinism."""
 
 import math
 import random
@@ -68,37 +68,6 @@ class TestContactForces:
                 assert -plant.q1 - (plant.x_obj - half) > 0.0
             if plant.true_f2 > 0.0:
                 assert (plant.x_obj + half) - plant.q2 > 0.0
-
-
-class TestQuasiStatic:
-    def make_plant(self, push=(), offset=0.0, start=0.048):
-        obj = ObjectSpec("slab", mass=0.0, width=0.05, stiffness=2000.0,
-                         initial_offset=offset)
-        schedule = DisturbanceSchedule(pushes=tuple(push))
-        return Plant(obj, start_aperture=start, schedule=schedule, config=RIGID_TIPS)
-
-    def test_balance_residual_under_object_push(self):
-        push = Push(OBJECT, 0.3, 0.0, 5.0, ramp=0.005)
-        plant = self.make_plant(push=(push,))
-        for _ in range(5):
-            plant.step(hold(plant), 0.01)
-        assert plant.true_f1 > 0.0 and plant.true_f2 > 0.0
-        assert abs(plant.true_f1 - plant.true_f2 + 0.3) < 1e-9
-
-    def test_free_object_stays_where_placed(self):
-        plant = self.make_plant(offset=0.002, start=0.06)
-        for _ in range(10):
-            plant.step(hold(plant), 0.01)
-        assert plant.x_obj == 0.002
-        assert plant.true_f1 == plant.true_f2 == 0.0
-
-    def test_push_moves_free_object_to_spring_balance(self):
-        push = Push(OBJECT, 0.5, 0.0, 5.0, ramp=0.005)
-        plant = self.make_plant(push=(push,), start=0.06)
-        plant.step(hold(plant), 0.05)
-        # Pressed against finger 2's spring: penetration = push / k.
-        expected = (plant.q2 - 0.025) + 0.5 / plant.contact_stiffness
-        assert plant.x_obj == pytest.approx(expected, abs=1e-12)
 
 
 class TestDynamics:
@@ -287,6 +256,8 @@ class TestValidation:
     def test_object_spec_bounds(self):
         with pytest.raises(ValueError):
             ObjectSpec("bad", mass=-0.001, width=0.05, stiffness=500.0)
+        with pytest.raises(ValueError, match="mass must be a finite number > 0"):
+            ObjectSpec("bad", mass=0.0, width=0.05, stiffness=500.0)
         with pytest.raises(ValueError):
             ObjectSpec("bad", mass=0.01, width=0.0, stiffness=500.0)
         with pytest.raises(ValueError):
@@ -387,24 +358,6 @@ class FrozenPlant:
         d2 = (self.x_obj + half) - self.q2
         return k * max(0.0, d1), k * max(0.0, d2)
 
-    def _quasi_static_position(self, push):
-        k = self.contact_stiffness
-        half = 0.5 * self.obj.width
-        left_end = -self.q1 + half
-        right_start = self.q2 - half
-        if right_start >= left_end:
-            if push > 0.0:
-                return right_start + push / k
-            if push < 0.0:
-                return left_end + push / k
-            return min(max(self.x_obj, left_end), right_start)
-        x = 0.5 * (left_end + right_start) + 0.5 * push / k
-        if right_start < x < left_end:
-            return x
-        if push > 0.0:
-            return right_start + push / k
-        return left_end + push / k
-
     def measured_forces(self):
         return (
             self.true_f1 + self.push_force(FINGER_1, self.t),
@@ -429,16 +382,12 @@ class FrozenPlant:
             self.q2 = self._move_toward(self.q2, command.q2_cmd, v2 * dt)
             g_dot_n = -cfg.gravity * math.sin(self.wrist_angle(self.t))
             push_obj = self.push_force(OBJECT, self.t)
-            if obj.mass == 0.0:
-                self.x_obj = self._quasi_static_position(push_obj)
-                self.v_obj = 0.0
-            else:
-                f1, f2 = self._contact_forces()
-                net = f1 - f2 + obj.mass * g_dot_n + push_obj
-                self.v_obj = (self.v_obj + dt * net / obj.mass) / (
-                    1.0 + dt * obj.damping / obj.mass
-                )
-                self.x_obj += dt * self.v_obj
+            f1, f2 = self._contact_forces()
+            net = f1 - f2 + obj.mass * g_dot_n + push_obj
+            self.v_obj = (self.v_obj + dt * net / obj.mass) / (
+                1.0 + dt * obj.damping / obj.mass
+            )
+            self.x_obj += dt * self.v_obj
             self.t += dt
         self.true_f1, self.true_f2 = self._contact_forces()
         return (self.x_obj, self.v_obj, self.q1, self.q2, self.true_f1, self.true_f2)
@@ -479,10 +428,6 @@ REFERENCE_SCENARIOS = {
     "pushes and sweep": (
         ObjectSpec("slab", mass=0.02, width=0.05, stiffness=500.0, damping=5.0),
         0.054, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), PlantConfig(gravity=-3.7),
-    ),
-    "quasi-static": (
-        ObjectSpec("slab", mass=0.0, width=0.05, stiffness=2000.0, initial_offset=-0.002),
-        0.06, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), RIGID_TIPS,
     ),
     "rigid tips": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=0.0),

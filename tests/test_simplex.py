@@ -25,6 +25,7 @@ from graspforce.simplex import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _inverses,
     _pivot,
     _screen,
     _start,
@@ -478,12 +479,18 @@ class TestAllFeasible:
         assert not closure.resistance_oracle(pair[:1], wrench_samples=100)
 
 
+def screen(a_eq, bases, pending):
+    """_screen over the bases that _inverses inverts, as all_feasible calls it."""
+    invertible, inverses = _inverses(a_eq, bases)
+    return _screen(a_eq, bases[invertible], inverses, pending)
+
+
 def recording_screen(monkeypatch):
     """Wrap simplex._screen; return the list of (bases, pending, kept) it sees."""
     calls = []
 
-    def recording(a_eq, bases, pending):
-        kept = _screen(a_eq, bases, pending)
+    def recording(a_eq, bases, inverses, pending):
+        kept = _screen(a_eq, bases, inverses, pending)
         calls.append((bases, pending, kept))
         return kept
 
@@ -516,13 +523,13 @@ class TestBasisScreen:
                     -resistible_wrenches(rng, contacts, _BLOCK), sampled
                 ]))
                 assert calls
-                kept = _screen(rays, np.vstack([bases for bases, _, _ in calls]), sampled)
+                kept = screen(rays, np.vstack([bases for bases, _, _ in calls]), sampled)
                 kept_rows = {row.tobytes() for row in kept}
                 rows = [row for row in sampled if row.tobytes() not in kept_rows]
                 dropped[resisted] += len(rows)
                 kept_where_some_unresisted += 0 if resisted else kept.shape[0]
                 checks.append((rays, np.array(rows).reshape(-1, 6)))
-        monkeypatch.setattr(simplex, "_screen", lambda a_eq, bases, pending: pending)
+        monkeypatch.setattr(simplex, "_screen", lambda a_eq, bases, inverses, pending: pending)
         assert all(all_feasible(rays, rows) for rays, rows in checks)
         # 15,313 and 144 dropped, and 15,606 kept on sets with an unresisted
         # sample: the check covers both kinds of set.
@@ -535,8 +542,8 @@ class TestBasisScreen:
         # in the same batch, the good one still drops what it proves.
         a_eq = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         pending = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
-        assert np.array_equal(_screen(a_eq, np.array([[0, 1]]), pending), pending)
-        kept = _screen(a_eq, np.array([[0, 1], [0, 2]]), pending)
+        assert np.array_equal(screen(a_eq, np.array([[0, 1]]), pending), pending)
+        kept = screen(a_eq, np.array([[0, 1], [0, 2]]), pending)
         assert np.array_equal(kept, pending[[2]])
 
     def test_basis_that_fails_the_residual_gate_proves_nothing(self):
@@ -549,7 +556,7 @@ class TestBasisScreen:
         x = pending @ np.linalg.inv(a_eq.T)
         assert np.all(x >= 0.0)
         assert np.all(np.abs(x[:2] @ a_eq.T - pending[:2]).sum(axis=1) > _FEAS_TOL)
-        kept = _screen(a_eq, np.array([[0, 1]]), pending)
+        kept = screen(a_eq, np.array([[0, 1]]), pending)
         assert np.array_equal(kept, pending[:2])
 
     def test_unresisted_wrench_queued_behind_a_warm_cache(self, monkeypatch):
@@ -578,6 +585,27 @@ class TestBasisScreen:
             assert not all_feasible(rays, -stack)
             met = [kept for _, pending, kept in calls if (pending == -unresisted).all(axis=1).any()]
             assert met and (met[-1] == -unresisted).all(axis=1).any()
+
+    def test_each_screen_inverts_its_bases_once(self, monkeypatch):
+        # The screen and the warm-start cache share one _inverses call per
+        # batch of fresh bases, and the screen gets the bases it inverted.
+        calls = recording_screen(monkeypatch)
+        inverted = []
+
+        def recording(a_eq, bases):
+            inverted.append(bases)
+            return _inverses(a_eq, bases)
+
+        monkeypatch.setattr(simplex, "_inverses", recording)
+        rng = np.random.default_rng(71)
+        for seed in range(4):
+            for _, contacts in instances.generate(seed, 1):
+                del calls[:], inverted[:]
+                assert all_feasible(oracle_rays(contacts),
+                                    -resistible_wrenches(rng, contacts, 500))
+                assert calls and len(inverted) == len(calls)
+                for (bases, _, _), batch in zip(calls, inverted):
+                    assert {tuple(row) for row in bases} <= {tuple(row) for row in batch}
 
 
 def recording_starts(monkeypatch):
@@ -633,7 +661,7 @@ class TestWarmStart:
         # kept, so it starts cold on both artificials. Column 2 duplicates
         # column 0, so the basis {0, 2} is singular and never cached.
         a_eq = np.array([[1.0, -1.0, 1.0, 0.5], [0.0, 1.0, 0.0, 2.0]])
-        invertible, inverses = simplex._inverses(a_eq, np.array([[0, 2], [0, 1]]))
+        invertible, inverses = _inverses(a_eq, np.array([[0, 2], [0, 1]]))
         assert invertible.tolist() == [False, True]
         np.testing.assert_array_equal(inverses, [[[1.0, 1.0], [0.0, 1.0]]])
         block, basis, warm = _start(a_eq, np.array([[1.0, -1.0]]), np.array([[0, 1]]), inverses)
@@ -645,9 +673,9 @@ class TestWarmStart:
         ])
         gate = np.array([[1.0, -1.0], [0.0, 1e-10]])
         b1 = np.array([[0.3, 0.7]])
-        invertible, inverses = simplex._inverses(gate, np.array([[0, 1]]))
+        invertible, inverses = _inverses(gate, np.array([[0, 1]]))
         assert (inverses[0] @ b1[0] >= 0.0).all()
-        assert np.array_equal(_screen(gate, np.array([[0, 1]]), b1), b1)
+        assert np.array_equal(_screen(gate, np.array([[0, 1]]), inverses, b1), b1)
         block, basis, warm = _start(gate, b1, np.array([[0, 1]]), inverses)
         assert warm.tolist() == [False] and basis.tolist() == [[2, 3]]
         np.testing.assert_array_equal(block[0, :2], np.hstack([gate, b1.T]))
