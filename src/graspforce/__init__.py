@@ -40,7 +40,7 @@ from .harness import (
     write_csv,
 )
 from .plant import DisturbanceSchedule, ObjectSpec, Plant, PlantConfig, Push, WristSweep
-from .scenarios import ScenarioSpec, SensorSetup, apply_overrides, load_scenario
+from .scenarios import ScenarioSpec, SensorSetup, load_scenario
 from .sensor import CalibratedSensor, SensorModel, calibrate, contact_detected, estimate_bias
 
 __version__ = "0.1.0"

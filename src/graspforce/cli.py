@@ -19,12 +19,13 @@ from .closure import Contact, is_force_closure
 from .harness import (
     ConfigError,
     experiment_b_table,
+    make_out_dir,
     run_experiment_a,
     run_experiment_b,
     run_trial,
     write_csv,
 )
-from .scenarios import apply_overrides, load_scenario, parse_overrides
+from .scenarios import load_scenario, parse_overrides, with_overrides
 from .sensor import SensorModel, calibrate, estimate_bias
 
 EXIT_OK = 0
@@ -99,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     overrides = args.overrides + ([] if args.seed is None else [f"seed={args.seed}"])
-    spec = apply_overrides(load_scenario(args.scenario), overrides)
+    spec = with_overrides(load_scenario(args.scenario), parse_overrides(overrides))
+    out = make_out_dir(args.out_dir)
     result = run_trial(spec)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = write_csv(result.series, out / (Path(args.scenario).stem + ".csv"))
     print(f"series: {csv_path}")
     print(f"displacement (ground truth): {1e3 * result.displacement_truth:.3f} mm")
@@ -132,6 +132,16 @@ def _cmd_exp_b(args) -> int:
     return EXIT_OK
 
 
+# A contact entry's keys: its position, one frame key, and its friction.
+_CONTACT_KEYS = {"position", "normal", "rotation", "mu", "mu_tau"}
+
+
+def _unknown_key(data: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+
+
 def _load_contacts(path: str):
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -140,6 +150,7 @@ def _load_contacts(path: str):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"contact file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
+        _unknown_key(data, {"contacts"}, f"contact file {path}")
         entries = data.get("contacts")
     else:
         entries = data
@@ -149,6 +160,9 @@ def _load_contacts(path: str):
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"contact {i} in {path} is malformed: not an object: {entry!r}")
+        _unknown_key(entry, _CONTACT_KEYS, f"contact {i} in {path}")
+        if "normal" in entry and "rotation" in entry:
+            raise ConfigError(f"contact {i} in {path} gives both 'normal' and 'rotation'")
         try:
             friction = {key: entry[key] for key in ("mu", "mu_tau") if key in entry}
             if "rotation" in entry:

@@ -165,7 +165,6 @@ class GraspController:
         self.last_u_ext = 0.0
         self._dwell = 0.0
         self._prev_cmd: ControlCommand | None = None
-        self._was_holding = False
 
     def closing_aperture(self, t: float) -> float:
         """Aperture target while approaching, not bounded by end_aperture.
@@ -209,29 +208,27 @@ class GraspController:
         if self.phase is not GraspPhase.HOLDING:
             self.phase = GraspPhase.CONTACT if any(self.latched) else GraspPhase.CLOSING
             target = self.closing_aperture(t_next)
-            cmd = ControlCommand(
+            self.last_u_int = 0.0
+            self.last_u_ext = 0.0
+            return ControlCommand(
                 self._clamp(self.freeze_q[0] if self.latched[0] else 0.5 * target),
                 self._clamp(self.freeze_q[1] if self.latched[1] else 0.5 * target),
             )
-            self.last_u_int = 0.0
-            self.last_u_ext = 0.0
-            self._prev_cmd = cmd
-            self._was_holding = False
-            return cmd
 
         # Holding: decoupled internal/external force control.
         f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         delta_f_int = f1 + f2 - cfg.f_goal
 
         # The integral accumulates only while the loop is actually closed:
-        # never on the entry tick, and not while the previous command is
+        # never on the entry tick (only holding ticks set _prev_cmd, and
+        # holding is never left), and not while the previous command is
         # still being slewed toward, which would wind it up.
         reached = (
             self._prev_cmd is not None
             and abs(q1 - self._prev_cmd.q1_cmd) <= _CMD_REACHED_TOL
             and abs(q2 - self._prev_cmd.q2_cmd) <= _CMD_REACHED_TOL
         )
-        if self._was_holding and reached:
+        if reached:
             self.integral += delta_f_int * dt
             travel = cfg.joint_max - cfg.joint_min
             bound = cfg.ks_int * travel / cfg.ki_int
@@ -263,7 +260,6 @@ class GraspController:
         self.last_u_int = u_int
         self.last_u_ext = u_ext
         self._prev_cmd = cmd
-        self._was_holding = True
         return cmd
 
 

@@ -38,20 +38,20 @@ def hat(v) -> np.ndarray:
     ])
 
 
-def is_rotation(r, tol: float = ORTHONORMAL_TOL) -> bool:
+def is_rotation(r) -> bool:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         return False
     if not np.all(np.isfinite(r)):
         return False
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
+    if np.max(np.abs(r.T @ r - np.eye(3))) > ORTHONORMAL_TOL:
         return False
     return np.linalg.det(r) > 0.0
 
 
-def require_rotation(r, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
+def require_rotation(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
-    if not is_rotation(r, tol):
+    if not is_rotation(r):
         raise ValueError("matrix is not a right-handed orthonormal rotation")
     return r
 

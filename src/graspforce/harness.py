@@ -23,6 +23,7 @@ import numpy as np
 
 from .closure import Contact, is_force_closure
 from .controller import (
+    ControllerConfig,
     GraspController,
     GraspPhase,
     STOP_AT_GOAL,
@@ -30,7 +31,9 @@ from .controller import (
     compute_external_force,
 )
 from .plant import Plant, Push, WristSweep
-from .scenarios import FORCE, ScenarioSpec, TAPE_ROLL, TRAJECTORY, resolve, with_overrides
+from .scenarios import (
+    FORCE, ScenarioSpec, SensorSetup, TAPE_ROLL, TRAJECTORY, resolve, with_overrides,
+)
 from .sensor import CalibratedSensor
 
 EXPERIMENT_A_OFFSETS = (0.002, 0.005, 0.008, 0.011, 0.014)
@@ -132,6 +135,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     plant = Plant(
         resolved.obj,
         start_aperture=resolved.request.start_aperture,
+        offset=spec.offset,
         schedule=resolved.schedule,
         config=spec.plant,
     )
@@ -256,6 +260,16 @@ def _write_table(path: Path, header: list[str], lines) -> None:
         raise RuntimeFault(f"cannot write {path}: {exc}") from exc
 
 
+def make_out_dir(out_dir: str | Path) -> Path:
+    """Create a report directory, or raise ConfigError if it cannot be made."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+    return out
+
+
 def _trial_seed(base: int, i_object: int, i_offset: int, rep: int) -> int:
     return base + _SEED_OBJECT * i_object + _SEED_OFFSET * i_offset + _SEED_REP * rep
 
@@ -299,7 +313,6 @@ def run_experiment_a(
     offsets: tuple[float, ...] = EXPERIMENT_A_OFFSETS,
     reps: int = EXPERIMENT_A_REPS,
     objects: tuple[str, ...] = ("styrofoam", "tape_roll", "wooden_cuboid"),
-    noise: bool = True,
     overrides: dict | None = None,
 ) -> ExperimentAResult:
     """Displacement grid: offsets x objects x repetitions, both controllers.
@@ -308,6 +321,7 @@ def run_experiment_a(
     the same sensor seed, so their comparison is not confounded by noise.
     """
     _reject_overrides("exp-a", overrides, ("object", "offset", "controller", "seed"))
+    out = None if out_dir is None else make_out_dir(out_dir)
     started = time.perf_counter()
     trials = []
     for i_obj, object_name in enumerate(objects):
@@ -315,16 +329,11 @@ def run_experiment_a(
             for rep in range(reps):
                 seed = _trial_seed(base_seed, i_obj, i_off, rep)
                 for controller in (FORCE, TRAJECTORY):
-                    data = {
-                        "object": object_name,
-                        "offset": offset,
-                        "controller": controller,
-                        "seed": seed,
-                        "control": {"phase3_mode": STOP_AT_GOAL},
-                        "sensors": {"noise": noise},
-                    }
-                    spec = with_overrides(ScenarioSpec.from_dict(data), overrides)
-                    trials.append(run_trial(spec))
+                    spec = ScenarioSpec(
+                        object=object_name, offset=offset, controller=controller, seed=seed,
+                        control=ControllerConfig(phase3_mode=STOP_AT_GOAL),
+                    )
+                    trials.append(run_trial(with_overrides(spec, overrides)))
 
     summary = []
     for object_name in objects:
@@ -349,9 +358,7 @@ def run_experiment_a(
             )
     result = ExperimentAResult(trials, summary, elapsed=time.perf_counter() - started)
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         metrics = _columns(TrialResult, "spec", "series")
         _write_table(
             out / "exp_a_trials.csv",
@@ -404,34 +411,26 @@ def _window_rows(result: TrialResult, t0: float, t1: float) -> list[TimeSeriesRo
     return [r for r in result.series if t0 <= r.t <= t1]
 
 
-def _experiment_b_spec(scenario: str, variant: str, base_seed: int, noise: bool,
-                       miscalibration: bool, overrides: dict | None) -> ScenarioSpec:
+def _experiment_b_spec(scenario: str, variant: str, base_seed: int,
+                       overrides: dict | None) -> ScenarioSpec:
     # All variants of one scenario share a seed so ablation comparisons see
     # identical noise; each run then differs from baseline in exactly one
     # controller flag.
-    data = {
-        "object": TAPE_ROLL.name,
-        "offset": 0.0,
-        "controller": FORCE,
-        "ablation": variant,
-        "seed": base_seed + (0 if scenario == "push" else 17),
-        "sensors": {
-            "noise": noise,
-            "gain_scale1": 1.01 if miscalibration else 1.0,
-            "gain_scale2": 0.99 if miscalibration else 1.0,
-        },
-    }
     if scenario == "push":
-        data["duration"] = PUSH_DURATION
-        data["pushes"] = list(PUSH_SCHEDULE)
+        disturbance = {"duration": PUSH_DURATION, "pushes": PUSH_SCHEDULE}
         metrics_end = _POST_TOTAL_WINDOW[1]
     elif scenario == "rotation":
-        data["duration"] = ROTATION_DURATION
-        data["wrist"] = ROTATION_SWEEP
+        disturbance = {"duration": ROTATION_DURATION, "wrist": ROTATION_SWEEP}
         metrics_end = ROTATION_SWEEP.t_end
     else:
         raise ConfigError(f"unknown experiment-B scenario {scenario!r}")
-    spec = with_overrides(ScenarioSpec.from_dict(data), overrides)
+    spec = ScenarioSpec(
+        object=TAPE_ROLL.name, controller=FORCE, ablation=variant,
+        seed=base_seed + (0 if scenario == "push" else 17),
+        sensors=SensorSetup(gain_scale1=1.01, gain_scale2=0.99),
+        **disturbance,
+    )
+    spec = with_overrides(spec, overrides)
     if spec.duration is None or not spec.duration >= metrics_end:
         raise ConfigError(
             f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
@@ -446,22 +445,21 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int, noise: bool,
 def run_experiment_b(
     out_dir: str | Path | None = None,
     base_seed: int = 0,
-    noise: bool = True,
-    miscalibration: bool = True,
     overrides: dict | None = None,
 ) -> dict[tuple[str, str], ExperimentBRun]:
     """Disturbance scenarios (push, rotation) x (baseline + three ablations).
 
     The push scenario presses 1 N on each finger in turn; the rotation
     scenario sweeps the wrist through 180 degrees. Sensor gains carry a
-    +/-1% miscalibration by default, which is what the deadband ablation
-    exposes as post-push drift.
+    +/-1% miscalibration, which is what the deadband ablation exposes as
+    post-push drift.
     """
     _reject_overrides("exp-b", overrides, ("controller", "ablation", "seed", "pushes", "wrist"))
+    out = None if out_dir is None else make_out_dir(out_dir)
     runs: dict[tuple[str, str], ExperimentBRun] = {}
     for scenario in ("push", "rotation"):
         for variant in EXPERIMENT_B_VARIANTS:
-            spec = _experiment_b_spec(scenario, variant, base_seed, noise, miscalibration, overrides)
+            spec = _experiment_b_spec(scenario, variant, base_seed, overrides)
             result = run_trial(spec)
 
             if scenario == "push":
@@ -502,9 +500,7 @@ def run_experiment_b(
                 peak_object_drift=peak,
             )
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for (scenario, variant), run in runs.items():
             write_csv(run.result.series, out / f"exp_b_{scenario}_{variant}.csv")
         columns = _columns(ExperimentBRun, "result")

@@ -43,14 +43,13 @@ _TARGETS = (FINGER_1, FINGER_2, OBJECT)
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """A grasp target: slab mass, width, contact stiffness, damping, placement.
+    """A grasp target: slab mass, width, contact stiffness and damping.
 
     mass is > 0: the plant integrates the object's motion, and a massless
     object is outside the model. stiffness is the true contact stiffness of
     the object surface, which the controller does not know (it works from
     its own ks_int estimate). damping is the object's sliding drag against
-    its support. initial_offset positions the object center relative to
-    the gripper center at trial start, positive toward finger 2.
+    its support.
     """
 
     name: str
@@ -58,7 +57,6 @@ class ObjectSpec:
     width: float
     stiffness: float
     damping: float = 0.0
-    initial_offset: float = 0.0
 
     def __post_init__(self):
         check_fields(self, {"mass": POSITIVE, "width": POSITIVE, "stiffness": POSITIVE,
@@ -164,14 +162,17 @@ class PlantConfig:
 class Plant:
     """Steps the finger/object system under zero-order-hold position commands.
 
-    contact_stiffness is the object stiffness in series with the fingertip
-    pad, per contact; it is fixed for the plant's lifetime.
+    offset places the object center relative to the gripper center at the
+    start, positive toward finger 2. contact_stiffness is the object
+    stiffness in series with the fingertip pad, per contact; it is fixed
+    for the plant's lifetime.
     """
 
     def __init__(
         self,
         obj: ObjectSpec,
         start_aperture: float,
+        offset: float = 0.0,
         schedule: DisturbanceSchedule | None = None,
         config: PlantConfig | None = None,
     ):
@@ -185,7 +186,7 @@ class Plant:
         self.contact_stiffness = k if pad is None else k * pad / (k + pad)
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
-        self.x_obj = obj.initial_offset
+        self.x_obj = offset
         self.v_obj = 0.0
         self.t = 0.0
         self.true_f1, self.true_f2 = self._contact_forces()

@@ -115,21 +115,20 @@ class ScenarioSpec:
 
     def object_spec(self) -> ObjectSpec:
         if isinstance(self.object, ObjectSpec):
-            base = self.object
-        else:
-            try:
-                base = OBJECTS[self.object]
-            except KeyError:
-                raise ValueError(
-                    f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}"
-                ) from None
-        return dataclasses.replace(base, initial_offset=self.offset)
+            return self.object
+        try:
+            return OBJECTS[self.object]
+        except KeyError:
+            raise ValueError(
+                f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}"
+            ) from None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
+        """Decode JSON-shaped data: each section a mapping, pushes a list of mappings."""
         return _spec_from_dict(cls, data)
 
 
@@ -158,7 +157,7 @@ def _spec_from_dict(cls, data: dict) -> "ScenarioSpec":
         raise ValueError("scenario must be a mapping of field names to values")
     data = dict(data)
     for name, sub_cls in _NESTED.items():
-        if name in data and not isinstance(data[name], sub_cls):
+        if name in data:
             data[name] = _build_dataclass(sub_cls, data[name], name)
     if isinstance(data.get("object"), dict):
         data["object"] = _build_dataclass(ObjectSpec, data["object"], "object")
@@ -166,12 +165,9 @@ def _spec_from_dict(cls, data: dict) -> "ScenarioSpec":
         pushes = data["pushes"]
         if not isinstance(pushes, (list, tuple)):
             raise ValueError(f"pushes must be a list, got {pushes!r}")
-        data["pushes"] = tuple(
-            p if isinstance(p, Push) else _build_dataclass(Push, p, "pushes") for p in pushes
-        )
-    wrist = data.get("wrist")
-    if wrist is not None and not isinstance(wrist, WristSweep):
-        data["wrist"] = _build_dataclass(WristSweep, wrist, "wrist")
+        data["pushes"] = tuple(_build_dataclass(Push, p, "pushes") for p in pushes)
+    if data.get("wrist") is not None:
+        data["wrist"] = _build_dataclass(WristSweep, data["wrist"], "wrist")
     return _build_dataclass(cls, data, "scenario")
 
 
@@ -237,11 +233,6 @@ def with_overrides(spec: ScenarioSpec, tree: dict | None) -> ScenarioSpec:
         return merged
 
     return ScenarioSpec.from_dict(merge(spec.to_dict(), tree or {}, ""))
-
-
-def apply_overrides(spec: ScenarioSpec, overrides: list[str]) -> ScenarioSpec:
-    """Apply key=value overrides with dotted paths, e.g. control.f_goal=2.5."""
-    return with_overrides(spec, parse_overrides(overrides))
 
 
 @dataclass

@@ -45,7 +45,7 @@ def grid():
 @pytest.fixture(scope="module")
 def disturbances():
     """Push and rotation scenarios x 4 controller variants, noiseless but miscalibrated."""
-    return run_experiment_b(base_seed=0, noise=False, miscalibration=True)
+    return run_experiment_b(base_seed=0, overrides={"sensors": {"noise": False}})
 
 
 def test_force_control_limits_displacement_on_graspable_objects(grid):

@@ -84,7 +84,6 @@ def test_every_scalar_field_is_checked(cls):
     (ScenarioSpec, "end_aperture", -0.001),
     (SensorModel, "seed", -1),
     (SensorSetup, "noise_sigma", -0.1),
-    (ObjectSpec, "initial_offset", math.nan),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_lower_bounds(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} "):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graspforce import cli, simplex
+from graspforce import cli, harness, simplex
 from graspforce.cli import build_parser, main
 
 ANTIPODAL = {
@@ -105,6 +105,16 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_inline_object_offset_rejected(self, tmp_path, capsys):
+        # The offset has one home, the scenario's top-level offset.
+        slab = {"name": "slab", "mass": 0.05, "width": 0.06, "stiffness": 2000.0,
+                "initial_offset": 0.01}
+        scenario = write_json(tmp_path / "slab.json", {"object": slab})
+        code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: unknown key 'initial_offset' in object\n"
+
     def test_seed_flag_overrides_scenario(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "a"
         main(["run", scenario_file, "--out-dir", str(out), "--seed", "3",
@@ -203,6 +213,28 @@ class TestBadOverrides:
         assert "--seed" in capsys.readouterr().err
 
 
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["run", "exp-a", "exp-b"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+    def test_unusable_out_dir_exits_2_before_any_trial(
+        self, command, under, scenario_file, tmp_path, capsys, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a trial ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_trial", forbidden)
+        monkeypatch.setattr(harness, "run_trial", forbidden)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = blocker / "o" if under else blocker
+        argv = [command] + ([scenario_file] if command == "run" else [])
+        code = main(argv + ["--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot make output directory {out}: ")
+        assert "Traceback" not in err
+
+
 class TestClosure:
     def test_antipodal_with_friction(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", ANTIPODAL)])
@@ -258,6 +290,19 @@ class TestClosure:
         assert code == 2
         assert "contact 0" in err and "expected a finite 3-vector" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"contacts": [dict(ANTIPODAL["contacts"][0], mu_torsion=0.0),
+                       ANTIPODAL["contacts"][1]]}, "unknown key 'mu_torsion' in contact 0 in {path}"),
+        ({"contacts": [ANTIPODAL["contacts"][0],
+                       dict(ANTIPODAL["contacts"][1], rotation=[[1, 0, 0], [0, 1, 0], [0, 0, 1]])]},
+         "contact 1 in {path} gives both 'normal' and 'rotation'"),
+        (dict(ANTIPODAL, sides=3), "unknown key 'sides' in contact file {path}"),
+    ], ids=["entry key", "normal and rotation", "top-level key"])
+    def test_keys_the_cli_does_not_read_exit_2(self, payload, message, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", payload)
+        assert main(["closure", path]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     def test_empty_contact_list(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", {"contacts": []})])

@@ -1,5 +1,6 @@
 """Trial execution, metrics, CSV output, and experiment plumbing."""
 
+import dataclasses
 import math
 
 import pytest
@@ -23,11 +24,13 @@ from graspforce.harness import (
     write_csv,
 )
 from graspforce.plant import Push
-from graspforce.scenarios import ScenarioSpec
+from graspforce.scenarios import ScenarioSpec, parse_overrides
+
+QUIET = {"sensors": {"noise": False}}
 
 
 def quiet_spec(**kw) -> ScenarioSpec:
-    data = {"object": "tape_roll", "sensors": {"noise": False}}
+    data = {"object": "tape_roll", **QUIET}
     data.update(kw)
     return ScenarioSpec.from_dict(data)
 
@@ -245,7 +248,7 @@ class TestCsv:
             TimeSeriesRow(0.01, 0.0399999987, 2**53 + 1, False, 1, 123456789012.0, -0.0193,
                           1.23456789e-4, "holding", -0.0038, 0.0019),
         ]
-        series = run_trial(_experiment_b_spec("push", "none", 0, True, True, None)).series
+        series = run_trial(_experiment_b_spec("push", "none", 0, None)).series
         for name, rows in (("edges", edges), ("exp_b_push", series)):
             path = write_csv(rows, tmp_path / f"{name}.csv")
             assert path.read_bytes() == self.cell_csv(rows).encode(), name
@@ -286,27 +289,31 @@ class TestExperimentPlumbing:
         assert all(v == {"force", "trajectory"} for v in seeds.values())
 
     def test_experiment_b_spec_scenarios(self):
-        push = _experiment_b_spec("push", "none", 0, True, True, None)
+        push = _experiment_b_spec("push", "none", 0, None)
         assert len(push.pushes) == 2
         assert {p.target for p in push.pushes} == {"finger1", "finger2"}
         assert push.wrist is None
-        rot = _experiment_b_spec("rotation", "no_gravity_comp", 0, True, True, None)
+        rot = _experiment_b_spec("rotation", "no_gravity_comp", 0, None)
         assert rot.wrist is not None
         assert rot.wrist.angle_end == pytest.approx(math.pi)
         assert rot.ablation == "no_gravity_comp"
 
     def test_experiment_b_miscalibration_flag(self):
-        miscal = _experiment_b_spec("push", "none", 0, False, True, None)
-        clean = _experiment_b_spec("push", "none", 0, False, False, None)
-        assert miscal.sensors.gain_scale1 != 1.0
+        # The +/-1% gain miscalibration is part of the spec; an override undoes it.
+        miscal = _experiment_b_spec("push", "none", 0, None)
+        clean = _experiment_b_spec("push", "none", 0, parse_overrides(
+            ["sensors.gain_scale1=1", "sensors.gain_scale2=1"]
+        ))
+        assert (miscal.sensors.gain_scale1, miscal.sensors.gain_scale2) == (1.01, 0.99)
         assert clean.sensors.gain_scale1 == 1.0
         assert clean.sensors.gain_scale2 == 1.0
+        assert dataclasses.replace(clean, sensors=miscal.sensors) == miscal
 
     def test_experiment_b_control_rate_fits_the_metric_windows(self):
         # The shortest metric window is 1 s; it needs a period of at most 0.5 s.
         with pytest.raises(ConfigError, match="control_rate"):
-            _experiment_b_spec("push", "none", 0, False, False, {"control": {"control_rate": 1.9}})
-        runs = run_experiment_b(noise=False, overrides={"control": {"control_rate": 2.0}})
+            _experiment_b_spec("push", "none", 0, {"control": {"control_rate": 1.9}})
+        runs = run_experiment_b(overrides={"control": {"control_rate": 2.0}, **QUIET})
         assert len(runs) == 8
         assert all(math.isfinite(runs[("push", v)].post_drift_rate) for v in EXPERIMENT_B_VARIANTS)
 
@@ -332,7 +339,7 @@ class TestReportHeaders:
         )
 
     def test_experiment_b_headers(self, tmp_path):
-        run_experiment_b(out_dir=tmp_path, noise=False)
+        run_experiment_b(out_dir=tmp_path, overrides=QUIET)
         metrics = (tmp_path / "exp_b_metrics.csv").read_text().splitlines()
         assert metrics[0] == (
             "scenario,variant,max_total_force,settled_max_total_force,post_drift_rate,"

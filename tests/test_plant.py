@@ -144,9 +144,8 @@ class TestDynamics:
         assert peak < 1e-4
 
     def test_freeze_on_touch_bounds_displacement_to_one_tick(self):
-        obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0,
-                         damping=60.0, initial_offset=0.005)
-        plant = Plant(obj, start_aperture=0.08)
+        obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
+        plant = Plant(obj, start_aperture=0.08, offset=0.005)
         frozen = [None, None]
         cmd1 = cmd2 = 0.04
         for _ in range(2000):
@@ -322,13 +321,13 @@ class FrozenPlant:
     operands or evaluation order in Plant.step shows up as a bit difference.
     """
 
-    def __init__(self, obj, start_aperture, schedule, config):
+    def __init__(self, obj, start_aperture, offset, schedule, config):
         self.obj = obj
         self.schedule = schedule
         self.config = config
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
-        self.x_obj = obj.initial_offset
+        self.x_obj = offset
         self.v_obj = 0.0
         self.t = 0.0
         self.true_f1, self.true_f2 = self._contact_forces()
@@ -414,36 +413,34 @@ MIXED_PUSHES = (
     Push(FINGER_2, -0.7, 0.5, 2.0, ramp=0.1),
 )
 
-# name -> (object, start aperture, schedule, plant config)
+# name -> (object, offset, start aperture, schedule, plant config)
 REFERENCE_SCENARIOS = {
     "object pushes": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
-        0.064, DisturbanceSchedule(pushes=MIXED_PUSHES), PlantConfig(),
+        0.0, 0.064, DisturbanceSchedule(pushes=MIXED_PUSHES), PlantConfig(),
     ),
     "wrist sweep": (
-        ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0,
-                   initial_offset=0.001),
-        0.058, DisturbanceSchedule(wrist=SWEEP), PlantConfig(),
+        ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0),
+        0.001, 0.058, DisturbanceSchedule(wrist=SWEEP), PlantConfig(),
     ),
     "pushes and sweep": (
         ObjectSpec("slab", mass=0.02, width=0.05, stiffness=500.0, damping=5.0),
-        0.054, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), PlantConfig(gravity=-3.7),
+        0.0, 0.054, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), PlantConfig(gravity=-3.7),
     ),
     "rigid tips": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=0.0),
-        0.064, DisturbanceSchedule(pushes=MIXED_PUSHES[:2]), RIGID_TIPS,
+        0.0, 0.064, DisturbanceSchedule(pushes=MIXED_PUSHES[:2]), RIGID_TIPS,
     ),
     "undamped free": (
         ObjectSpec("slab", mass=0.3, width=0.04, stiffness=900.0),
-        0.08, DisturbanceSchedule(), PlantConfig(max_finger_speed=0.02, dt=7e-4),
+        0.0, 0.08, DisturbanceSchedule(), PlantConfig(max_finger_speed=0.02, dt=7e-4),
     ),
     # The path every exp-a substep takes. A resting free object turns -0.0
     # into 0.0 through x += dt * v, so a shortcut that skips that update
     # shows up in the first step.
     "exp-a substeps": (
-        ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0,
-                   initial_offset=-0.0),
-        0.07, DisturbanceSchedule(), PlantConfig(),
+        ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
+        -0.0, 0.07, DisturbanceSchedule(), PlantConfig(),
     ),
 }
 
@@ -451,9 +448,9 @@ REFERENCE_SCENARIOS = {
 class TestFrozenReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
     def test_bit_identical_to_frozen_substep_loop(self, name):
-        obj, start, schedule, config = REFERENCE_SCENARIOS[name]
-        plant = Plant(obj, start_aperture=start, schedule=schedule, config=config)
-        frozen = FrozenPlant(obj, start, schedule, config)
+        obj, offset, start, schedule, config = REFERENCE_SCENARIOS[name]
+        plant = Plant(obj, start_aperture=start, offset=offset, schedule=schedule, config=config)
+        frozen = FrozenPlant(obj, start, offset, schedule, config)
         assert _snapshot(plant) == _snapshot(frozen)
         rng = random.Random(name)
         half_width = 0.5 * obj.width
@@ -492,7 +489,7 @@ class TestFrozenSpeedCap:
         config = PlantConfig(max_finger_speed=abs(target - q) / duration)
         assert abs(target - q) / duration == config.max_finger_speed
         plant = Plant(obj, start_aperture=start, config=config)
-        frozen = FrozenPlant(obj, start, DisturbanceSchedule(), config)
+        frozen = FrozenPlant(obj, start, 0.0, DisturbanceSchedule(), config)
         cmd = ControlCommand(math.nan if nan_finger == 1 else target,
                              math.nan if nan_finger == 2 else target)
         for _ in range(3):

@@ -5,18 +5,18 @@ import json
 
 import pytest
 
-from graspforce.controller import STOP_AT_GOAL, ControlCommand
-from graspforce.harness import run_experiment_a
+from graspforce.controller import STOP_AT_GOAL, ControlCommand, ControllerConfig
+from graspforce.harness import run_experiment_a, run_trial
 from graspforce.plant import ObjectSpec, Plant, PlantConfig
 from graspforce.scenarios import (
     ABLATIONS,
     OBJECTS,
     ScenarioSpec,
     SensorSetup,
-    apply_overrides,
     load_scenario,
     parse_overrides,
     resolve,
+    with_overrides,
 )
 
 
@@ -28,16 +28,16 @@ class TestCatalog:
         stiff = [OBJECTS[n].stiffness for n in ("styrofoam", "tape_roll", "wooden_cuboid")]
         assert stiff == sorted(stiff)
 
-    def test_object_spec_carries_the_offset(self):
-        spec = ScenarioSpec(object="tape_roll", offset=0.008)
-        assert spec.object_spec().initial_offset == 0.008
+    def test_trial_starts_the_object_at_the_offset(self):
+        spec = ScenarioSpec(object="tape_roll", offset=0.008, duration=0.01)
+        assert spec.object_spec() is OBJECTS["tape_roll"]
+        assert run_trial(spec).series[0].x_obj == 0.008
 
     def test_inline_object_spec(self):
         custom = ObjectSpec("puck", mass=0.02, width=0.04, stiffness=800.0)
         spec = ScenarioSpec(object=custom, offset=0.002)
         resolved = resolve(spec)
-        assert resolved.obj.name == "puck"
-        assert resolved.obj.initial_offset == 0.002
+        assert resolved.obj == custom
 
     def test_unknown_object_rejected(self):
         with pytest.raises(ValueError, match="unknown object"):
@@ -69,6 +69,13 @@ class TestSerialization:
         assert spec.control.f_goal == 2.5
         assert spec.sensors.noise is False
         assert spec.plant.dt == 0.0005
+
+    @pytest.mark.parametrize("name,value", [
+        ("control", ControllerConfig()), ("sensors", SensorSetup()), ("plant", PlantConfig()),
+    ])
+    def test_only_json_shaped_sections_decode(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a mapping"):
+            ScenarioSpec.from_dict({name: value})
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -110,36 +117,36 @@ class TestSerialization:
 
 class TestOverrides:
     def test_dotted_path_sets_nested_field(self):
-        spec = apply_overrides(ScenarioSpec(), ["control.f_goal=2.5"])
+        spec = with_overrides(ScenarioSpec(), parse_overrides(["control.f_goal=2.5"]))
         assert spec.control.f_goal == 2.5
 
     def test_json_values_parse(self):
-        spec = apply_overrides(ScenarioSpec(), ["sensors.noise=false", "seed=9"])
+        spec = with_overrides(ScenarioSpec(), parse_overrides(["sensors.noise=false", "seed=9"]))
         assert spec.sensors.noise is False
         assert spec.seed == 9
 
     def test_bare_strings_pass_through(self):
-        spec = apply_overrides(ScenarioSpec(), [f"control.phase3_mode={STOP_AT_GOAL}"])
+        items = [f"control.phase3_mode={STOP_AT_GOAL}"]
+        spec = with_overrides(ScenarioSpec(), parse_overrides(items))
         assert spec.control.phase3_mode == STOP_AT_GOAL
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match="control.bogus"):
-            apply_overrides(ScenarioSpec(), ["control.bogus=1"])
+            with_overrides(ScenarioSpec(), parse_overrides(["control.bogus=1"]))
 
     def test_missing_equals_sign(self):
         with pytest.raises(ValueError, match="key=value"):
-            apply_overrides(ScenarioSpec(), ["control.f_goal"])
+            with_overrides(ScenarioSpec(), parse_overrides(["control.f_goal"]))
 
     def test_dotted_path_into_inline_object(self):
         slab = ObjectSpec("slab", mass=0.05, width=0.06, stiffness=2000.0, damping=10.0)
-        spec = apply_overrides(ScenarioSpec(object=slab), ["object.mass=0.1"])
+        spec = with_overrides(ScenarioSpec(object=slab), parse_overrides(["object.mass=0.1"]))
         assert spec.object == dataclasses.replace(slab, mass=0.1)
 
     def test_json_object_replaces_a_section(self):
-        spec = apply_overrides(
-            ScenarioSpec(),
-            ['object={"name": "slab", "mass": 0.1, "width": 0.05, "stiffness": 3000}'],
-        )
+        spec = with_overrides(ScenarioSpec(), parse_overrides(
+            ['object={"name": "slab", "mass": 0.1, "width": 0.05, "stiffness": 3000}']
+        ))
         assert spec.object == ObjectSpec("slab", mass=0.1, width=0.05, stiffness=3000.0)
 
     def test_experiments_take_the_same_keys(self):
@@ -150,7 +157,7 @@ class TestOverrides:
         for trial in result.trials:
             assert trial.spec.control.f_goal == 2.5
             assert trial.spec.control.phase3_mode == STOP_AT_GOAL
-            assert apply_overrides(trial.spec, items) == trial.spec
+            assert with_overrides(trial.spec, parse_overrides(items)) == trial.spec
         with pytest.raises(ValueError, match="control.bogus"):
             run_experiment_a(overrides=parse_overrides(["control.bogus=1"]))
 

@@ -1,4 +1,8 @@
-"""The package has one CSV writer: only harness._write_table opens a file for writing."""
+"""The package has one CSV writer and one directory maker.
+
+Only harness._write_table opens a file for writing, and only
+harness.make_out_dir makes a directory.
+"""
 
 import ast
 from pathlib import Path
@@ -27,8 +31,17 @@ def _opens_for_writing(call: ast.Call) -> bool:
     )
 
 
-def file_writers(source: str, module: str) -> list[str]:
-    """module.function for each function (or the module itself) that opens a file to write."""
+def _makes_directory(call: ast.Call) -> bool:
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in ("mkdir", "makedirs")
+
+
+def callers(source: str, module: str, matches=_opens_for_writing) -> list[str]:
+    """module.function for each function (or the module itself) making a matching call.
+
+    By default the matching calls are those that open a file to write.
+    """
     found = []
 
     def visit(node, scope):
@@ -36,7 +49,7 @@ def file_writers(source: str, module: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and _opens_for_writing(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.append(scope)
             visit(child, scope)
 
@@ -48,9 +61,23 @@ def test_one_csv_writer():
     writers = [
         writer
         for path in sorted(PACKAGE.glob("*.py"))
-        for writer in file_writers(path.read_text(encoding="utf-8"), path.stem)
+        for writer in callers(path.read_text(encoding="utf-8"), path.stem)
     ]
     assert writers == ["harness._write_table"]
+
+
+def test_one_directory_maker():
+    makers = [
+        maker
+        for path in sorted(PACKAGE.glob("*.py"))
+        for maker in callers(path.read_text(encoding="utf-8"), path.stem, _makes_directory)
+    ]
+    assert makers == ["harness.make_out_dir"]
+
+
+def test_detects_a_second_directory_maker():
+    source = "import os\ndef save(out):\n    os.makedirs(out)\nPath('x').mkdir()\n"
+    assert callers(source, "m", _makes_directory) == ["m.save", "m"]
 
 
 def test_detects_a_second_writer():
@@ -60,7 +87,7 @@ def test_detects_a_second_writer():
         "    with open(path, mode='w', encoding='utf-8') as fh:\n"
         "        fh.write(text)\n"
     )
-    assert file_writers(source + second, "harness") == [
+    assert callers(source + second, "harness") == [
         "harness._write_table", "harness.write_json"
     ]
 
@@ -76,6 +103,6 @@ def test_modes_and_methods():
         "class Log:\n    def save(self):\n        self.path.open('wb')\n"
         "def text():\n    Path(p).write_text('x')\n"
     )
-    assert file_writers(source, "m") == [
+    assert callers(source, "m") == [
         "m.append", "m.update", "m.chosen", "m.Log.save", "m.text"
     ]
