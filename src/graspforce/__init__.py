@@ -5,9 +5,12 @@ rigid-body transforms and wrenches (`geometry`), a dense simplex solver
 (`simplex`), and the force-closure evaluator built on both (`closure`).
 The middle layer is the control stack: the tactile sensor model
 (`sensor`), the three-phase grasp controller (`controller`), and the
-1-D two-finger contact plant (`plant`). The top layer wires them
-together: scenario configs (`scenarios`), the trial and experiment
-harness (`harness`), and the command-line interface (`cli`).
+1-D two-finger contact plant (`plant`). These three import nothing from
+each other, only the config-record check (`checks`): a controller
+command is a plain (q1, q2) tuple, and the controller compares each
+calibrated reading with its contact threshold itself. The top layer
+wires them together: scenario configs (`scenarios`), the trial and
+experiment harness (`harness`), and the command-line interface (`cli`).
 """
 
 from .closure import (
@@ -20,7 +23,6 @@ from .closure import (
     resistance_oracle,
 )
 from .controller import (
-    ControlCommand,
     ControllerConfig,
     GraspController,
     GraspPhase,
@@ -41,6 +43,6 @@ from .harness import (
 )
 from .plant import DisturbanceSchedule, ObjectSpec, Plant, PlantConfig, Push, WristSweep
 from .scenarios import ScenarioSpec, SensorSetup, load_scenario
-from .sensor import CalibratedSensor, SensorModel, calibrate, contact_detected, estimate_bias
+from .sensor import CalibratedSensor, SensorModel, calibrate, estimate_bias
 
 __version__ = "0.1.0"

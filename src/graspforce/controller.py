@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
-from .sensor import contact_detected
 
 HOLD_FOREVER = "hold_forever"
 STOP_AT_GOAL = "stop_at_goal"
@@ -71,7 +70,6 @@ class ControllerConfig:
     gravity_comp_enabled: bool = True
     compliance_enabled: bool = True
     deadband_enabled: bool = True
-    contact_debounce: int = 1
     goal_tolerance: float = 0.05
     goal_dwell: float = 0.25
     joint_min: float = 0.0
@@ -82,7 +80,6 @@ class ControllerConfig:
             **dict.fromkeys(("f_goal", "f_theta", "kp_int", "ki_int", "ks_int", "kp_ext",
                              "k_ext", "control_rate", "goal_tolerance"), POSITIVE),
             **dict.fromkeys(("f_phi", "mass", "goal_dwell"), NON_NEGATIVE),
-            "contact_debounce": (1, True),
         })
         if self.phase3_mode not in (HOLD_FOREVER, STOP_AT_GOAL):
             raise ValueError(f"unknown phase3_mode {self.phase3_mode!r}")
@@ -106,12 +103,6 @@ class GraspRequest:
         check_fields(self, {"duration": POSITIVE})
         if not self.start_aperture > self.end_aperture >= 0.0:
             raise ValueError("apertures must satisfy start > end >= 0")
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    q1_cmd: float
-    q2_cmd: float
 
 
 def compute_external_force(
@@ -157,14 +148,13 @@ class GraspController:
         self.phase = GraspPhase.CLOSING
         self.latched = [False, False]
         self.freeze_q = [0.0, 0.0]
-        self._above_count = [0, 0]
         self.integral = 0.0
         self.ref_center: float | None = None
         self.finished = False
         self.last_u_int = 0.0
         self.last_u_ext = 0.0
         self._dwell = 0.0
-        self._prev_cmd: ControlCommand | None = None
+        self._prev_cmd: tuple[float, float] | None = None
 
     def closing_aperture(self, t: float) -> float:
         """Aperture target while approaching, not bounded by end_aperture.
@@ -181,8 +171,8 @@ class GraspController:
 
     def tick(
         self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
-    ) -> ControlCommand:
-        """Advance one control period and return the commanded joint positions."""
+    ) -> tuple[float, float]:
+        """Advance one control period and return the commanded (q1, q2)."""
         cfg = self.config
         t_next = self.t + dt
         self.t = t_next
@@ -190,13 +180,8 @@ class GraspController:
         if self.phase is not GraspPhase.HOLDING:
             new_contact = False
             for i, f in enumerate((f1, f2)):
-                if self.latched[i]:
-                    continue
-                if contact_detected(f, cfg.f_theta):
-                    self._above_count[i] += 1
-                else:
-                    self._above_count[i] = 0
-                if self._above_count[i] >= cfg.contact_debounce:
+                # Strict: a reading of exactly f_theta is no contact.
+                if not self.latched[i] and f > cfg.f_theta:
                     self.latched[i] = True
                     self.freeze_q[i] = (q1, q2)[i]
                     new_contact = True
@@ -210,7 +195,7 @@ class GraspController:
             target = self.closing_aperture(t_next)
             self.last_u_int = 0.0
             self.last_u_ext = 0.0
-            return ControlCommand(
+            return (
                 self._clamp(self.freeze_q[0] if self.latched[0] else 0.5 * target),
                 self._clamp(self.freeze_q[1] if self.latched[1] else 0.5 * target),
             )
@@ -225,8 +210,8 @@ class GraspController:
         # still being slewed toward, which would wind it up.
         reached = (
             self._prev_cmd is not None
-            and abs(q1 - self._prev_cmd.q1_cmd) <= _CMD_REACHED_TOL
-            and abs(q2 - self._prev_cmd.q2_cmd) <= _CMD_REACHED_TOL
+            and abs(q1 - self._prev_cmd[0]) <= _CMD_REACHED_TOL
+            and abs(q2 - self._prev_cmd[1]) <= _CMD_REACHED_TOL
         )
         if reached:
             self.integral += delta_f_int * dt
@@ -247,7 +232,7 @@ class GraspController:
             u_ext = cfg.kp_ext * f_ext / cfg.k_ext
 
         dq1, dq2 = distribute(u_int, u_ext)
-        cmd = ControlCommand(self._clamp(q1 + dq1), self._clamp(q2 + dq2))
+        cmd = (self._clamp(q1 + dq1), self._clamp(q2 + dq2))
 
         if cfg.phase3_mode == STOP_AT_GOAL and not self.finished:
             if abs(delta_f_int) < cfg.goal_tolerance:
@@ -282,7 +267,7 @@ class TrajectoryController:
 
     def tick(
         self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
-    ) -> ControlCommand:
+    ) -> tuple[float, float]:
         """Advance one control period; only the elapsed time shapes the command.
 
         The time is the tick count times dt rather than a running sum, so it
@@ -291,4 +276,4 @@ class TrajectoryController:
         self.ticks += 1
         cfg = self.config
         q = min(max(0.5 * self.aperture(self.ticks * dt), cfg.joint_min), cfg.joint_max)
-        return ControlCommand(q, q)
+        return q, q

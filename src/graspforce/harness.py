@@ -321,19 +321,21 @@ def run_experiment_a(
     the same sensor seed, so their comparison is not confounded by noise.
     """
     _reject_overrides("exp-a", overrides, ("object", "offset", "controller", "seed"))
-    out = None if out_dir is None else make_out_dir(out_dir)
     started = time.perf_counter()
-    trials = []
-    for i_obj, object_name in enumerate(objects):
-        for i_off, offset in enumerate(offsets):
-            for rep in range(reps):
-                seed = _trial_seed(base_seed, i_obj, i_off, rep)
-                for controller in (FORCE, TRAJECTORY):
-                    spec = ScenarioSpec(
-                        object=object_name, offset=offset, controller=controller, seed=seed,
-                        control=ControllerConfig(phase3_mode=STOP_AT_GOAL),
-                    )
-                    trials.append(run_trial(with_overrides(spec, overrides)))
+    # Every spec is built, and so checked, before the output directory is made.
+    specs = [
+        with_overrides(ScenarioSpec(
+            object=object_name, offset=offset, controller=controller,
+            seed=_trial_seed(base_seed, i_obj, i_off, rep),
+            control=ControllerConfig(phase3_mode=STOP_AT_GOAL),
+        ), overrides)
+        for i_obj, object_name in enumerate(objects)
+        for i_off, offset in enumerate(offsets)
+        for rep in range(reps)
+        for controller in (FORCE, TRAJECTORY)
+    ]
+    out = None if out_dir is None else make_out_dir(out_dir)
+    trials = [run_trial(spec) for spec in specs]
 
     summary = []
     for object_name in objects:
@@ -455,50 +457,54 @@ def run_experiment_b(
     post-push drift.
     """
     _reject_overrides("exp-b", overrides, ("controller", "ablation", "seed", "pushes", "wrist"))
+    # Every spec is built, and so checked, before the output directory is made.
+    specs = {
+        (scenario, variant): _experiment_b_spec(scenario, variant, base_seed, overrides)
+        for scenario in ("push", "rotation")
+        for variant in EXPERIMENT_B_VARIANTS
+    }
     out = None if out_dir is None else make_out_dir(out_dir)
     runs: dict[tuple[str, str], ExperimentBRun] = {}
-    for scenario in ("push", "rotation"):
-        for variant in EXPERIMENT_B_VARIANTS:
-            spec = _experiment_b_spec(scenario, variant, base_seed, overrides)
-            result = run_trial(spec)
+    for (scenario, variant), spec in specs.items():
+        result = run_trial(spec)
 
-            if scenario == "push":
-                settled = [
-                    r.f_int
-                    for t0, t1 in _PUSH_SETTLED_WINDOWS
-                    for r in _window_rows(result, t0, t1)
-                ]
-                rate_rows = _window_rows(result, *_POST_RATE_WINDOW)
-                total_rows = _window_rows(result, *_POST_TOTAL_WINDOW)
-                post_rate = (rate_rows[-1].x_obj - rate_rows[0].x_obj) / (
-                    rate_rows[-1].t - rate_rows[0].t
-                )
-                post_total = abs(total_rows[-1].x_obj - total_rows[0].x_obj)
-                peak = None
-            else:
-                settled = [
-                    r.f_int
-                    for r in _window_rows(result, ROTATION_SWEEP.t_start + 1.0, ROTATION_SWEEP.t_end)
-                ]
-                post_rate = None
-                post_total = None
-                ref = result.value_at(ROTATION_SWEEP.t_start).x_obj
-                peak = max(
-                    abs(r.x_obj - ref)
-                    for r in result.series
-                    if r.t >= ROTATION_SWEEP.t_start
-                )
-
-            runs[(scenario, variant)] = ExperimentBRun(
-                scenario=scenario,
-                variant=variant,
-                result=result,
-                max_total_force=result.max_total_force,
-                settled_max_total_force=max(settled) if settled else 0.0,
-                post_drift_rate=post_rate,
-                post_drift_total=post_total,
-                peak_object_drift=peak,
+        if scenario == "push":
+            settled = [
+                r.f_int
+                for t0, t1 in _PUSH_SETTLED_WINDOWS
+                for r in _window_rows(result, t0, t1)
+            ]
+            rate_rows = _window_rows(result, *_POST_RATE_WINDOW)
+            total_rows = _window_rows(result, *_POST_TOTAL_WINDOW)
+            post_rate = (rate_rows[-1].x_obj - rate_rows[0].x_obj) / (
+                rate_rows[-1].t - rate_rows[0].t
             )
+            post_total = abs(total_rows[-1].x_obj - total_rows[0].x_obj)
+            peak = None
+        else:
+            settled = [
+                r.f_int
+                for r in _window_rows(result, ROTATION_SWEEP.t_start + 1.0, ROTATION_SWEEP.t_end)
+            ]
+            post_rate = None
+            post_total = None
+            ref = result.value_at(ROTATION_SWEEP.t_start).x_obj
+            peak = max(
+                abs(r.x_obj - ref)
+                for r in result.series
+                if r.t >= ROTATION_SWEEP.t_start
+            )
+
+        runs[(scenario, variant)] = ExperimentBRun(
+            scenario=scenario,
+            variant=variant,
+            result=result,
+            max_total_force=result.max_total_force,
+            settled_max_total_force=max(settled) if settled else 0.0,
+            post_drift_rate=post_rate,
+            post_drift_total=post_total,
+            peak_object_drift=peak,
+        )
 
     if out is not None:
         for (scenario, variant), run in runs.items():

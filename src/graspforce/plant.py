@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
-from .controller import ControlCommand
 
 FINGER_1 = "finger1"
 FINGER_2 = "finger2"
@@ -214,8 +213,8 @@ class Plant:
             self.true_f2 + (schedule.push_force(FINGER_2, self.t) if by_target[FINGER_2] else 0),
         )
 
-    def step(self, command: ControlCommand, duration: float) -> None:
-        """Advance by one controller period, holding the command fixed.
+    def step(self, command: tuple[float, float], duration: float) -> None:
+        """Advance by one controller period, holding the command (q1, q2) fixed.
 
         The state advances in place and is read from the plant's attributes.
         Values fixed for the period are bound once; the substeps run on
@@ -232,7 +231,7 @@ class Plant:
         n_sub = max(1, round(duration / cfg.dt))
         dt = duration / n_sub
         q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
-        q1_cmd, q2_cmd = command.q1_cmd, command.q2_cmd
+        q1_cmd, q2_cmd = command
         # One constant velocity per finger for the whole period, sized to
         # land on the command, capped at the slew limit; a finger within one
         # substep's travel of its command snaps onto it. A gap of a rounding

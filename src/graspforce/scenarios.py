@@ -50,16 +50,15 @@ ABLATIONS = {
 class SensorSetup:
     """Per-finger load-cell parameters plus shared pipeline options.
 
-    noise False zeroes the noise regardless of noise_sigma, which keeps the
-    per-channel default sigma intact for runs that re-enable it. gain_scale
-    values other than 1 miscalibrate that channel's gain.
+    noise_sigma applies to both channels: 0 turns the noise off, and None
+    keeps each channel's sigma sized from its gamma. gain_scale values
+    other than 1 miscalibrate that channel's gain.
     """
 
     gamma1: float = DEFAULT_GAMMA_1
     gamma2: float = DEFAULT_GAMMA_2
     bias1: float = 0.5
     bias2: float = 0.48
-    noise: bool = True
     noise_sigma: float | None = None
     gain_scale1: float = 1.0
     gain_scale2: float = 1.0
@@ -112,6 +111,12 @@ class ScenarioSpec:
             **dict.fromkeys(("seed", "end_aperture", "settle_time", "mu", "mu_tau"), NON_NEGATIVE),
             **dict.fromkeys(("start_aperture", "closing_speed", "duration"), POSITIVE),
         })
+        period = 1.0 / self.control.control_rate
+        if self.plant.dt > period:
+            raise ValueError(
+                f"plant.dt {self.plant.dt:g} s is longer than the control period {period:g} s"
+                f" (the plant runs round(period / dt) equal substeps per period)"
+            )
 
     def object_spec(self) -> ObjectSpec:
         if isinstance(self.object, ObjectSpec):
@@ -129,7 +134,22 @@ class ScenarioSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Decode JSON-shaped data: each section a mapping, pushes a list of mappings."""
-        return _spec_from_dict(cls, data)
+        if not isinstance(data, dict):
+            raise ValueError("scenario must be a mapping of field names to values")
+        data = dict(data)
+        for name, sub_cls in _NESTED.items():
+            if name in data:
+                data[name] = _build_dataclass(sub_cls, data[name], name)
+        if isinstance(data.get("object"), dict):
+            data["object"] = _build_dataclass(ObjectSpec, data["object"], "object")
+        if "pushes" in data:
+            pushes = data["pushes"]
+            if not isinstance(pushes, (list, tuple)):
+                raise ValueError(f"pushes must be a list, got {pushes!r}")
+            data["pushes"] = tuple(_build_dataclass(Push, p, "pushes") for p in pushes)
+        if data.get("wrist") is not None:
+            data["wrist"] = _build_dataclass(WristSweep, data["wrist"], "wrist")
+        return _build_dataclass(cls, data, "scenario")
 
 
 _NESTED = {
@@ -150,25 +170,6 @@ def _build_dataclass(cls, data, where: str):
         return cls(**data)
     except TypeError as exc:
         raise ValueError(f"invalid {where}: {exc}") from exc
-
-
-def _spec_from_dict(cls, data: dict) -> "ScenarioSpec":
-    if not isinstance(data, dict):
-        raise ValueError("scenario must be a mapping of field names to values")
-    data = dict(data)
-    for name, sub_cls in _NESTED.items():
-        if name in data:
-            data[name] = _build_dataclass(sub_cls, data[name], name)
-    if isinstance(data.get("object"), dict):
-        data["object"] = _build_dataclass(ObjectSpec, data["object"], "object")
-    if "pushes" in data:
-        pushes = data["pushes"]
-        if not isinstance(pushes, (list, tuple)):
-            raise ValueError(f"pushes must be a list, got {pushes!r}")
-        data["pushes"] = tuple(_build_dataclass(Push, p, "pushes") for p in pushes)
-    if data.get("wrist") is not None:
-        data["wrist"] = _build_dataclass(WristSweep, data["wrist"], "wrist")
-    return _build_dataclass(cls, data, "scenario")
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -250,18 +251,12 @@ class ResolvedScenario:
 def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     """Validate a spec and derive every unset quantity.
 
-    Raises ValueError when the object does not fit between the fingers at
-    the start aperture, the apertures fall outside the joint range, or the
-    plant step is longer than the control period.
+    Raises ValueError when the object is not in the catalog, does not fit
+    between the fingers at the start aperture, or the apertures fall
+    outside the joint range.
     """
     obj = spec.object_spec()
     control = spec.control
-    period = 1.0 / control.control_rate
-    if spec.plant.dt > period:
-        raise ValueError(
-            f"plant.dt {spec.plant.dt:g} s is longer than the control period {period:g} s"
-            f" (the plant runs round(period / dt) equal substeps per period)"
-        )
     overrides = dict(ABLATIONS[spec.ablation])
     if control.mass == 0.0:
         # The controller's gravity model defaults to the true object mass.
@@ -302,9 +297,8 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)
 
     s = spec.sensors
-    sigma = 0.0 if not s.noise else s.noise_sigma
     models = tuple(
-        SensorModel(gamma=gamma, bias=bias, noise_sigma=sigma, seed=spec.seed + stride,
+        SensorModel(gamma=gamma, bias=bias, noise_sigma=s.noise_sigma, seed=spec.seed + stride,
                     min_force=s.min_force, gain_scale=gain_scale)
         for gamma, bias, gain_scale, stride in (
             (s.gamma1, s.bias1, s.gain_scale1, 0),

@@ -12,6 +12,8 @@ the miscalibration pathology the controller's deadband exists to absorb.
 An optional min_force floor zeroes true forces below a detectability
 threshold before they reach the raw signal, modeling sensors that cannot
 register very light touches. It defaults to 0 (everything registers).
+The sensor only reports forces: deciding that a reading is a contact is
+the controller's job, against its own f_theta.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ MAX_CALIBRATION_SAMPLES = 10**6
 class SensorModel:
     """One load-cell channel with its own seeded noise stream.
 
-    noise_sigma is in raw units; when omitted it is sized from gamma so
-    that 5 sigma of calibrated noise equals 0.1 N. gain_scale multiplies
+    noise_sigma is in raw units, and 0 turns the noise off; when omitted
+    it is sized from gamma so that 5 sigma of calibrated noise equals 0.1 N. gain_scale multiplies
     gamma inside calibrate() only, modeling a miscalibrated gain; the raw
     signal itself always uses the true gamma.
     """
@@ -108,13 +110,6 @@ def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
 def calibrate(raw: float, model: SensorModel, bias_estimate: float) -> float:
     """Map a raw sample to Newtons using the (possibly miscalibrated) gain."""
     return model.gamma * model.gain_scale * (raw - bias_estimate)
-
-
-def contact_detected(f_calibrated: float, f_theta: float) -> bool:
-    """Strict threshold test for first touch; exactly f_theta is no contact."""
-    if f_theta <= 0.0:
-        raise ValueError(f"f_theta must be > 0, got {f_theta}")
-    return f_calibrated > f_theta
 
 
 class CalibratedSensor:

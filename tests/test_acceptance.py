@@ -45,7 +45,7 @@ def grid():
 @pytest.fixture(scope="module")
 def disturbances():
     """Push and rotation scenarios x 4 controller variants, noiseless but miscalibrated."""
-    return run_experiment_b(base_seed=0, overrides={"sensors": {"noise": False}})
+    return run_experiment_b(base_seed=0, overrides={"sensors": {"noise_sigma": 0.0}})
 
 
 def test_force_control_limits_displacement_on_graspable_objects(grid):
@@ -138,7 +138,7 @@ def test_internal_force_settles_within_five_percent_without_overshoot():
     ok = True
     for name in ("styrofoam", "tape_roll", "wooden_cuboid"):
         spec = ScenarioSpec.from_dict(
-            {"object": name, "offset": 0.005, "sensors": {"noise": False}}
+            {"object": name, "offset": 0.005, "sensors": {"noise_sigma": 0.0}}
         )
         result = run_trial(spec)
         holding = [r.f_int for r in result.series if r.phase == "holding"]

@@ -79,6 +79,7 @@ def test_every_scalar_field_is_checked(cls):
 
 
 @pytest.mark.parametrize("cls,name,value", [
+    (ControllerConfig, "f_theta", 0.0),
     (ScenarioSpec, "seed", -1),
     (ScenarioSpec, "start_aperture", 0.0),
     (ScenarioSpec, "end_aperture", -0.001),

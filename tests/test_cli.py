@@ -24,7 +24,7 @@ def write_json(path, payload):
 def scenario_file(tmp_path):
     return write_json(
         tmp_path / "tape.json",
-        {"object": "tape_roll", "offset": 0.005, "sensors": {"noise": False}},
+        {"object": "tape_roll", "offset": 0.005, "sensors": {"noise_sigma": 0.0}},
     )
 
 
@@ -88,7 +88,7 @@ class TestRun:
     def test_non_finite_plant_state_faults(self, tmp_path, capsys):
         speck = {"name": "speck", "mass": 1e-310, "width": 0.06, "stiffness": 2000.0}
         scenario = write_json(tmp_path / "speck.json",
-                              {"object": speck, "offset": 0.003, "sensors": {"noise": False}})
+                              {"object": speck, "offset": 0.003, "sensors": {"noise_sigma": 0.0}})
         code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
@@ -118,11 +118,11 @@ class TestRun:
     def test_seed_flag_overrides_scenario(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "a"
         main(["run", scenario_file, "--out-dir", str(out), "--seed", "3",
-              "--set", "sensors.noise=true"])
+              "--set", "sensors.noise_sigma=null"])
         first = (out / "tape.csv").read_bytes()
         out2 = tmp_path / "b"
         main(["run", scenario_file, "--out-dir", str(out2), "--seed", "3",
-              "--set", "sensors.noise=true"])
+              "--set", "sensors.noise_sigma=null"])
         assert (out2 / "tape.csv").read_bytes() == first
 
 
@@ -151,13 +151,9 @@ def bad_override_cases():
     cases.append(("exp-b", ["control.control_rate=1.9"]))
     # Not finite, or below the lower bound, in a nested config.
     for item in ["control.control_rate=Infinity", "control.f_phi=NaN", "control.mass=NaN",
-                 "sensors.min_force=NaN", "sensors.gain_scale1=-1",
+                 "sensors.min_force=NaN", "sensors.noise_sigma=NaN", "sensors.gain_scale1=-1",
                  'object={"name": "slab", "mass": NaN, "width": 0.05, "stiffness": 3000}']:
         cases.append(("run", [item]))
-    # The sigma only reaches the sensor model when noise is on.
-    cases.append(("run", ["sensors.noise=true", "sensors.noise_sigma=NaN"]))
-    # Checked in the spec even when noise is off and the sigma goes unused.
-    cases.append(("run", ["sensors.noise=false", "sensors.noise_sigma=NaN"]))
     # Not finite, or below the lower bound, in the sensor, controller and
     # plant configs and in the disturbance schedule.
     for item in ["sensors.bias1=NaN", "sensors.bias2=Infinity", "control.goal_dwell=NaN",
@@ -179,8 +175,8 @@ def bad_override_cases():
     for item in ["control.f_goal=true", "plant.dt=true", "sensors.gamma1=true",
                  'object={"name": "cube", "mass": true, "width": 0.05, "stiffness": 3000}',
                  'wrist={"t_start": true, "t_end": 2}', "seed=true", "seed=-1",
-                 "control.contact_debounce=1.5", 'control.gravity_comp_enabled="no"',
-                 'sensors.noise="false"', "plant.gravity=1" + "0" * 309]:
+                 "seed=1.5", 'control.gravity_comp_enabled="no"',
+                 'control.deadband_enabled="false"', "plant.gravity=1" + "0" * 309]:
         cases.append(("run", [item]))
     # Keys each experiment sets per trial and labels its rows by.
     for item in ["object=styrofoam", "offset=0.001", "controller=trajectory", "seed=3"]:
@@ -206,6 +202,7 @@ class TestBadOverrides:
         assert code == 2
         assert "error:" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["exp-a", "exp-b"])
     def test_experiment_seed_override_points_to_seed_flag(self, command, tmp_path, capsys):

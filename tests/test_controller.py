@@ -8,7 +8,6 @@ import pytest
 from graspforce.controller import (
     HOLD_FOREVER,
     STOP_AT_GOAL,
-    ControlCommand,
     ControllerConfig,
     GraspController,
     GraspPhase,
@@ -27,7 +26,7 @@ def make_controller(**config_kw) -> GraspController:
     return GraspController(config, request)
 
 
-def enter_holding(ctrl: GraspController, q: float = 0.028) -> ControlCommand:
+def enter_holding(ctrl: GraspController, q: float = 0.028) -> tuple[float, float]:
     """Latch both fingers with a solid force so the controller starts holding."""
     cmd = ctrl.tick(1.0, 1.0, q, q, 0.0, DT)
     assert ctrl.phase is GraspPhase.HOLDING
@@ -96,10 +95,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(f_goal=0.0)
 
-    def test_rejects_bad_debounce(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(contact_debounce=0)
-
     def test_rejects_unknown_phase3_mode(self):
         with pytest.raises(ValueError):
             ControllerConfig(phase3_mode="coast")
@@ -133,8 +128,8 @@ class TestClosingPhase:
         ctrl = make_controller()
         cmd = ctrl.tick(0.0, 0.0, 0.04, 0.04, 0.0, DT)
         expected = 0.5 * (0.08 - 0.01 * DT)
-        assert cmd.q1_cmd == pytest.approx(expected, abs=1e-12)
-        assert cmd.q2_cmd == pytest.approx(expected, abs=1e-12)
+        assert cmd[0] == pytest.approx(expected, abs=1e-12)
+        assert cmd[1] == pytest.approx(expected, abs=1e-12)
         assert ctrl.phase is GraspPhase.CLOSING
 
     def test_aperture_keeps_shrinking_past_the_nominal_posture(self):
@@ -150,6 +145,13 @@ class TestClosingPhase:
         ctrl = make_controller()
         ctrl.tick(0.2, 0.0, 0.04, 0.04, 0.0, DT)
         assert ctrl.latched == [False, False]
+
+    @pytest.mark.parametrize("f,latches", [(0.25, True), (0.2, False), (-0.1, False)])
+    def test_first_sample_above_f_theta_latches(self, f, latches):
+        # Strict threshold: exactly f_theta (0.2 N) is no contact.
+        ctrl = make_controller()
+        ctrl.tick(0.0, f, 0.04, 0.04, 0.0, DT)
+        assert ctrl.latched == [False, latches]
 
     def test_integral_is_zero_before_holding(self):
         ctrl = make_controller()
@@ -167,11 +169,11 @@ class TestContactPhase:
         assert ctrl.latched == [True, False]
         # The touched finger is pinned where it latched; the free finger
         # stays on the time-based closing ramp and keeps shrinking.
-        assert cmd.q1_cmd == 0.035
-        assert cmd.q2_cmd == pytest.approx(0.5 * (0.08 - 0.01 * DT), abs=1e-12)
-        later = ctrl.tick(0.25, 0.0, 0.035, cmd.q2_cmd, 0.0, DT)
-        assert later.q1_cmd == 0.035
-        assert later.q2_cmd < cmd.q2_cmd
+        assert cmd[0] == 0.035
+        assert cmd[1] == pytest.approx(0.5 * (0.08 - 0.01 * DT), abs=1e-12)
+        later = ctrl.tick(0.25, 0.0, 0.035, cmd[1], 0.0, DT)
+        assert later[0] == 0.035
+        assert later[1] < cmd[1]
 
     def test_frozen_command_is_constant_until_holding(self):
         ctrl = make_controller()
@@ -179,24 +181,9 @@ class TestContactPhase:
         q2 = 0.0349
         for _ in range(30):
             cmd = ctrl.tick(0.25, 0.0, 0.035, q2, 0.0, DT)
-            assert cmd.q1_cmd == first.q1_cmd
-            q2 = cmd.q2_cmd
+            assert cmd[0] == first[0]
+            q2 = cmd[1]
         assert ctrl.phase is GraspPhase.CONTACT
-
-    def test_debounce_requires_consecutive_detections(self):
-        ctrl = make_controller(contact_debounce=3)
-        ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
-        ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
-        assert ctrl.latched == [False, False]
-        ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
-        assert ctrl.latched == [True, False]
-
-    def test_debounce_counter_resets_on_a_gap(self):
-        ctrl = make_controller(contact_debounce=2)
-        ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
-        ctrl.tick(0.05, 0.0, 0.035, 0.035, 0.0, DT)
-        ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
-        assert ctrl.latched == [False, False]
 
     def test_closure_probe_gates_holding(self):
         config = ControllerConfig()
@@ -219,25 +206,25 @@ class TestHoldingPhase:
         cmd = enter_holding(ctrl)
         # Forces vanish entirely; feed a slightly off position so the
         # integrator stays parked and the pure P term is visible.
-        ctrl.tick(0.0, 0.0, cmd.q1_cmd + 1e-6, cmd.q2_cmd, 0.0, DT)
+        ctrl.tick(0.0, 0.0, cmd[0] + 1e-6, cmd[1], 0.0, DT)
         assert ctrl.last_u_int == pytest.approx(1.9 * (-2.0) / 1000.0, abs=1e-12)
 
     def test_integral_accumulates_once_commands_are_reached(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.5, 0.5, cmd.q1_cmd, cmd.q2_cmd, 0.0, DT)
+        ctrl.tick(0.5, 0.5, cmd[0], cmd[1], 0.0, DT)
         assert ctrl.integral == pytest.approx(-1.0 * DT, abs=1e-15)
 
     def test_integral_parked_while_commands_are_in_flight(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.5, 0.5, cmd.q1_cmd + 1e-4, cmd.q2_cmd, 0.0, DT)
+        ctrl.tick(0.5, 0.5, cmd[0] + 1e-4, cmd[1], 0.0, DT)
         assert ctrl.integral == 0.0
 
     def test_compliance_branch_value_and_reference_update(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        q1, q2 = cmd.q1_cmd, cmd.q2_cmd + 0.0002
+        q1, q2 = cmd[0], cmd[1] + 0.0002
         ctrl.tick(0.5, 1.5, q1, q2, 0.0, DT)
         assert ctrl.last_u_ext == pytest.approx(1.9 * 1.0 / 1000.0, abs=1e-12)
         assert ctrl.ref_center == 0.5 * (q2 - q1)
@@ -254,50 +241,50 @@ class TestHoldingPhase:
     def test_deadband_ablated_complies_with_small_forces(self):
         ctrl = make_controller(deadband_enabled=False)
         cmd = enter_holding(ctrl)
-        ctrl.tick(1.05, 0.95, cmd.q1_cmd, cmd.q2_cmd, 0.0, DT)
+        ctrl.tick(1.05, 0.95, cmd[0], cmd[1], 0.0, DT)
         assert ctrl.last_u_ext == pytest.approx(1.9 * (-0.1) / 1000.0, abs=1e-12)
 
     def test_compliance_ablated_holds_position_under_large_force(self):
         ctrl = make_controller(compliance_enabled=False)
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.0, 2.0, cmd.q1_cmd, cmd.q2_cmd, 0.0, DT)
-        center = 0.5 * (cmd.q2_cmd - cmd.q1_cmd)
+        ctrl.tick(0.0, 2.0, cmd[0], cmd[1], 0.0, DT)
+        center = 0.5 * (cmd[1] - cmd[0])
         assert ctrl.last_u_ext == ctrl.ref_center - center
 
     def test_deadband_stillness_is_bitwise(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+        q1, q2 = cmd
         commands = set()
         for _ in range(50):
             cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
-            commands.add((cmd.q1_cmd, cmd.q2_cmd))
-            q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+            commands.add(cmd)
+            q1, q2 = cmd
         assert commands == {(q1, q2)}
 
     def test_below_goal_with_no_external_force_closes_both_fingers(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        out = ctrl.tick(0.4, 0.4, cmd.q1_cmd, cmd.q2_cmd, 0.0, DT)
-        assert out.q1_cmd < cmd.q1_cmd
-        assert out.q2_cmd < cmd.q2_cmd
+        out = ctrl.tick(0.4, 0.4, cmd[0], cmd[1], 0.0, DT)
+        assert out[0] < cmd[0]
+        assert out[1] < cmd[1]
 
     def test_commands_respect_joint_limits(self):
         ctrl = make_controller(joint_min=0.0, joint_max=0.03)
         cmd = ctrl.tick(0.0, 0.0, 0.029, 0.029, 0.0, DT)
-        assert 0.0 <= cmd.q1_cmd <= 0.03
-        assert 0.0 <= cmd.q2_cmd <= 0.03
+        assert 0.0 <= cmd[0] <= 0.03
+        assert 0.0 <= cmd[1] <= 0.03
 
 
 class TestStopAtGoal:
     def test_finishes_after_the_dwell_window(self):
         ctrl = make_controller(phase3_mode=STOP_AT_GOAL)
         cmd = enter_holding(ctrl)
-        q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+        q1, q2 = cmd
         ticks = 0
         while not ctrl.finished and ticks < 100:
             cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
-            q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+            q1, q2 = cmd
             ticks += 1
         assert ctrl.finished
         assert ticks == pytest.approx(ctrl.config.goal_dwell / DT, abs=2)
@@ -305,10 +292,10 @@ class TestStopAtGoal:
     def test_dwell_restarts_when_force_leaves_the_band(self):
         ctrl = make_controller(phase3_mode=STOP_AT_GOAL)
         cmd = enter_holding(ctrl)
-        q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+        q1, q2 = cmd
         for _ in range(20):
             cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
-            q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+            q1, q2 = cmd
         cmd = ctrl.tick(0.4, 0.4, q1, q2, 0.0, DT)
         assert ctrl._dwell == 0.0
         assert not ctrl.finished
@@ -316,10 +303,10 @@ class TestStopAtGoal:
     def test_hold_forever_never_finishes(self):
         ctrl = make_controller(phase3_mode=HOLD_FOREVER)
         cmd = enter_holding(ctrl)
-        q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+        q1, q2 = cmd
         for _ in range(60):
             cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
-            q1, q2 = cmd.q1_cmd, cmd.q2_cmd
+            q1, q2 = cmd
         assert not ctrl.finished
 
 
@@ -339,14 +326,14 @@ class TestTrajectoryController:
     def test_tick_ignores_everything_but_time(self):
         ctrl = self.make()
         cmd = ctrl.tick(5.0, 5.0, 0.001, 0.07, 0.0, 1.5)
-        assert cmd.q1_cmd == cmd.q2_cmd == pytest.approx(0.0325)
+        assert cmd[0] == cmd[1] == pytest.approx(0.0325)
 
     def test_joint_clamp(self):
         config = ControllerConfig(joint_max=0.03)
         ctrl = TrajectoryController(config, GraspRequest(0.08, 0.05, 3.0))
         cmd = ctrl.tick(0.0, 0.0, 0.0, 0.0, 0.0, DT)
-        assert cmd.q1_cmd == 0.03
+        assert cmd[0] == 0.03
 
     def test_never_faults_on_forces(self):
         ctrl = self.make()
-        assert math.isfinite(ctrl.tick(float("nan"), float("inf"), 0.0, 0.0, 0.0, 0.5).q1_cmd)
+        assert math.isfinite(ctrl.tick(float("nan"), float("inf"), 0.0, 0.0, 0.0, 0.5)[0])

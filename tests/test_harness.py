@@ -26,7 +26,7 @@ from graspforce.harness import (
 from graspforce.plant import Push
 from graspforce.scenarios import ScenarioSpec, parse_overrides
 
-QUIET = {"sensors": {"noise": False}}
+QUIET = {"sensors": {"noise_sigma": 0.0}}
 
 
 def quiet_spec(**kw) -> ScenarioSpec:
@@ -91,7 +91,7 @@ class TestRunTrial:
         # the harness's, so the force-blind baseline faults too.
         for controller in ("force", "trajectory"):
             spec = quiet_spec(controller=controller,
-                              sensors={"noise": False, "gain_scale1": 1e308})
+                              sensors={"noise_sigma": 0.0, "gain_scale1": 1e308})
             with pytest.raises(RuntimeFault, match=r"non-finite measurement at t=0\.000 s"):
                 run_trial(spec)
 
@@ -127,7 +127,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("samples", [0, 1.5, True, "x", 10**6 + 1])
     def test_bad_calibration_sample_count_rejected_by_spec(self, samples):
         with pytest.raises(ValueError, match="calibration_samples"):
-            quiet_spec(sensors={"noise": False, "calibration_samples": samples})
+            quiet_spec(sensors={"noise_sigma": 0.0, "calibration_samples": samples})
 
     def test_bad_calibration_sample_count_is_config_error(self):
         # Set after the spec was validated, the count still fails as ConfigError.

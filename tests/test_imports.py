@@ -1,7 +1,8 @@
 """Every name a package module imports, or defines as private, is used in that module.
 
 Every public function or class a package module defines is read somewhere in
-the package or in perfbench.
+the package or in perfbench. The control stack (sensor, controller, plant)
+imports nothing from the package but checks.
 """
 
 import ast
@@ -130,3 +131,36 @@ def test_no_unread_public_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in PERFBENCH]
     assert unread_public_names(sources, readers) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The graspforce modules a source imports, relatively or by absolute name."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["graspforce" if node.level else "", node.module]))
+            dotted = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        modules.update(d.split(".")[1] for d in dotted if d.startswith("graspforce."))
+    return modules
+
+
+def test_detects_a_package_import():
+    source = (
+        "import math\n"
+        "import graspforce.sensor\n"
+        "from graspforce import plant\n"
+        "from graspforce.harness import run_trial\n"
+        "from . import scenarios\n"
+        "from .checks import check_fields\n"
+    )
+    assert package_imports(source) == {"sensor", "plant", "harness", "scenarios", "checks"}
+
+
+@pytest.mark.parametrize("name", ["sensor", "controller", "plant"])
+def test_control_stack_imports_only_checks(name):
+    path = Path(graspforce.__file__).parent / f"{name}.py"
+    assert package_imports(path.read_text(encoding="utf-8")) <= {"checks"}

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from graspforce.controller import ControlCommand
 from graspforce.plant import (
     FINGER_1,
     FINGER_2,
@@ -21,8 +20,8 @@ from graspforce.plant import (
 RIGID_TIPS = PlantConfig(pad_stiffness=None)
 
 
-def hold(plant: Plant) -> ControlCommand:
-    return ControlCommand(plant.q1, plant.q2)
+def hold(plant: Plant) -> tuple[float, float]:
+    return plant.q1, plant.q2
 
 
 class TestContactForces:
@@ -62,7 +61,7 @@ class TestContactForces:
         q = 0.04
         for _ in range(200):
             q -= 0.00005
-            plant.step(ControlCommand(q, q), 0.01)
+            plant.step((q, q), 0.01)
             half = 0.5 * obj.width
             if plant.true_f1 > 0.0:
                 assert -plant.q1 - (plant.x_obj - half) > 0.0
@@ -97,18 +96,18 @@ class TestDynamics:
         # ulp), well inside the controller's documented position gate.
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
-        plant.step(ControlCommand(0.0399, 0.0398), 0.01)
+        plant.step((0.0399, 0.0398), 0.01)
         q1, q2 = plant.q1, plant.q2
         assert q1 == pytest.approx(0.0399, abs=1e-15)
         assert q2 == pytest.approx(0.0398, abs=1e-15)
-        plant.step(ControlCommand(q1, q2), 0.01)
+        plant.step((q1, q2), 0.01)
         assert plant.q1 == q1
         assert plant.q2 == q2
 
     def test_finger_speed_limit(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
-        plant.step(ControlCommand(0.0, 0.04), 0.01)
+        plant.step((0.0, 0.04), 0.01)
         assert plant.q1 == pytest.approx(0.04 - 0.05 * 0.01, abs=1e-12)
         assert plant.q2 == 0.04
 
@@ -138,7 +137,7 @@ class TestDynamics:
         for i in range(1000):
             g_next = -9.81 * math.sin(sweep.angle((i + 1) * tick))
             lean = obj.mass * g_next / (2.0 * k)
-            cmd = ControlCommand(half - x0 - (base - lean), x0 + half - (base + lean))
+            cmd = (half - x0 - (base - lean), x0 + half - (base + lean))
             plant.step(cmd, tick)
             peak = max(peak, abs(plant.x_obj - x0))
         assert peak < 1e-4
@@ -155,7 +154,7 @@ class TestDynamics:
                 cmd1 -= 0.5 * 0.010 * 0.01
             if frozen[1] is None:
                 cmd2 -= 0.5 * 0.010 * 0.01
-            plant.step(ControlCommand(cmd1, cmd2), 0.01)
+            plant.step((cmd1, cmd2), 0.01)
             if frozen[0] is None and plant.true_f1 > 0.01:
                 frozen[0] = plant.q1
                 cmd1 = plant.q1
@@ -166,7 +165,7 @@ class TestDynamics:
                 break
         assert all(f is not None for f in frozen)
         for _ in range(50):
-            plant.step(ControlCommand(cmd1, cmd2), 0.01)
+            plant.step((cmd1, cmd2), 0.01)
         assert abs(plant.x_obj - 0.005) <= 0.010 * 0.01
 
     def test_steps_are_deterministic(self):
@@ -177,7 +176,7 @@ class TestDynamics:
             q = 0.04
             for _ in range(300):
                 q -= 0.00005
-                plant.step(ControlCommand(q, q), 0.01)
+                plant.step((q, q), 0.01)
                 out.append((plant.x_obj, plant.v_obj, plant.true_f1, plant.true_f2))
             return out
 
@@ -298,7 +297,7 @@ class TestValidation:
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         plant = Plant(obj, start_aperture=0.08)
         with pytest.raises(ValueError):
-            plant.step(ControlCommand(0.04, 0.04), 0.0)
+            plant.step((0.04, 0.04), 0.0)
 
     def test_start_aperture_must_be_positive(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
@@ -374,11 +373,11 @@ class FrozenPlant:
         obj = self.obj
         n_sub = max(1, round(duration / cfg.dt))
         dt = duration / n_sub
-        v1 = _frozen_tracking_velocity(self.q1, command.q1_cmd, duration, cfg.max_finger_speed)
-        v2 = _frozen_tracking_velocity(self.q2, command.q2_cmd, duration, cfg.max_finger_speed)
+        v1 = _frozen_tracking_velocity(self.q1, command[0], duration, cfg.max_finger_speed)
+        v2 = _frozen_tracking_velocity(self.q2, command[1], duration, cfg.max_finger_speed)
         for _ in range(n_sub):
-            self.q1 = self._move_toward(self.q1, command.q1_cmd, v1 * dt)
-            self.q2 = self._move_toward(self.q2, command.q2_cmd, v2 * dt)
+            self.q1 = self._move_toward(self.q1, command[0], v1 * dt)
+            self.q2 = self._move_toward(self.q2, command[1], v2 * dt)
             g_dot_n = -cfg.gravity * math.sin(self.wrist_angle(self.t))
             push_obj = self.push_force(OBJECT, self.t)
             f1, f2 = self._contact_forces()
@@ -459,11 +458,11 @@ class TestFrozenReference:
             # held commands and periods that are not a multiple of dt.
             kind = i % 5
             if kind == 0:
-                cmd = ControlCommand(plant.q1, plant.q2)
+                cmd = (plant.q1, plant.q2)
             elif kind == 1:
-                cmd = ControlCommand(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
+                cmd = (rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
             else:
-                cmd = ControlCommand(
+                cmd = (
                     half_width + rng.uniform(-0.002, 0.001),
                     half_width + rng.uniform(-0.002, 0.001),
                 )
@@ -490,8 +489,8 @@ class TestFrozenSpeedCap:
         assert abs(target - q) / duration == config.max_finger_speed
         plant = Plant(obj, start_aperture=start, config=config)
         frozen = FrozenPlant(obj, start, 0.0, DisturbanceSchedule(), config)
-        cmd = ControlCommand(math.nan if nan_finger == 1 else target,
-                             math.nan if nan_finger == 2 else target)
+        cmd = (math.nan if nan_finger == 1 else target,
+               math.nan if nan_finger == 2 else target)
         for _ in range(3):
             plant.step(cmd, duration)
             expected = frozen.step(cmd, duration)

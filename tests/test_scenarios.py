@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from graspforce.controller import STOP_AT_GOAL, ControlCommand, ControllerConfig
+from graspforce.controller import STOP_AT_GOAL, ControllerConfig
 from graspforce.harness import run_experiment_a, run_trial
 from graspforce.plant import ObjectSpec, Plant, PlantConfig
 from graspforce.scenarios import (
@@ -64,10 +64,10 @@ class TestSerialization:
 
     def test_nested_dicts_build_configs(self):
         spec = ScenarioSpec.from_dict(
-            {"control": {"f_goal": 2.5}, "sensors": {"noise": False}, "plant": {"dt": 0.0005}}
+            {"control": {"f_goal": 2.5}, "sensors": {"noise_sigma": 0.0}, "plant": {"dt": 0.0005}}
         )
         assert spec.control.f_goal == 2.5
-        assert spec.sensors.noise is False
+        assert spec.sensors.noise_sigma == 0.0
         assert spec.plant.dt == 0.0005
 
     @pytest.mark.parametrize("name,value", [
@@ -121,8 +121,9 @@ class TestOverrides:
         assert spec.control.f_goal == 2.5
 
     def test_json_values_parse(self):
-        spec = with_overrides(ScenarioSpec(), parse_overrides(["sensors.noise=false", "seed=9"]))
-        assert spec.sensors.noise is False
+        items = ["control.deadband_enabled=false", "seed=9"]
+        spec = with_overrides(ScenarioSpec(), parse_overrides(items))
+        assert spec.control.deadband_enabled is False
         assert spec.seed == 9
 
     def test_bare_strings_pass_through(self):
@@ -150,7 +151,7 @@ class TestOverrides:
         assert spec.object == ObjectSpec("slab", mass=0.1, width=0.05, stiffness=3000.0)
 
     def test_experiments_take_the_same_keys(self):
-        items = ["control.f_goal=2.5", "sensors.noise=false"]
+        items = ["control.f_goal=2.5", "sensors.noise_sigma=0.0"]
         result = run_experiment_a(
             offsets=(0.005,), reps=1, objects=("tape_roll",), overrides=parse_overrides(items)
         )
@@ -186,9 +187,8 @@ class TestResolve:
     def test_plant_step_fits_the_control_period(self):
         # 100 Hz control: a 10 ms substep is one substep per period.
         resolve(ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": 0.01}}))
-        spec = ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": 0.0101}})
         with pytest.raises(ValueError, match="control period"):
-            resolve(spec)
+            ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": 0.0101}})
         fast = {"object": "tape_roll", "plant": {"dt": 0.0101}, "control": {"control_rate": 50.0}}
         resolve(ScenarioSpec.from_dict(fast))
         # Just below the period, dt rounds to one substep of the whole period.
@@ -198,7 +198,7 @@ class TestResolve:
                   for dt in (0.01, 0.0067)]
         for plant in plants:
             for _ in range(50):
-                plant.step(ControlCommand(-0.02, 0.02), 0.01)
+                plant.step((-0.02, 0.02), 0.01)
         coarse, rounded = ([p.q1, p.q2, p.x_obj, p.v_obj, p.t, p.true_f1, p.true_f2]
                            for p in plants)
         assert rounded == coarse
@@ -253,7 +253,7 @@ class TestResolve:
 
     def test_sensor_models_inherit_seed_and_noise(self):
         spec = ScenarioSpec(object="tape_roll", seed=123,
-                            sensors=SensorSetup(noise=False, gain_scale1=1.01))
+                            sensors=SensorSetup(noise_sigma=0.0, gain_scale1=1.01))
         resolved = resolve(spec)
         m1, m2 = resolved.sensor_models
         assert m1.seed == 123

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from graspforce import sensor
+from graspforce.controller import ControllerConfig
 from graspforce.sensor import (
     DEFAULT_CALIBRATED_NOISE_5SIGMA,
     DEFAULT_GAMMA_1,
     CalibratedSensor,
     SensorModel,
     calibrate,
-    contact_detected,
     estimate_bias,
     sample_raw,
 )
@@ -199,24 +199,13 @@ class TestCalibration:
 
 
 class TestContactDetection:
-    def test_above_threshold(self):
-        assert contact_detected(0.25, 0.2)
-
-    def test_exactly_at_threshold_is_no_contact(self):
-        assert not contact_detected(0.2, 0.2)
-
-    def test_negative_reading_is_no_contact(self):
-        assert not contact_detected(-0.1, 0.2)
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            contact_detected(0.5, 0.0)
-
     def test_false_positive_rate_at_default_noise(self):
-        # The default noise keeps 0.2 N at ten sigma, so spurious contacts
-        # over 1e5 unloaded reads should be essentially absent.
+        # The default noise keeps the controller's 0.2 N contact threshold
+        # at ten sigma, so spurious contacts over 1e5 unloaded reads should
+        # be essentially absent.
+        f_theta = ControllerConfig().f_theta
         sensor = CalibratedSensor(SensorModel(seed=11), calibration_samples=1000)
-        hits = sum(contact_detected(sensor.read(0.0), 0.2) for _ in range(100_000))
+        hits = sum(sensor.read(0.0) > f_theta for _ in range(100_000))
         assert hits < 10
 
 
