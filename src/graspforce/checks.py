@@ -6,10 +6,13 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 
 # Lower bounds as (bound, inclusive) pairs; upper bounds take the same form.
 POSITIVE = (0.0, False)
 NON_NEGATIVE = (0.0, True)
+# At least the smallest normal float, so that a small constant over the value is finite.
+NORMAL = (sys.float_info.min, True)
 _KINDS = {"float": "a finite number", "float | None": "null or a finite number",
           "int": "an integer", "bool": "true or false"}
 

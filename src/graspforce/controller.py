@@ -43,7 +43,7 @@ class GraspPhase(Enum):
     HOLDING = "holding"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Gains, thresholds and ablation switches for the grasp controller.
 

@@ -121,16 +121,9 @@ class TrialResult:
 
 def run_trial(spec: ScenarioSpec) -> TrialResult:
     """Simulate one grasp trial and compute its metrics."""
-    try:
-        resolved = resolve(spec)
-        # Calibration checks its sample count, which a caller may have set
-        # on the spec after it was validated.
-        sensors = tuple(
-            CalibratedSensor(model, spec.sensors.calibration_samples)
-            for model in resolved.sensor_models
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    resolved = resolve(spec)
+    samples = spec.sensors.calibration_samples
+    sensors = tuple(CalibratedSensor(model, samples) for model in resolved.sensor_models)
 
     plant = Plant(
         resolved.obj,

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .checks import NON_NEGATIVE, POSITIVE, check_fields
+from .checks import NON_NEGATIVE, NORMAL, POSITIVE, check_fields
 from .controller import ControllerConfig, GraspRequest
 from .plant import DisturbanceSchedule, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, MAX_CALIBRATION_SAMPLES, SensorModel
@@ -46,7 +47,7 @@ ABLATIONS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorSetup:
     """Per-finger load-cell parameters plus shared pipeline options.
 
@@ -67,14 +68,17 @@ class SensorSetup:
 
     def __post_init__(self):
         check_fields(self, {
-            **dict.fromkeys(("gamma1", "gamma2", "gain_scale1", "gain_scale2"), POSITIVE),
+            "gamma1": NORMAL, "gamma2": NORMAL, "gain_scale1": POSITIVE, "gain_scale2": POSITIVE,
             "noise_sigma": NON_NEGATIVE, "min_force": NON_NEGATIVE, "calibration_samples": (1, True),
         }, {"calibration_samples": (MAX_CALIBRATION_SAMPLES, True)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
     """Everything one trial needs, in declarative form.
+
+    Construction checks all that a trial derives from the spec, and the
+    record is frozen, so a spec that builds is one that resolve can run.
 
     start_aperture, end_aperture and duration may be left unset: the start
     aperture then clears the offset object by 5 mm per side, the end
@@ -103,6 +107,7 @@ class ScenarioSpec:
     wrist: WristSweep | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "pushes", tuple(self.pushes))  # a list could change later
         if self.controller not in _CONTROLLERS:
             raise ValueError(f"controller must be one of {_CONTROLLERS}, got {self.controller!r}")
         if self.ablation not in ABLATIONS:
@@ -117,16 +122,31 @@ class ScenarioSpec:
                 f"plant.dt {self.plant.dt:g} s is longer than the control period {period:g} s"
                 f" (the plant runs round(period / dt) equal substeps per period)"
             )
+        if not (isinstance(self.object, ObjectSpec)
+                or isinstance(self.object, str) and self.object in OBJECTS):
+            raise ValueError(f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}")
+        obj = self.object_spec()
+        start, end, closing, duration = _closing_plan(self, obj)
+        max_aperture = 2.0 * self.control.joint_max
+        if start > max_aperture + 1e-12:
+            raise ValueError(f"start aperture {start:.4f} m exceeds the maximum aperture"
+                             f" {max_aperture:.4f} m")
+        if abs(self.offset) + 0.5 * obj.width > 0.5 * start:
+            raise ValueError(f"object of width {obj.width:.3f} m at offset {self.offset:.3f} m"
+                             f" does not fit inside the start aperture {start:.4f} m")
+        if not start > end >= 0.0:
+            raise ValueError(f"end aperture {end:.4f} m must be >= 0 and below the start aperture"
+                             f" {start:.4f} m (unset, it is the object width minus 2 mm)")
+        if not 0.0 < closing < math.inf:
+            raise ValueError(f"closing from {start:g} m to {end:g} m at {self.closing_speed:g} m/s"
+                             f" takes {closing:g} s, not a positive finite time")
+        if not math.isfinite(duration * self.control.control_rate):
+            raise ValueError(f"duration {duration:g} s at control_rate"
+                             f" {self.control.control_rate:g} Hz is not a finite tick count")
+        DisturbanceSchedule(self.pushes, self.wrist)  # rejects overlapping pushes
 
     def object_spec(self) -> ObjectSpec:
-        if isinstance(self.object, ObjectSpec):
-            return self.object
-        try:
-            return OBJECTS[self.object]
-        except KeyError:
-            raise ValueError(
-                f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}"
-            ) from None
+        return self.object if isinstance(self.object, ObjectSpec) else OBJECTS[self.object]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -248,13 +268,27 @@ class ResolvedScenario:
     duration: float
 
 
-def resolve(spec: ScenarioSpec) -> ResolvedScenario:
-    """Validate a spec and derive every unset quantity.
+def _closing_plan(spec: ScenarioSpec, obj: ObjectSpec) -> tuple[float, float, float, float]:
+    """Start and end aperture, closing time and trial duration, unset ones derived."""
+    start, end = spec.start_aperture, spec.end_aperture
+    if start is None:
+        start = obj.width + 2.0 * abs(spec.offset) + 0.010
+    if end is None:
+        end = obj.width - 0.002
+    closing = (start - end) / spec.closing_speed
+    if spec.duration is not None:
+        return start, end, closing, spec.duration
+    # An off-center object leaves the far finger with extra ground to
+    # cover after the near finger freezes, so budget the aperture the
+    # nominal posture does not account for, plus latch slack.
+    march = max(0.0, 2.0 * abs(spec.offset) - (obj.width - end)) / spec.closing_speed
+    if march > 0.0:
+        march += 0.3
+    return start, end, closing, closing + march + spec.settle_time
 
-    Raises ValueError when the object is not in the catalog, does not fit
-    between the fingers at the start aperture, or the apertures fall
-    outside the joint range.
-    """
+
+def resolve(spec: ScenarioSpec) -> ResolvedScenario:
+    """Derive every unset quantity of a spec; raises nothing, as the frozen spec checked it all."""
     obj = spec.object_spec()
     control = spec.control
     overrides = dict(ABLATIONS[spec.ablation])
@@ -264,36 +298,7 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     if overrides:
         control = dataclasses.replace(control, **overrides)
 
-    start = spec.start_aperture
-    if start is None:
-        start = obj.width + 2.0 * abs(spec.offset) + 0.010
-    end = spec.end_aperture
-    if end is None:
-        end = obj.width - 0.002
-    max_aperture = 2.0 * control.joint_max
-    if start > max_aperture + 1e-12:
-        raise ValueError(
-            f"start aperture {start:.4f} m exceeds the maximum aperture {max_aperture:.4f} m"
-        )
-    if abs(spec.offset) + 0.5 * obj.width > 0.5 * start:
-        raise ValueError(
-            f"object of width {obj.width:.3f} m at offset {spec.offset:.3f} m "
-            f"does not fit inside the start aperture {start:.4f} m"
-        )
-    if not end < start:
-        raise ValueError("end aperture must be smaller than start aperture")
-
-    closing_duration = (start - end) / spec.closing_speed
-    if spec.duration is not None:
-        duration = spec.duration
-    else:
-        # An off-center object leaves the far finger with extra ground to
-        # cover after the near finger freezes, so budget the aperture the
-        # nominal posture does not account for, plus latch slack.
-        march = max(0.0, 2.0 * abs(spec.offset) - (obj.width - end)) / spec.closing_speed
-        if march > 0.0:
-            march += 0.3
-        duration = closing_duration + march + spec.settle_time
+    start, end, closing_duration, duration = _closing_plan(spec, obj)
     request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)
 
     s = spec.sensors

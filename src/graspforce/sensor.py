@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import NON_NEGATIVE, POSITIVE, check_fields
+from .checks import NON_NEGATIVE, NORMAL, POSITIVE, check_fields
 
 DEFAULT_GAMMA_1 = 11.02
 DEFAULT_GAMMA_2 = 11.03
@@ -57,12 +57,10 @@ class SensorModel:
     _normals: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
-        lower = {"gamma": POSITIVE, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
-                 "min_force": NON_NEGATIVE, "gain_scale": POSITIVE}
-        check_fields(self, lower)
+        check_fields(self, {"gamma": NORMAL, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
+                            "min_force": NON_NEGATIVE, "gain_scale": POSITIVE})
         if self.noise_sigma is None:
             self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
-            check_fields(self, lower)  # a subnormal gamma overflows the default to inf
         self._rng = np.random.default_rng(self.seed)
         self._normals = []
 

@@ -85,6 +85,7 @@ def test_every_scalar_field_is_checked(cls):
     (ScenarioSpec, "end_aperture", -0.001),
     (SensorModel, "seed", -1),
     (SensorSetup, "noise_sigma", -0.1),
+    (SensorSetup, "gamma2", 1e-320),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
 def test_lower_bounds(cls, name, value):
     with pytest.raises(ValueError, match=f"^{name} "):
@@ -92,8 +93,9 @@ def test_lower_bounds(cls, name, value):
 
 
 def test_sensor_default_sigma_overflow_rejected():
-    # The default sigma divides by gamma, and a subnormal gamma makes it inf.
-    with pytest.raises(ValueError, match="^noise_sigma "):
+    # The default sigma divides by gamma, and a subnormal gamma would make
+    # it inf; gamma's lower bound, the smallest normal float, rejects it.
+    with pytest.raises(ValueError, match="^gamma "):
         SensorModel(gamma=1e-320)
 
 

@@ -184,6 +184,18 @@ def bad_override_cases():
     for item in ["controller=trajectory", "ablation=no_deadband", "seed=3", "pushes=[]",
                  "wrist=null"]:
         cases.append(("exp-b", [item]))
+    # Rejected by the spec, not first by the trial after the directory is
+    # made: the aperture fit, the catalog name, a subnormal gamma, a closing
+    # time that overflows, overlapping pushes, an inline object too narrow
+    # for the derived end aperture and a tick count that overflows.
+    cases += [("run", ["start_aperture=0.2"]), ("exp-a", ["start_aperture=0.2"])]
+    for item in ["end_aperture=0.3", "object=foo", "sensors.gamma1=1e-320", "closing_speed=1e-320",
+                 'pushes=[{"target": "finger1", "force": 1, "t_start": 1, "t_end": 3}, '
+                 '{"target": "finger1", "force": 1, "t_start": 2, "t_end": 4}]',
+                 'object={"name": "pin", "mass": 0.01, "width": 0.001, "stiffness": 2000}']:
+        cases.append(("run", [item]))
+    overflow = ["duration=1e300", "control.control_rate=1e10", "plant.dt=1e-11"]
+    cases += [("run", overflow), ("exp-a", overflow)]
     # A plant step longer than the control period.
     cases += [("run", ["plant.dt=0.5"]), ("run", ["control.control_rate=50", "plant.dt=0.021"]),
               ("exp-a", ["plant.dt=0.011"]), ("exp-b", ["plant.dt=0.5"])]

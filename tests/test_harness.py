@@ -130,19 +130,18 @@ class TestRunTrial:
             quiet_spec(sensors={"noise_sigma": 0.0, "calibration_samples": samples})
 
     def test_bad_calibration_sample_count_is_config_error(self):
-        # Set after the spec was validated, the count still fails as ConfigError.
+        # A validated spec is frozen: the count cannot be set after the check.
         spec = quiet_spec()
-        spec.sensors.calibration_samples = 0
-        with pytest.raises(ConfigError, match="n_samples"):
-            run_trial(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sensors.calibration_samples = 0
+        assert spec.sensors.calibration_samples == 1000
 
     def test_oversized_calibration_sample_count_is_config_error(self):
-        # Set after validation, a count over the cap is refused before any
-        # sample is drawn (10**9 samples would take about 49 GB).
+        # Nor a count over the cap (10**9 samples would take about 49 GB).
         spec = quiet_spec()
-        spec.sensors.calibration_samples = 10**9
-        with pytest.raises(ConfigError, match="n_samples must be >= 1 and <= 1000000"):
-            run_trial(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sensors.calibration_samples = 10**9
+        assert spec.sensors.calibration_samples == 1000
 
     def test_series_rate_is_the_control_rate(self):
         result = run_trial(quiet_spec(offset=0.0))

@@ -2,7 +2,8 @@
 
 Every public function or class a package module defines is read somewhere in
 the package or in perfbench. The control stack (sensor, controller, plant)
-imports nothing from the package but checks.
+imports nothing from the package but checks. A dataclass that checks its
+fields is frozen, so that nothing can change them after the check.
 """
 
 import ast
@@ -164,3 +165,64 @@ def test_detects_a_package_import():
 def test_control_stack_imports_only_checks(name):
     path = Path(graspforce.__file__).parent / f"{name}.py"
     assert package_imports(path.read_text(encoding="utf-8")) <= {"checks"}
+
+
+def unfrozen_checked_dataclasses(source: str) -> list[str]:
+    """Dataclasses whose __post_init__ calls check_fields but that are not frozen."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorator = next((
+            d for d in node.decorator_list
+            if ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+        ), None)
+        post_init = next((f for f in node.body
+                          if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"), None)
+        if decorator is None or post_init is None:
+            continue
+        checks = any(isinstance(n, ast.Call) and ast.unparse(n.func) == "check_fields"
+                     for n in ast.walk(post_init))
+        frozen = isinstance(decorator, ast.Call) and any(
+            k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in decorator.keywords
+        )
+        if checks and not frozen:
+            found.append(node.name)
+    return found
+
+
+def test_detects_an_unfrozen_checked_dataclass():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Kept:\n"
+        "    def __post_init__(self):\n"
+        "        check_fields(self)\n"
+        "\n"
+        "@dataclass\n"
+        "class Bare:\n"
+        "    def __post_init__(self):\n"
+        "        check_fields(self)\n"
+        "\n"
+        "@dataclasses.dataclass(frozen=False, slots=True)\n"
+        "class Thawed:\n"
+        "    def __post_init__(self):\n"
+        "        if True:\n"
+        "            check_fields(self)\n"
+        "\n"
+        "@dataclass\n"
+        "class Unchecked:\n"
+        "    def __post_init__(self):\n"
+        "        self.x = 1\n"
+    )
+    assert unfrozen_checked_dataclasses(source) == ["Bare", "Thawed"]
+
+
+# SensorModel stays mutable: it holds the noise stream its reads advance.
+MUTABLE_CHECKED = {"SensorModel"}
+
+
+def test_checked_dataclasses_are_frozen():
+    found = {name for path in PACKAGE
+             for name in unfrozen_checked_dataclasses(path.read_text(encoding="utf-8"))}
+    assert found == MUTABLE_CHECKED

@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graspforce.controller import STOP_AT_GOAL, ControllerConfig
 from graspforce.harness import run_experiment_a, run_trial
-from graspforce.plant import ObjectSpec, Plant, PlantConfig
+from graspforce.plant import ObjectSpec, Plant, PlantConfig, Push
 from graspforce.scenarios import (
     ABLATIONS,
     OBJECTS,
@@ -237,19 +239,56 @@ class TestResolve:
             ScenarioSpec(controller="mpc")
 
     def test_object_must_fit_inside_start_aperture(self):
-        spec = ScenarioSpec(object="tape_roll", offset=0.014, start_aperture=0.06)
         with pytest.raises(ValueError, match="does not fit"):
-            resolve(spec)
+            ScenarioSpec(object="tape_roll", offset=0.014, start_aperture=0.06)
 
     def test_start_aperture_within_joint_range(self):
-        spec = ScenarioSpec(object="tape_roll", start_aperture=0.2, end_aperture=0.058)
         with pytest.raises(ValueError, match="maximum aperture"):
-            resolve(spec)
+            ScenarioSpec(object="tape_roll", start_aperture=0.2, end_aperture=0.058)
 
     def test_end_aperture_below_start(self):
-        spec = ScenarioSpec(object="tape_roll", start_aperture=0.07, end_aperture=0.07)
         with pytest.raises(ValueError, match="end aperture"):
-            resolve(spec)
+            ScenarioSpec(object="tape_roll", start_aperture=0.07, end_aperture=0.07)
+
+    # Each positive draw spans subnormals to near the float maximum, so
+    # derived times and tick counts can overflow and apertures can clash.
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        offset=st.floats(-0.02, 0.02),
+        start=st.none() | st.floats(0.0, 0.3, exclude_min=True),
+        end=st.none() | st.floats(0.0, 0.1),
+        closing_speed=st.floats(5e-324, 1e308),
+        duration=st.none() | st.floats(5e-324, 1e308),
+        joint_max=st.floats(0.01, 0.2),
+        width=st.floats(5e-324, 0.1),
+        gamma1=st.floats(5e-324, 100.0),
+        pushes=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.01, 5.0)), max_size=3),
+        control_rate=st.floats(1e-3, 1e12),
+    )
+    def test_a_spec_that_builds_resolves(self, offset, start, end, closing_speed, duration,
+                                         joint_max, width, gamma1, pushes, control_rate):
+        data = {
+            "object": {"name": "slab", "mass": 0.05, "width": width, "stiffness": 2000.0},
+            "offset": offset, "start_aperture": start, "end_aperture": end,
+            "closing_speed": closing_speed, "duration": duration,
+            "control": {"joint_max": joint_max, "control_rate": control_rate},
+            "sensors": {"gamma1": gamma1},
+            "plant": {"dt": min(1e-3, 1.0 / control_rate)},
+            "pushes": [{"target": "finger1", "force": 1.0, "t_start": t, "t_end": t + span}
+                       for t, span in pushes],
+        }
+        try:
+            spec = ScenarioSpec.from_dict(data)
+        except ValueError:
+            return
+        resolved = resolve(spec)
+        assert isinstance(math.ceil(resolved.duration * resolved.control.control_rate), int)
+
+    def test_pushes_given_as_a_list_are_frozen_with_the_spec(self):
+        push = Push("finger1", 1.0, 1.0, 3.0)
+        spec = ScenarioSpec(pushes=[push])
+        assert spec.pushes == (push,)
+        assert resolve(spec).schedule.pushes == (push,)
 
     def test_sensor_models_inherit_seed_and_noise(self):
         spec = ScenarioSpec(object="tape_roll", seed=123,
