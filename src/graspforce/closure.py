@@ -9,9 +9,11 @@ friction cone lies in the nullspace of G: then any external wrench can be
 balanced by scaling that internal squeeze plus a particular solution.
 
 The certificate solves a small LP over an inner (inscribed) linearization
-of the quadratic cones, so a positive margin is sound: it never certifies a
-grasp the quadratic model would reject. A brute-force sampling oracle is
-included for cross-checking the certificate on test instances.
+of the quadratic cones, so an exact optimum with a positive margin holds an
+internal force strictly inside every quadratic cone. Nothing checks the
+returned force: the simplex's ratio-test tie-break can return one off the
+nullspace or outside its cone, and at fine cones a wrong "yes" (ROADMAP
+items 2 and 4). A sampling oracle cross-checks certificates on test instances.
 """
 
 from __future__ import annotations

@@ -38,7 +38,19 @@ from .sensor import CalibratedSensor
 
 EXPERIMENT_A_OFFSETS = (0.002, 0.005, 0.008, 0.011, 0.014)
 EXPERIMENT_A_REPS = 3
-EXPERIMENT_B_VARIANTS = ("none", "no_compliance", "no_deadband", "no_gravity_comp")
+# exp-b's controller variants: each switches off one component of the baseline.
+EXPERIMENT_B_VARIANTS = {
+    "none": {},
+    "no_compliance": {"compliance_enabled": False},
+    "no_deadband": {"deadband_enabled": False},
+    "no_gravity_comp": {"gravity_comp_enabled": False},
+}
+# The dotted paths each experiment sets per trial; exp-b also holds every
+# trial to its end, which its metric windows need.
+_EXPERIMENT_A_FIXED = ("object", "offset", "controller", "seed")
+_EXPERIMENT_B_FIXED = ("controller", "seed", "pushes", "wrist", "control.phase3_mode",
+                       *(f"control.{flag}" for flags in EXPERIMENT_B_VARIANTS.values()
+                         for flag in flags))
 # exp_a_trials.csv opens with these, from each trial's spec and grid cell,
 # then carries the TrialResult metrics.
 _SPEC_COLUMNS = ("object", "controller", "offset", "rep", "seed")
@@ -54,11 +66,13 @@ class ConfigError(ValueError):
 
 
 def _reject_overrides(experiment: str, overrides: dict | None, fixed: tuple[str, ...]):
-    """Refuse overrides of the keys an experiment sets per trial and labels its rows by."""
-    for key in fixed:
-        if key in (overrides or {}):
-            hint = "; set the base seed with --seed" if key == "seed" else ""
-            raise ConfigError(f"{key} is set per trial by {experiment}, not overridable{hint}")
+    """Refuse overrides of the dotted paths an experiment sets per trial."""
+    for path in fixed:
+        section, _, key = path.rpartition(".")  # no path is more than one section deep
+        node = (overrides or {}).get(section) if section else overrides
+        if isinstance(node, dict) and key in node:
+            hint = "; set the base seed with --seed" if path == "seed" else ""
+            raise ConfigError(f"{path} is set per trial by {experiment}, not overridable{hint}")
 
 
 class RuntimeFault(RuntimeError):
@@ -313,7 +327,7 @@ def run_experiment_a(
     Paired seeding: the force and trajectory runs of one grid cell share
     the same sensor seed, so their comparison is not confounded by noise.
     """
-    _reject_overrides("exp-a", overrides, ("object", "offset", "controller", "seed"))
+    _reject_overrides("exp-a", overrides, _EXPERIMENT_A_FIXED)
     started = time.perf_counter()
     # Every spec is built, and so checked, before the output directory is made.
     specs = [
@@ -400,6 +414,12 @@ _POST_RATE_WINDOW = (10.0, 12.0)
 _POST_TOTAL_WINDOW = (9.5, 14.5)
 # Two ticks in every metric window: the drift rate divides by a window's span.
 _MIN_CONTROL_RATE = 2.0 / min(b - a for a, b in (*_PUSH_SETTLED_WINDOWS, _POST_RATE_WINDOW))
+# Per scenario: its disturbance fields, its seed stride and the end of its metric windows.
+_EXPERIMENT_B_SCENARIOS = {
+    "push": ({"duration": PUSH_DURATION, "pushes": PUSH_SCHEDULE}, 0, _POST_TOTAL_WINDOW[1]),
+    "rotation": ({"duration": ROTATION_DURATION, "wrist": ROTATION_SWEEP}, 17,
+                 ROTATION_SWEEP.t_end),
+}
 
 
 def _window_rows(result: TrialResult, t0: float, t1: float) -> list[TimeSeriesRow]:
@@ -411,17 +431,10 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int,
     # All variants of one scenario share a seed so ablation comparisons see
     # identical noise; each run then differs from baseline in exactly one
     # controller flag.
-    if scenario == "push":
-        disturbance = {"duration": PUSH_DURATION, "pushes": PUSH_SCHEDULE}
-        metrics_end = _POST_TOTAL_WINDOW[1]
-    elif scenario == "rotation":
-        disturbance = {"duration": ROTATION_DURATION, "wrist": ROTATION_SWEEP}
-        metrics_end = ROTATION_SWEEP.t_end
-    else:
-        raise ConfigError(f"unknown experiment-B scenario {scenario!r}")
+    disturbance, seed_stride, metrics_end = _EXPERIMENT_B_SCENARIOS[scenario]
     spec = ScenarioSpec(
-        object=TAPE_ROLL.name, controller=FORCE, ablation=variant,
-        seed=base_seed + (0 if scenario == "push" else 17),
+        object=TAPE_ROLL.name, controller=FORCE, seed=base_seed + seed_stride,
+        control=ControllerConfig(**EXPERIMENT_B_VARIANTS[variant]),
         sensors=SensorSetup(gain_scale1=1.01, gain_scale2=0.99),
         **disturbance,
     )
@@ -449,51 +462,38 @@ def run_experiment_b(
     +/-1% miscalibration, which is what the deadband ablation exposes as
     post-push drift.
     """
-    _reject_overrides("exp-b", overrides, ("controller", "ablation", "seed", "pushes", "wrist"))
+    _reject_overrides("exp-b", overrides, _EXPERIMENT_B_FIXED)
     # Every spec is built, and so checked, before the output directory is made.
     specs = {
         (scenario, variant): _experiment_b_spec(scenario, variant, base_seed, overrides)
-        for scenario in ("push", "rotation")
+        for scenario in _EXPERIMENT_B_SCENARIOS
         for variant in EXPERIMENT_B_VARIANTS
     }
     out = None if out_dir is None else make_out_dir(out_dir)
     runs: dict[tuple[str, str], ExperimentBRun] = {}
     for (scenario, variant), spec in specs.items():
         result = run_trial(spec)
-
+        post_rate = post_total = peak = None
         if scenario == "push":
-            settled = [
-                r.f_int
-                for t0, t1 in _PUSH_SETTLED_WINDOWS
-                for r in _window_rows(result, t0, t1)
-            ]
+            settled_windows = _PUSH_SETTLED_WINDOWS
             rate_rows = _window_rows(result, *_POST_RATE_WINDOW)
             total_rows = _window_rows(result, *_POST_TOTAL_WINDOW)
             post_rate = (rate_rows[-1].x_obj - rate_rows[0].x_obj) / (
                 rate_rows[-1].t - rate_rows[0].t
             )
             post_total = abs(total_rows[-1].x_obj - total_rows[0].x_obj)
-            peak = None
         else:
-            settled = [
-                r.f_int
-                for r in _window_rows(result, ROTATION_SWEEP.t_start + 1.0, ROTATION_SWEEP.t_end)
-            ]
-            post_rate = None
-            post_total = None
+            settled_windows = ((ROTATION_SWEEP.t_start + 1.0, ROTATION_SWEEP.t_end),)
             ref = result.value_at(ROTATION_SWEEP.t_start).x_obj
-            peak = max(
-                abs(r.x_obj - ref)
-                for r in result.series
-                if r.t >= ROTATION_SWEEP.t_start
-            )
-
+            peak = max(abs(r.x_obj - ref) for r in result.series if r.t >= ROTATION_SWEEP.t_start)
+        # Every window holds rows: the spec reaches past them and the trial holds to its end.
+        settled = max(r.f_int for t0, t1 in settled_windows for r in _window_rows(result, t0, t1))
         runs[(scenario, variant)] = ExperimentBRun(
             scenario=scenario,
             variant=variant,
             result=result,
             max_total_force=result.max_total_force,
-            settled_max_total_force=max(settled) if settled else 0.0,
+            settled_max_total_force=settled,
             post_drift_rate=post_rate,
             post_drift_total=post_total,
             peak_object_drift=peak,

@@ -1,11 +1,12 @@
 """Declarative trial descriptions and the object catalog.
 
 A ScenarioSpec is a plain data tree that fully determines one simulated
-grasp trial: the object, its placement, which controller runs, which single
-ablation (if any) is applied, the disturbance schedule, and the sensor and
-plant parameters. Specs load from JSON files and accept dotted-path
-overrides like control.f_goal=2.5, so every documented field is reachable
-from the command line without a dedicated flag.
+grasp trial: the object, its placement, which controller runs with which
+settings (its three *_enabled flags are the one way to ablate a part), the
+disturbance schedule, and the sensor and plant parameters. Specs load from
+JSON files and accept dotted-path overrides like control.f_goal=2.5, so
+every documented field is reachable from the command line without a
+dedicated flag.
 
 The catalog holds the three benchmark objects: a light foam cylinder, a
 tape roll, and a dense wooden cuboid. Their true contact stiffnesses span
@@ -38,13 +39,9 @@ FORCE = "force"
 TRAJECTORY = "trajectory"
 _CONTROLLERS = (FORCE, TRAJECTORY)
 
-# Each ablation flips exactly one controller flag relative to baseline.
-ABLATIONS = {
-    "none": {},
-    "no_compliance": {"compliance_enabled": False},
-    "no_deadband": {"deadband_enabled": False},
-    "no_gravity_comp": {"gravity_comp_enabled": False},
-}
+# The most plant substeps one trial may run: its ticks times the substeps
+# per tick. The longest shipped trial, exp-b's rotation, runs 16,000.
+MAX_TRIAL_SUBSTEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,6 @@ class ScenarioSpec:
     object: str | ObjectSpec = "tape_roll"
     offset: float = 0.0
     controller: str = FORCE
-    ablation: str = "none"
     seed: int = 0
     start_aperture: float | None = None
     end_aperture: float | None = None
@@ -110,8 +106,6 @@ class ScenarioSpec:
         object.__setattr__(self, "pushes", tuple(self.pushes))  # a list could change later
         if self.controller not in _CONTROLLERS:
             raise ValueError(f"controller must be one of {_CONTROLLERS}, got {self.controller!r}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"unknown ablation {self.ablation!r}; options: {tuple(ABLATIONS)}")
         check_fields(self, {
             **dict.fromkeys(("seed", "end_aperture", "settle_time", "mu", "mu_tau"), NON_NEGATIVE),
             **dict.fromkeys(("start_aperture", "closing_speed", "duration"), POSITIVE),
@@ -140,9 +134,14 @@ class ScenarioSpec:
         if not 0.0 < closing < math.inf:
             raise ValueError(f"closing from {start:g} m to {end:g} m at {self.closing_speed:g} m/s"
                              f" takes {closing:g} s, not a positive finite time")
-        if not math.isfinite(duration * self.control.control_rate):
-            raise ValueError(f"duration {duration:g} s at control_rate"
-                             f" {self.control.control_rate:g} Hz is not a finite tick count")
+        # The tick count of run_trial times the substeps per tick of Plant.step.
+        ticks, substeps = duration * self.control.control_rate, period / self.plant.dt
+        if not (math.isfinite(ticks * substeps) and max(1, math.ceil(ticks))
+                * max(1, round(substeps)) <= MAX_TRIAL_SUBSTEPS):
+            raise ValueError(f"duration {duration:g} s is {ticks:.4g} ticks x {substeps:.4g}"
+                             f" substeps at control_rate {self.control.control_rate:g} Hz and"
+                             f" plant.dt {self.plant.dt:g} s, over the budget of"
+                             f" {MAX_TRIAL_SUBSTEPS:,}")
         DisturbanceSchedule(self.pushes, self.wrist)  # rejects overlapping pushes
 
     def object_spec(self) -> ObjectSpec:
@@ -291,12 +290,9 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
     """Derive every unset quantity of a spec; raises nothing, as the frozen spec checked it all."""
     obj = spec.object_spec()
     control = spec.control
-    overrides = dict(ABLATIONS[spec.ablation])
     if control.mass == 0.0:
         # The controller's gravity model defaults to the true object mass.
-        overrides["mass"] = obj.mass
-    if overrides:
-        control = dataclasses.replace(control, **overrides)
+        control = dataclasses.replace(control, mass=obj.mass)
 
     start, end, closing_duration, duration = _closing_plan(spec, obj)
     request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)

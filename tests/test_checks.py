@@ -36,7 +36,7 @@ CHECKED = ("float", "float | None", "int", "bool")
 # nested record that checks its own fields.
 NON_SCALAR = {
     "ControllerConfig.phase3_mode", "ObjectSpec.name", "Push.target",
-    "ScenarioSpec.object", "ScenarioSpec.controller", "ScenarioSpec.ablation",
+    "ScenarioSpec.object", "ScenarioSpec.controller",
     "ScenarioSpec.control", "ScenarioSpec.sensors", "ScenarioSpec.plant",
     "ScenarioSpec.pushes", "ScenarioSpec.wrist", "Contact.position", "Contact.rotation",
 }

@@ -184,6 +184,12 @@ def bad_override_cases():
     for item in ["controller=trajectory", "ablation=no_deadband", "seed=3", "pushes=[]",
                  "wrist=null"]:
         cases.append(("exp-b", [item]))
+    # exp-b's variant flags, in the dotted and the whole-section form, and the
+    # phase-3 mode: a trial that stops at its goal leaves the metric windows empty.
+    for item in ["control.compliance_enabled=false", "control.deadband_enabled=false",
+                 "control.gravity_comp_enabled=false", 'control={"deadband_enabled": false}',
+                 "control.phase3_mode=stop_at_goal"]:
+        cases.append(("exp-b", [item]))
     # Rejected by the spec, not first by the trial after the directory is
     # made: the aperture fit, the catalog name, a subnormal gamma, a closing
     # time that overflows, overlapping pushes, an inline object too narrow
@@ -196,6 +202,10 @@ def bad_override_cases():
         cases.append(("run", [item]))
     overflow = ["duration=1e300", "control.control_rate=1e10", "plant.dt=1e-11"]
     cases += [("run", overflow), ("exp-a", overflow)]
+    # Over the work budget of ticks x substeps, but finite: these are never run.
+    cases += [("run", ["closing_speed=1e-300"]), ("run", ["duration=1e6"])]
+    # Substeps per tick that overflow to infinity: Plant.step's round() raised OverflowError.
+    cases.append(("run", ["control.control_rate=1e-3", "plant.dt=1e-310"]))
     # A plant step longer than the control period.
     cases += [("run", ["plant.dt=0.5"]), ("run", ["control.control_rate=50", "plant.dt=0.021"]),
               ("exp-a", ["plant.dt=0.011"]), ("exp-b", ["plant.dt=0.5"])]
@@ -213,6 +223,15 @@ class TestBadOverrides:
         err = capsys.readouterr().err
         assert code == 2
         assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_file_ablation_key_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "ablated.json", {"object": "tape_roll",
+                                                     "ablation": "no_deadband"})
+        assert main(["run", path, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'ablation' in scenario")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 

@@ -23,10 +23,12 @@ from graspforce.harness import (
     run_trial,
     write_csv,
 )
+from graspforce.controller import ControllerConfig
 from graspforce.plant import Push
-from graspforce.scenarios import ScenarioSpec, parse_overrides
+from graspforce.scenarios import ScenarioSpec, parse_overrides, resolve
 
 QUIET = {"sensors": {"noise_sigma": 0.0}}
+REFUSED = {"exp-a": harness._EXPERIMENT_A_FIXED, "exp-b": harness._EXPERIMENT_B_FIXED}
 
 
 def quiet_spec(**kw) -> ScenarioSpec:
@@ -295,7 +297,7 @@ class TestExperimentPlumbing:
         rot = _experiment_b_spec("rotation", "no_gravity_comp", 0, None)
         assert rot.wrist is not None
         assert rot.wrist.angle_end == pytest.approx(math.pi)
-        assert rot.ablation == "no_gravity_comp"
+        assert rot.control == ControllerConfig(gravity_comp_enabled=False)
 
     def test_experiment_b_miscalibration_flag(self):
         # The +/-1% gain miscalibration is part of the spec; an override undoes it.
@@ -317,8 +319,34 @@ class TestExperimentPlumbing:
         assert all(math.isfinite(runs[("push", v)].post_drift_rate) for v in EXPERIMENT_B_VARIANTS)
 
     def test_variant_list(self):
-        assert EXPERIMENT_B_VARIANTS == ("none", "no_compliance", "no_deadband",
-                                         "no_gravity_comp")
+        assert list(EXPERIMENT_B_VARIANTS) == ["none", "no_compliance", "no_deadband",
+                                               "no_gravity_comp"]
+
+    def test_each_run_differs_from_none_in_its_variant_flag_alone(self):
+        # A whole-section control override keeps each variant's flag.
+        overrides = {"control": {"control_rate": 2.0, "f_goal": 2.1}, **QUIET}
+        runs = run_experiment_b(overrides=overrides)
+        assert len(runs) == 2 * len(EXPERIMENT_B_VARIANTS)
+        for (scenario, variant), run in runs.items():
+            base = resolve(runs[(scenario, "none")].result.spec).control
+            control = resolve(run.result.spec).control
+            assert control.f_goal == 2.1
+            diff = {f.name: getattr(control, f.name) for f in dataclasses.fields(control)
+                    if getattr(control, f.name) != getattr(base, f.name)}
+            assert diff == EXPERIMENT_B_VARIANTS[variant], (scenario, variant)
+            assert len(diff) == (variant != "none"), (scenario, variant)
+
+    @pytest.mark.parametrize("experiment,path",
+                             [(e, path) for e, paths in REFUSED.items() for path in paths])
+    def test_refused_keys_are_override_paths(self, experiment, path):
+        # A refused path that no longer names a field would refuse nothing.
+        node = ScenarioSpec().to_dict()
+        for part in path.split("."):
+            assert isinstance(node, dict) and part in node
+            node = node[part]
+        with pytest.raises(ConfigError, match=f"^{path} is set per trial by {experiment}"):
+            harness._reject_overrides(experiment, parse_overrides([f"{path}=0"]),
+                                      REFUSED[experiment])
 
 
 class TestReportHeaders:

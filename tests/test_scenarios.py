@@ -11,7 +11,7 @@ from graspforce.controller import STOP_AT_GOAL, ControllerConfig
 from graspforce.harness import run_experiment_a, run_trial
 from graspforce.plant import ObjectSpec, Plant, PlantConfig, Push
 from graspforce.scenarios import (
-    ABLATIONS,
+    MAX_TRIAL_SUBSTEPS,
     OBJECTS,
     ScenarioSpec,
     SensorSetup,
@@ -217,22 +217,10 @@ class TestResolve:
         spec = ScenarioSpec.from_dict({"object": "wooden_cuboid", "control": {"mass": 0.01}})
         assert resolve(spec).control.mass == 0.01
 
-    def test_ablations_flip_exactly_one_flag(self):
-        base = resolve(ScenarioSpec(object="tape_roll")).control
-        for name in ABLATIONS:
-            if name == "none":
-                continue
-            ablated = resolve(ScenarioSpec(object="tape_roll", ablation=name)).control
-            diffs = [
-                f.name
-                for f in dataclasses.fields(base)
-                if getattr(base, f.name) != getattr(ablated, f.name)
-            ]
-            assert len(diffs) == 1, name
-
     def test_unknown_ablation_rejected(self):
-        with pytest.raises(ValueError, match="ablation"):
-            ScenarioSpec(ablation="no_brakes")
+        # The control flags are the one way to ablate a component; a spec has no ablation key.
+        with pytest.raises(ValueError, match="unknown key 'ablation' in scenario"):
+            ScenarioSpec.from_dict({"ablation": "no_deadband"})
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError, match="controller"):
@@ -249,6 +237,23 @@ class TestResolve:
     def test_end_aperture_below_start(self):
         with pytest.raises(ValueError, match="end aperture"):
             ScenarioSpec(object="tape_roll", start_aperture=0.07, end_aperture=0.07)
+
+    # Specs are built, never run: a rejected one would run for hours or forever.
+    @pytest.mark.parametrize("fields", [
+        {"closing_speed": 1e-300},  # a finite closing time of about 1e298 s
+        {"duration": 1e6},
+        {"duration": 1000.01},  # one tick over the budget at 100 Hz and 10 substeps
+        {"duration": 20.0, "control": ControllerConfig(control_rate=1e5),
+         "plant": PlantConfig(dt=1e-5)},
+        {"duration": 10.0, "plant": PlantConfig(dt=1e-6)},
+    ], ids=["closing_speed", "duration", "one_tick_over", "control_rate", "plant_dt"])
+    def test_work_budget_rejected(self, fields):
+        with pytest.raises(ValueError, match=f"over the budget of {MAX_TRIAL_SUBSTEPS:,}"):
+            ScenarioSpec(object="tape_roll", **fields)
+
+    def test_work_budget_is_inclusive(self):
+        # 1000 s at 100 Hz is 100,000 ticks of 10 substeps each, the budget exactly.
+        assert resolve(ScenarioSpec(object="tape_roll", duration=1000.0)).duration == 1000.0
 
     # Each positive draw spans subnormals to near the float maximum, so
     # derived times and tick counts can overflow and apertures can clash.
@@ -282,7 +287,9 @@ class TestResolve:
         except ValueError:
             return
         resolved = resolve(spec)
-        assert isinstance(math.ceil(resolved.duration * resolved.control.control_rate), int)
+        ticks = max(1, math.ceil(resolved.duration * resolved.control.control_rate))
+        substeps = max(1, round(1.0 / resolved.control.control_rate / spec.plant.dt))
+        assert ticks * substeps <= MAX_TRIAL_SUBSTEPS
 
     def test_pushes_given_as_a_list_are_frozen_with_the_spec(self):
         push = Push("finger1", 1.0, 1.0, 3.0)
