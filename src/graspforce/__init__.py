@@ -7,8 +7,9 @@ The middle layer is the control stack: the tactile sensor model
 (`sensor`), the three-phase grasp controller (`controller`), and the
 1-D two-finger contact plant (`plant`). These three import nothing from
 each other, only the config-record check (`checks`): a controller
-command is a plain (q1, q2) tuple, and the controller compares each
-calibrated reading with its contact threshold itself. The top layer
+command is a plain (q1, q2) tuple, the controller compares each
+calibrated reading with its contact threshold itself, and the plant takes
+a scenario's pushes and wrist sweep as they are. The top layer
 wires them together: scenario configs (`scenarios`), the trial and
 experiment harness (`harness`), and the command-line interface (`cli`).
 """
@@ -33,15 +34,13 @@ from .controller import (
 )
 from .geometry import adjoint_transform, rotation_from_normal
 from .harness import (
-    ConfigError,
-    RuntimeFault,
     TrialResult,
     run_experiment_a,
     run_experiment_b,
     run_trial,
     write_csv,
 )
-from .plant import DisturbanceSchedule, ObjectSpec, Plant, PlantConfig, Push, WristSweep
+from .plant import ObjectSpec, Plant, PlantConfig, Push, WristSweep
 from .scenarios import ScenarioSpec, SensorSetup, load_scenario
 from .sensor import CalibratedSensor, SensorModel, calibrate, estimate_bias
 

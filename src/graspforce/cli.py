@@ -17,7 +17,6 @@ from pathlib import Path
 from . import __version__
 from .closure import Contact, is_force_closure
 from .harness import (
-    ConfigError,
     experiment_b_table,
     make_out_dir,
     run_experiment_a,
@@ -139,30 +138,30 @@ _CONTACT_KEYS = {"position", "normal", "rotation", "mu", "mu_tau"}
 def _unknown_key(data: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
 
 
 def _load_contacts(path: str):
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read contact file {path}: {exc}") from exc
+        raise ValueError(f"cannot read contact file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"contact file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"contact file {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         _unknown_key(data, {"contacts"}, f"contact file {path}")
         entries = data.get("contacts")
     else:
         entries = data
     if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"contact file {path} must hold a non-empty contact list")
+        raise ValueError(f"contact file {path} must hold a non-empty contact list")
     contacts = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise ConfigError(f"contact {i} in {path} is malformed: not an object: {entry!r}")
+            raise ValueError(f"contact {i} in {path} is malformed: not an object: {entry!r}")
         _unknown_key(entry, _CONTACT_KEYS, f"contact {i} in {path}")
         if "normal" in entry and "rotation" in entry:
-            raise ConfigError(f"contact {i} in {path} gives both 'normal' and 'rotation'")
+            raise ValueError(f"contact {i} in {path} gives both 'normal' and 'rotation'")
         try:
             friction = {key: entry[key] for key in ("mu", "mu_tau") if key in entry}
             if "rotation" in entry:
@@ -170,17 +169,17 @@ def _load_contacts(path: str):
             else:
                 contacts.append(Contact.from_normal(entry["position"], entry["normal"], **friction))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"contact {i} in {path} is malformed: {exc}") from exc
+            raise ValueError(f"contact {i} in {path} is malformed: {exc}") from exc
     return contacts
 
 
 def _cmd_closure(args) -> int:
     if args.sides < 3:
-        raise ConfigError(f"--sides must be >= 3, got {args.sides}")
+        raise ValueError(f"--sides must be >= 3, got {args.sides}")
     contacts = _load_contacts(args.contacts)
     rows = len(contacts) * (args.sides + 3)
     if rows > MAX_CONE_ROWS:
-        raise ConfigError(
+        raise ValueError(
             f"closure check too large: {len(contacts)} contacts x ({args.sides} + 3) cone rows"
             f" = {rows}, more than {MAX_CONE_ROWS}"
         )
@@ -195,7 +194,7 @@ def _cmd_closure(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     model = SensorModel(
         gamma=args.gamma, bias=args.bias, noise_sigma=args.noise_sigma, seed=args.seed
     )
@@ -232,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # a RuntimeFault, or a solver's pivot cap
+    except RuntimeError as exc:  # a non-finite trial, an unwritable CSV or a pivot cap
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

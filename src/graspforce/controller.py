@@ -222,14 +222,12 @@ class GraspController:
         u_int = (cfg.kp_int * delta_f_int + cfg.ki_int * self.integral) / cfg.ks_int
 
         center = 0.5 * (q2 - q1)
-        if cfg.compliance_enabled and abs(f_ext) > cfg.f_phi:
+        # With the deadband ablated, compliance answers arbitrarily small forces.
+        if cfg.compliance_enabled and (abs(f_ext) > cfg.f_phi or not cfg.deadband_enabled):
             u_ext = cfg.kp_ext * f_ext / cfg.k_ext
             self.ref_center = center
-        elif cfg.deadband_enabled or not cfg.compliance_enabled:
-            u_ext = self.ref_center - center
         else:
-            # Deadband ablated: comply with arbitrarily small external forces.
-            u_ext = cfg.kp_ext * f_ext / cfg.k_ext
+            u_ext = self.ref_center - center
 
         dq1, dq2 = distribute(u_int, u_ext)
         cmd = (self._clamp(q1 + dq1), self._clamp(q2 + dq2))

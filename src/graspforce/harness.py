@@ -61,10 +61,6 @@ _SEED_OFFSET = 389
 _SEED_OBJECT = 7919
 
 
-class ConfigError(ValueError):
-    """A scenario that cannot be run; reported before simulation starts."""
-
-
 def _reject_overrides(experiment: str, overrides: dict | None, fixed: tuple[str, ...]):
     """Refuse overrides of the dotted paths an experiment sets per trial."""
     for path in fixed:
@@ -72,11 +68,7 @@ def _reject_overrides(experiment: str, overrides: dict | None, fixed: tuple[str,
         node = (overrides or {}).get(section) if section else overrides
         if isinstance(node, dict) and key in node:
             hint = "; set the base seed with --seed" if path == "seed" else ""
-            raise ConfigError(f"{path} is set per trial by {experiment}, not overridable{hint}")
-
-
-class RuntimeFault(RuntimeError):
-    """A trial that started but hit a non-finite measurement or state."""
+            raise ValueError(f"{path} is set per trial by {experiment}, not overridable{hint}")
 
 
 @dataclass(slots=True)
@@ -143,7 +135,8 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         resolved.obj,
         start_aperture=resolved.request.start_aperture,
         offset=spec.offset,
-        schedule=resolved.schedule,
+        pushes=spec.pushes,
+        wrist=spec.wrist,
         config=spec.plant,
     )
     if spec.controller == FORCE:
@@ -173,7 +166,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         f2 = sensors[1].read(true_f2)
         g_dot_n = plant.g_dot_n()
         if not (isfinite(f1) and isfinite(f2)):
-            raise RuntimeFault(f"non-finite measurement at t={t:.3f} s")
+            raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
         q1, q2 = plant.q1, plant.q2
 
         cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
@@ -190,7 +183,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
             and isfinite(plant.true_f1) and isfinite(plant.true_f2)
         ):
-            raise RuntimeFault(f"non-finite plant state at t={t:.3f} s")
+            raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
         if controller.finished:
             break
 
@@ -264,16 +257,16 @@ def _write_table(path: Path, header: list[str], lines) -> None:
             fh.write(",".join(header) + "\n")
             fh.writelines(lines)
     except OSError as exc:
-        raise RuntimeFault(f"cannot write {path}: {exc}") from exc
+        raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
 def make_out_dir(out_dir: str | Path) -> Path:
-    """Create a report directory, or raise ConfigError if it cannot be made."""
+    """Create a report directory, or raise ValueError if it cannot be made."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+        raise ValueError(f"cannot make output directory {out}: {exc}") from exc
     return out
 
 
@@ -440,12 +433,12 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int,
     )
     spec = with_overrides(spec, overrides)
     if spec.duration is None or not spec.duration >= metrics_end:
-        raise ConfigError(
+        raise ValueError(
             f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
             f"which run to {metrics_end} s"
         )
     if spec.control.control_rate < _MIN_CONTROL_RATE:
-        raise ConfigError(f"control_rate {spec.control.control_rate!r} Hz is below the "
+        raise ValueError(f"control_rate {spec.control.control_rate!r} Hz is below the "
                           f"{_MIN_CONTROL_RATE:g} Hz that puts two ticks in every metric window")
     return spec
 

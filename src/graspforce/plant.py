@@ -24,13 +24,15 @@ uncompensated object drifts toward -axis, toward the ground.
 Scheduled pushes on a finger are added to that finger's measured-force
 path only (they model someone pressing on the finger, which the load cell
 feels but the object does not, since the finger is position controlled).
-Pushes on the object are real forces in its equation of motion.
+Pushes on the object are real forces in its equation of motion. The plant
+takes the pushes and the wrist sweep as given; pushes that overlap on one
+target sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
 
@@ -114,33 +116,6 @@ class WristSweep:
 
 
 @dataclass(frozen=True)
-class DisturbanceSchedule:
-    """Scheduled pushes and wrist sweep; by_target holds the pushes of each target."""
-
-    pushes: tuple[Push, ...] = ()
-    wrist: WristSweep | None = None
-    by_target: dict[str, tuple[Push, ...]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pushes", tuple(self.pushes))
-        by_target = {
-            target: tuple(p for p in self.pushes if p.target == target) for target in _TARGETS
-        }
-        object.__setattr__(self, "by_target", by_target)
-        for target, pushes in by_target.items():
-            spans = sorted((p.t_start, p.t_end) for p in pushes)
-            for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
-                if start_b < end_a:
-                    raise ValueError(f"overlapping pushes scheduled on {target}")
-
-    def push_force(self, target: str, t: float) -> float:
-        return sum(p.value(t) for p in self.by_target[target])
-
-    def wrist_angle(self, t: float) -> float:
-        return self.wrist.angle(t) if self.wrist is not None else 0.0
-
-
-@dataclass(frozen=True)
 class PlantConfig:
     """Simulation resolution and the finger/fingertip model.
 
@@ -164,7 +139,9 @@ class Plant:
     offset places the object center relative to the gripper center at the
     start, positive toward finger 2. contact_stiffness is the object
     stiffness in series with the fingertip pad, per contact; it is fixed
-    for the plant's lifetime.
+    for the plant's lifetime. pushes_on holds the pushes of each target.
+    The plant sums pushes that overlap on one target; ScenarioSpec is
+    where overlapping pushes are refused.
     """
 
     def __init__(
@@ -172,13 +149,17 @@ class Plant:
         obj: ObjectSpec,
         start_aperture: float,
         offset: float = 0.0,
-        schedule: DisturbanceSchedule | None = None,
+        pushes: tuple[Push, ...] = (),
+        wrist: WristSweep | None = None,
         config: PlantConfig | None = None,
     ):
         if not start_aperture > 0.0:
             raise ValueError("start_aperture must be > 0")
         self.obj = obj
-        self.schedule = schedule if schedule is not None else DisturbanceSchedule()
+        self.pushes_on = {
+            target: tuple(p for p in pushes if p.target == target) for target in _TARGETS
+        }
+        self.wrist = wrist
         self.config = config if config is not None else PlantConfig()
         k = obj.stiffness
         pad = self.config.pad_stiffness
@@ -191,7 +172,8 @@ class Plant:
         self.true_f1, self.true_f2 = self._contact_forces()
 
     def g_dot_n(self) -> float:
-        return -self.config.gravity * math.sin(self.schedule.wrist_angle(self.t))
+        angle = self.wrist.angle(self.t) if self.wrist is not None else 0.0
+        return -self.config.gravity * math.sin(angle)
 
     def _contact_forces(self) -> tuple[float, float]:
         k = self.contact_stiffness
@@ -206,11 +188,11 @@ class Plant:
         A finger without pushes adds the int 0 that an empty push sum
         gives, so a -0.0 force still reads 0.0.
         """
-        schedule = self.schedule
-        by_target = schedule.by_target
+        t = self.t
+        on_1, on_2 = self.pushes_on[FINGER_1], self.pushes_on[FINGER_2]
         return (
-            self.true_f1 + (schedule.push_force(FINGER_1, self.t) if by_target[FINGER_1] else 0),
-            self.true_f2 + (schedule.push_force(FINGER_2, self.t) if by_target[FINGER_2] else 0),
+            self.true_f1 + (sum(p.value(t) for p in on_1) if on_1 else 0),
+            self.true_f2 + (sum(p.value(t) for p in on_2) if on_2 else 0),
         )
 
     def step(self, command: tuple[float, float], duration: float) -> None:
@@ -248,11 +230,11 @@ class Plant:
         k = self.contact_stiffness
         half = 0.5 * obj.width
         mass = obj.mass
-        wrist = self.schedule.wrist
+        wrist = self.wrist
         gravity = cfg.gravity
         # Without a sweep the wrist angle stays 0 for the whole trial.
         g_dot_n = -gravity * math.sin(0.0)
-        object_pushes = self.schedule.by_target[OBJECT]
+        object_pushes = self.pushes_on[OBJECT]
         push_obj = 0
         # Spring forces explicit, drag backward: the drag-to-mass ratios of
         # well-damped catalog objects sit at the edge of the explicit

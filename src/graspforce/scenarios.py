@@ -3,7 +3,7 @@
 A ScenarioSpec is a plain data tree that fully determines one simulated
 grasp trial: the object, its placement, which controller runs with which
 settings (its three *_enabled flags are the one way to ablate a part), the
-disturbance schedule, and the sensor and plant parameters. Specs load from
+pushes and wrist sweep, and the sensor and plant parameters. Specs load from
 JSON files and accept dotted-path overrides like control.f_goal=2.5, so
 every documented field is reachable from the command line without a
 dedicated flag.
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .checks import NON_NEGATIVE, NORMAL, POSITIVE, check_fields
 from .controller import ControllerConfig, GraspRequest
-from .plant import DisturbanceSchedule, ObjectSpec, PlantConfig, Push, WristSweep
+from .plant import FINGER_1, FINGER_2, OBJECT, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, MAX_CALIBRATION_SAMPLES, SensorModel
 
 STYROFOAM = ObjectSpec("styrofoam", mass=0.002, width=0.050, stiffness=500.0, damping=1.0)
@@ -142,7 +142,12 @@ class ScenarioSpec:
                              f" substeps at control_rate {self.control.control_rate:g} Hz and"
                              f" plant.dt {self.plant.dt:g} s, over the budget of"
                              f" {MAX_TRIAL_SUBSTEPS:,}")
-        DisturbanceSchedule(self.pushes, self.wrist)  # rejects overlapping pushes
+        # Pushes on one target may touch but not overlap; the plant would sum them.
+        for target in (FINGER_1, FINGER_2, OBJECT):
+            spans = sorted((p.t_start, p.t_end) for p in self.pushes if p.target == target)
+            for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
+                if start_b < end_a:
+                    raise ValueError(f"overlapping pushes scheduled on {target}")
 
     def object_spec(self) -> ObjectSpec:
         return self.object if isinstance(self.object, ObjectSpec) else OBJECTS[self.object]
@@ -262,7 +267,6 @@ class ResolvedScenario:
     obj: ObjectSpec
     control: ControllerConfig
     request: GraspRequest
-    schedule: DisturbanceSchedule
     sensor_models: tuple[SensorModel, SensorModel]
     duration: float
 
@@ -306,12 +310,10 @@ def resolve(spec: ScenarioSpec) -> ResolvedScenario:
             (s.gamma2, s.bias2, s.gain_scale2, 1000003),
         )
     )
-    schedule = DisturbanceSchedule(pushes=spec.pushes, wrist=spec.wrist)
     return ResolvedScenario(
         obj=obj,
         control=control,
         request=request,
-        schedule=schedule,
         sensor_models=models,
         duration=duration,
     )

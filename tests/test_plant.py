@@ -9,7 +9,6 @@ from graspforce.plant import (
     FINGER_1,
     FINGER_2,
     OBJECT,
-    DisturbanceSchedule,
     ObjectSpec,
     Plant,
     PlantConfig,
@@ -113,8 +112,7 @@ class TestDynamics:
 
     def test_gravity_pulls_uncompensated_object_down(self):
         obj = ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0)
-        schedule = DisturbanceSchedule(wrist=WristSweep(0.0, 1.0, angle_end=math.pi / 2))
-        plant = Plant(obj, start_aperture=0.054, schedule=schedule)
+        plant = Plant(obj, start_aperture=0.054, wrist=WristSweep(0.0, 1.0, angle_end=math.pi / 2))
         for _ in range(200):
             plant.step(hold(plant), 0.01)
         # Finger 1 is at the bottom once the axis is vertical.
@@ -126,8 +124,7 @@ class TestDynamics:
         # the full half-turn; the object must not drift measurably.
         obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
         sweep = WristSweep(0.0, 10.0, angle_end=math.pi)
-        plant = Plant(obj, start_aperture=0.08,
-                      schedule=DisturbanceSchedule(wrist=sweep))
+        plant = Plant(obj, start_aperture=0.08, wrist=sweep)
         k = plant.contact_stiffness
         half = 0.5 * obj.width
         x0 = plant.x_obj
@@ -187,8 +184,7 @@ class TestDisturbances:
     def test_finger_push_reaches_measurement_not_object(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(FINGER_1, 1.0, 0.0, 1.0, ramp=0.01)
-        plant = Plant(obj, start_aperture=0.08,
-                      schedule=DisturbanceSchedule(pushes=(push,)))
+        plant = Plant(obj, start_aperture=0.08, pushes=(push,))
         plant.step(hold(plant), 0.05)
         f1_meas, f2_meas = plant.measured_forces()
         assert f1_meas == pytest.approx(1.0, abs=1e-12)
@@ -202,7 +198,7 @@ class TestDisturbances:
         # a finger without pushes adds int 0 and a -0.0 force reads 0.0.
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         pushes = tuple(Push(target, 0.3, 0.0, 1.0, ramp=0.2) for target in targets)
-        plant = Plant(obj, start_aperture=0.08, schedule=DisturbanceSchedule(pushes=pushes))
+        plant = Plant(obj, start_aperture=0.08, pushes=pushes)
         for true_f1, true_f2, t in [(-0.0, -0.0, 0.05), (0.25, -0.0, 0.5), (-0.0, 1.5, 2.0)]:
             plant.true_f1, plant.true_f2, plant.t = true_f1, true_f2, t
             want = [
@@ -214,8 +210,7 @@ class TestDisturbances:
     def test_object_push_is_a_real_force(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(OBJECT, 0.5, 0.0, 1.0, ramp=0.01)
-        plant = Plant(obj, start_aperture=0.08,
-                      schedule=DisturbanceSchedule(pushes=(push,)))
+        plant = Plant(obj, start_aperture=0.08, pushes=(push,))
         for _ in range(20):
             plant.step(hold(plant), 0.01)
         assert plant.x_obj > 1e-4
@@ -238,16 +233,17 @@ class TestDisturbances:
         assert sweep.angle(3.0) == pytest.approx(math.pi / 2)
         assert sweep.angle(9.0) == math.pi
 
-    def test_overlapping_pushes_on_one_target_rejected(self):
-        pushes = (Push(FINGER_1, 1.0, 0.0, 2.0), Push(FINGER_1, 1.0, 1.0, 3.0))
-        with pytest.raises(ValueError):
-            DisturbanceSchedule(pushes=pushes)
-
-    def test_overlap_on_different_targets_allowed(self):
-        pushes = (Push(FINGER_1, 1.0, 0.0, 2.0), Push(OBJECT, 1.0, 1.0, 3.0))
-        schedule = DisturbanceSchedule(pushes=pushes)
-        assert schedule.push_force(FINGER_1, 1.5) == 1.0
-        assert schedule.push_force(OBJECT, 1.5) == 1.0
+    def test_overlapping_pushes_on_one_finger_sum(self):
+        # ScenarioSpec refuses overlapping pushes; the plant itself adds them up.
+        obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
+        pushes = (Push(FINGER_2, 1.0, 0.0, 2.0, ramp=0.0), Push(FINGER_2, 0.25, 1.0, 3.0, ramp=0.0))
+        plant = Plant(obj, start_aperture=0.08, pushes=pushes)
+        readings = []
+        for _ in range(3):
+            plant.step(hold(plant), 0.5)
+            readings.append(plant.measured_forces())
+            plant.step(hold(plant), 0.5)
+        assert readings == [(0.0, 1.0), (0.0, 1.25), (0.0, 0.25)]
 
 
 class TestValidation:
@@ -320,9 +316,10 @@ class FrozenPlant:
     operands or evaluation order in Plant.step shows up as a bit difference.
     """
 
-    def __init__(self, obj, start_aperture, offset, schedule, config):
+    def __init__(self, obj, start_aperture, offset, pushes, wrist, config):
         self.obj = obj
-        self.schedule = schedule
+        self.pushes = pushes
+        self.wrist = wrist
         self.config = config
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
@@ -340,10 +337,10 @@ class FrozenPlant:
         return k * pad / (k + pad)
 
     def push_force(self, target, t):
-        return sum(p.value(t) for p in self.schedule.pushes if p.target == target)
+        return sum(p.value(t) for p in self.pushes if p.target == target)
 
     def wrist_angle(self, t):
-        wrist = self.schedule.wrist
+        wrist = self.wrist
         return wrist.angle(t) if wrist is not None else 0.0
 
     def g_dot_n(self):
@@ -412,34 +409,34 @@ MIXED_PUSHES = (
     Push(FINGER_2, -0.7, 0.5, 2.0, ramp=0.1),
 )
 
-# name -> (object, offset, start aperture, schedule, plant config)
+# name -> (object, offset, start aperture, pushes, wrist sweep, plant config)
 REFERENCE_SCENARIOS = {
     "object pushes": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
-        0.0, 0.064, DisturbanceSchedule(pushes=MIXED_PUSHES), PlantConfig(),
+        0.0, 0.064, MIXED_PUSHES, None, PlantConfig(),
     ),
     "wrist sweep": (
         ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0),
-        0.001, 0.058, DisturbanceSchedule(wrist=SWEEP), PlantConfig(),
+        0.001, 0.058, (), SWEEP, PlantConfig(),
     ),
     "pushes and sweep": (
         ObjectSpec("slab", mass=0.02, width=0.05, stiffness=500.0, damping=5.0),
-        0.0, 0.054, DisturbanceSchedule(pushes=MIXED_PUSHES, wrist=SWEEP), PlantConfig(gravity=-3.7),
+        0.0, 0.054, MIXED_PUSHES, SWEEP, PlantConfig(gravity=-3.7),
     ),
     "rigid tips": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=0.0),
-        0.0, 0.064, DisturbanceSchedule(pushes=MIXED_PUSHES[:2]), RIGID_TIPS,
+        0.0, 0.064, MIXED_PUSHES[:2], None, RIGID_TIPS,
     ),
     "undamped free": (
         ObjectSpec("slab", mass=0.3, width=0.04, stiffness=900.0),
-        0.0, 0.08, DisturbanceSchedule(), PlantConfig(max_finger_speed=0.02, dt=7e-4),
+        0.0, 0.08, (), None, PlantConfig(max_finger_speed=0.02, dt=7e-4),
     ),
     # The path every exp-a substep takes. A resting free object turns -0.0
     # into 0.0 through x += dt * v, so a shortcut that skips that update
     # shows up in the first step.
     "exp-a substeps": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
-        -0.0, 0.07, DisturbanceSchedule(), PlantConfig(),
+        -0.0, 0.07, (), None, PlantConfig(),
     ),
 }
 
@@ -447,9 +444,10 @@ REFERENCE_SCENARIOS = {
 class TestFrozenReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
     def test_bit_identical_to_frozen_substep_loop(self, name):
-        obj, offset, start, schedule, config = REFERENCE_SCENARIOS[name]
-        plant = Plant(obj, start_aperture=start, offset=offset, schedule=schedule, config=config)
-        frozen = FrozenPlant(obj, start, offset, schedule, config)
+        obj, offset, start, pushes, wrist, config = REFERENCE_SCENARIOS[name]
+        plant = Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
+                      config=config)
+        frozen = FrozenPlant(obj, start, offset, pushes, wrist, config)
         assert _snapshot(plant) == _snapshot(frozen)
         rng = random.Random(name)
         half_width = 0.5 * obj.width
@@ -488,7 +486,7 @@ class TestFrozenSpeedCap:
         config = PlantConfig(max_finger_speed=abs(target - q) / duration)
         assert abs(target - q) / duration == config.max_finger_speed
         plant = Plant(obj, start_aperture=start, config=config)
-        frozen = FrozenPlant(obj, start, 0.0, DisturbanceSchedule(), config)
+        frozen = FrozenPlant(obj, start, 0.0, (), None, config)
         cmd = (math.nan if nan_finger == 1 else target,
                math.nan if nan_finger == 2 else target)
         for _ in range(3):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from graspforce.controller import STOP_AT_GOAL, ControllerConfig
 from graspforce.harness import run_experiment_a, run_trial
-from graspforce.plant import ObjectSpec, Plant, PlantConfig, Push
+from graspforce.plant import FINGER_1, FINGER_2, OBJECT, ObjectSpec, Plant, PlantConfig, Push
 from graspforce.scenarios import (
     MAX_TRIAL_SUBSTEPS,
     OBJECTS,
@@ -293,9 +293,10 @@ class TestResolve:
 
     def test_pushes_given_as_a_list_are_frozen_with_the_spec(self):
         push = Push("finger1", 1.0, 1.0, 3.0)
-        spec = ScenarioSpec(pushes=[push])
+        pushes = [push]
+        spec = ScenarioSpec(pushes=pushes)
+        pushes.append(Push("finger1", 1.0, 2.0, 4.0))  # would overlap, after the check
         assert spec.pushes == (push,)
-        assert resolve(spec).schedule.pushes == (push,)
 
     def test_sensor_models_inherit_seed_and_noise(self):
         spec = ScenarioSpec(object="tape_roll", seed=123,
@@ -307,3 +308,34 @@ class TestResolve:
         assert m1.noise_sigma == 0.0
         assert m2.noise_sigma == 0.0
         assert m1.gain_scale == 1.01
+
+
+class TestPushes:
+    def test_overlapping_pushes_on_one_target_rejected(self):
+        for target in (FINGER_1, FINGER_2, OBJECT):
+            pushes = (Push(target, 1.0, 0.0, 2.0), Push(target, 1.0, 1.0, 3.0))
+            with pytest.raises(ValueError, match=f"^overlapping pushes scheduled on {target}$"):
+                ScenarioSpec(pushes=pushes)
+
+    def test_first_overlapping_target_is_named_in_fixed_order(self):
+        pushes = tuple(Push(target, 1.0, start, start + 2.0)
+                       for target in (OBJECT, FINGER_2) for start in (1.0, 0.0))
+        with pytest.raises(ValueError, match=f"on {FINGER_2}$"):
+            ScenarioSpec(pushes=pushes)
+
+    def test_touching_pushes_build(self):
+        for target in (FINGER_1, FINGER_2, OBJECT):
+            pushes = (Push(target, 1.0, 1.0, 2.0), Push(target, -1.0, 0.0, 1.0))
+            assert ScenarioSpec(pushes=pushes).pushes == pushes
+
+    def test_overlap_on_different_targets_allowed(self):
+        spec = ScenarioSpec(pushes=(Push(FINGER_1, 1.0, 0.0, 2.0), Push(OBJECT, 1.0, 1.0, 3.0)))
+        obj = spec.object_spec()
+        plant = Plant(obj, 0.08, pushes=spec.pushes, wrist=spec.wrist)
+        for _ in range(3):
+            plant.step((plant.q1, plant.q2), 0.5)
+        assert plant.t == pytest.approx(1.5)
+        assert plant.measured_forces() == (1.0, 0.0)
+        assert plant.x_obj > 0.0
+        # Drag balances the push: terminal velocity is force / damping.
+        assert plant.v_obj == pytest.approx(1.0 / obj.damping)
