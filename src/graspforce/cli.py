@@ -1,9 +1,9 @@
 """Command-line front end for trials, experiments, and closure analysis.
 
 Exit codes: 0 success (and closure-yes), 1 runtime fault inside a started
-simulation or a solver that hit its pivot cap, 2 usage or configuration
-errors (a closure check over MAX_CONE_ROWS among them), 3 closure-no from
-the closure subcommand.
+simulation, a non-finite calibration or a solver that hit its pivot cap,
+2 usage or configuration errors (a closure check over MAX_CONE_ROWS among
+them), 3 closure-no from the closure subcommand.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .harness import (
     write_csv,
 )
 from .scenarios import load_scenario, parse_overrides, with_overrides
-from .sensor import SensorModel, calibrate, estimate_bias
+from .sensor import CalibratedSensor, SensorModel, calibrate
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -198,10 +199,12 @@ def _cmd_calibrate(args) -> int:
     model = SensorModel(
         gamma=args.gamma, bias=args.bias, noise_sigma=args.noise_sigma, seed=args.seed
     )
-    estimate = estimate_bias(model, args.samples)
+    estimate = CalibratedSensor(model, args.samples).bias_estimate
     # A noise-free raw reading at zero load equals the true bias, so this is
     # the systematic force offset left after calibration.
     residual = calibrate(model.bias, model, estimate)
+    if not math.isfinite(estimate) or not math.isfinite(residual):
+        raise RuntimeError(f"non-finite calibration: bias estimate {estimate}, residual {residual}")
     print(f"true bias: {model.bias:.6f} raw units")
     print(f"estimated bias over {args.samples} samples: {estimate:.6f} raw units")
     print(f"residual calibrated offset at zero load: {residual:.6f} N")
@@ -231,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:  # a non-finite trial, an unwritable CSV or a pivot cap
+    except RuntimeError as exc:  # a non-finite trial or calibration, an unwritable CSV, a pivot cap
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
 

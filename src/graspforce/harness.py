@@ -321,6 +321,9 @@ def run_experiment_a(
     the same sensor seed, so their comparison is not confounded by noise.
     """
     _reject_overrides("exp-a", overrides, _EXPERIMENT_A_FIXED)
+    if reps < 1 or not offsets or not objects:
+        raise ValueError(f"exp-a needs reps >= 1 and some offsets and objects, got reps={reps}, "
+                         f"offsets={tuple(offsets)}, objects={tuple(objects)}")
     started = time.perf_counter()
     # Every spec is built, and so checked, before the output directory is made.
     specs = [

@@ -8,6 +8,7 @@ obtained by averaging unloaded samples. A deliberate gain_scale factor
 (for example 1.01) models imperfect knowledge of gamma: the calibrated
 value then over- or under-reports the true force by that factor, which is
 the miscalibration pathology the controller's deadband exists to absorb.
+A channel's seeded noise stream belongs to the CalibratedSensor reading it.
 
 An optional min_force floor zeroes true forces below a detectability
 threshold before they reach the raw signal, modeling sensors that cannot
@@ -18,7 +19,7 @@ the controller's job, against its own f_theta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +30,16 @@ DEFAULT_GAMMA_2 = 11.03
 # Raw-units noise sized so a 5-sigma excursion calibrates to about 0.1 N,
 # half of the default 0.2 N contact threshold.
 DEFAULT_CALIBRATED_NOISE_5SIGMA = 0.1
-# Standard normals drawn ahead per refill of a model's noise buffer.
+# Standard normals drawn ahead per refill of a sensor's noise buffer.
 _NORMALS_AHEAD = 256
 # estimate_bias holds about 49 bytes per sample at once, so this many take
 # about 49 MB.
 MAX_CALIBRATION_SAMPLES = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorModel:
-    """One load-cell channel with its own seeded noise stream.
+    """One load-cell channel's parameters; seed seeds its noise stream.
 
     noise_sigma is in raw units, and 0 turns the noise off; when omitted
     it is sized from gamma so that 5 sigma of calibrated noise equals 0.1 N. gain_scale multiplies
@@ -52,56 +53,26 @@ class SensorModel:
     seed: int = 0
     min_force: float = 0.0
     gain_scale: float = 1.0
-    _rng: np.random.Generator = field(init=False, repr=False)
-    # Standard normals drawn from _rng but not used yet, the next one last.
-    _normals: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self, {"gamma": NORMAL, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
                             "min_force": NON_NEGATIVE, "gain_scale": POSITIVE})
         if self.noise_sigma is None:
-            self.noise_sigma = DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma)
-        self._rng = np.random.default_rng(self.seed)
-        self._normals = []
+            object.__setattr__(self, "noise_sigma",
+                               DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma))
 
 
-def sample_raw(true_force: float, model: SensorModel) -> float:
-    """Draw one raw sample for the given true force, advancing the noise stream.
-
-    The noise is `rng.normal(0.0, sigma)` bit for bit: numpy computes that
-    as 0.0 + sigma * z from one standard normal z, and a chunk of
-    `standard_normal(n)` holds the z values that n single draws give, in
-    the same order. Scaling at read time lets a changed sigma apply to the
-    next read.
-    """
-    effective = true_force if true_force >= model.min_force else 0.0
-    raw = effective / model.gamma + model.bias
-    sigma = model.noise_sigma
-    if sigma > 0.0:
-        normals = model._normals
-        if not normals:
-            normals.extend(model._rng.standard_normal(_NORMALS_AHEAD)[::-1].tolist())
-        raw += 0.0 + sigma * normals.pop()
-    return raw
-
-
-def estimate_bias(model: SensorModel, n_samples: int = 1000) -> float:
-    """Average unloaded raw samples; the standard error shrinks as 1/sqrt(n)."""
+def estimate_bias(model: SensorModel, n_samples: int, rng: np.random.Generator) -> float:
+    """Average unloaded raw samples, noise from rng; the standard error shrinks as 1/sqrt(n)."""
     if not 1 <= n_samples <= MAX_CALIBRATION_SAMPLES:
         raise ValueError(
             f"n_samples must be >= 1 and <= {MAX_CALIBRATION_SAMPLES}, got {n_samples}"
         )
-    # sample_raw(0.0, model) n times over, summed in the same order.
+    # n unloaded reads' raw values, summed in the order they are drawn.
     raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
-    sigma = model.noise_sigma
-    if sigma > 0.0:
-        # The stream goes on through any normals sample_raw drew ahead,
-        # then through the generator.
-        normals = model._normals
-        ahead = normals[:-n_samples - 1:-1]
-        del normals[len(normals) - len(ahead):]
-        raw[:len(ahead)] += 0.0 + sigma * np.array(ahead)
-        raw[len(ahead):] += model._rng.normal(0.0, sigma, n_samples - len(ahead))
+    if model.noise_sigma > 0.0:
+        with np.errstate(over="ignore"):  # an overflow stays inf, for the caller to fault on
+            raw += rng.normal(0.0, model.noise_sigma, n_samples)
     return sum(raw.tolist()) / n_samples
 
 
@@ -111,11 +82,31 @@ def calibrate(raw: float, model: SensorModel, bias_estimate: float) -> float:
 
 
 class CalibratedSensor:
-    """A sensor channel ready for use: bias estimated once, then read per tick."""
+    """A sensor channel ready for use, holding its seeded noise stream.
+
+    The bias calibration draws the stream's first values; each read then draws the next one.
+    """
 
     def __init__(self, model: SensorModel, calibration_samples: int = 1000):
         self.model = model
-        self.bias_estimate = estimate_bias(model, calibration_samples)
+        self._rng = np.random.default_rng(model.seed)
+        # Standard normals drawn from _rng but not used yet, the next one last.
+        self._normals: list[float] = []
+        self.bias_estimate = estimate_bias(model, calibration_samples, self._rng)
 
     def read(self, true_force: float) -> float:
-        return calibrate(sample_raw(true_force, self.model), self.model, self.bias_estimate)
+        """Calibrate one raw sample of true_force, its noise `rng.normal(0.0, sigma)` bit for bit.
+
+        numpy computes that draw as 0.0 + sigma * z from one standard normal z, and a chunk of
+        `standard_normal(n)` holds the z values of n single draws, in the same order.
+        """
+        model = self.model
+        effective = true_force if true_force >= model.min_force else 0.0
+        raw = effective / model.gamma + model.bias
+        sigma = model.noise_sigma
+        if sigma > 0.0:
+            normals = self._normals
+            if not normals:
+                normals.extend(self._rng.standard_normal(_NORMALS_AHEAD)[::-1].tolist())
+            raw += 0.0 + sigma * normals.pop()
+        return calibrate(raw, model, self.bias_estimate)

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import warnings
 
 import pytest
 
@@ -364,6 +365,21 @@ class TestCalibrate:
 
     def test_sample_count_validated(self, capsys):
         assert main(["calibrate", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--bias", "1.7e308", "--samples", "4"],
+        ["--bias", "1e308", "--noise-sigma", "1e308", "--samples", "10"],
+    ], ids=["bias", "bias-and-noise"])
+    def test_overflowing_estimate_faults(self, flags, capsys):
+        # Finite flags whose sample sum overflows to an infinite estimate,
+        # with no numpy overflow warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["calibrate", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "fault: non-finite calibration: bias estimate inf, residual -inf\n"
 
 
 class TestExperiments:

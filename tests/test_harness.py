@@ -287,6 +287,19 @@ class TestExperimentPlumbing:
             seeds.setdefault(key, set()).add(trial.spec.controller)
         assert all(v == {"force", "trajectory"} for v in seeds.values())
 
+    @pytest.mark.parametrize("grid", [{"reps": 0}, {"offsets": ()}, {"objects": ()}],
+                             ids=["reps", "offsets", "objects"])
+    def test_empty_grid_rejected_before_any_trial(self, grid, tmp_path, monkeypatch):
+        # An empty group would summarize to a NaN mean.
+        def forbidden(spec):
+            raise AssertionError("an empty grid ran a trial")
+
+        monkeypatch.setattr(harness, "run_trial", forbidden)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="^exp-a needs reps >= 1"):
+            run_experiment_a(out_dir=out, **grid)
+        assert not out.exists()
+
     def test_experiment_b_spec_scenarios(self):
         push = _experiment_b_spec("push", "none", 0, None)
         assert len(push.pushes) == 2

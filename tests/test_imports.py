@@ -218,11 +218,7 @@ def test_detects_an_unfrozen_checked_dataclass():
     assert unfrozen_checked_dataclasses(source) == ["Bare", "Thawed"]
 
 
-# SensorModel stays mutable: it holds the noise stream its reads advance.
-MUTABLE_CHECKED = {"SensorModel"}
-
-
 def test_checked_dataclasses_are_frozen():
     found = {name for path in PACKAGE
              for name in unfrozen_checked_dataclasses(path.read_text(encoding="utf-8"))}
-    assert found == MUTABLE_CHECKED
+    assert found == set()
