@@ -205,9 +205,12 @@ def _cmd_calibrate(args) -> int:
     residual = calibrate(model.bias, model, estimate)
     if not math.isfinite(estimate) or not math.isfinite(residual):
         raise RuntimeError(f"non-finite calibration: bias estimate {estimate}, residual {residual}")
-    print(f"true bias: {model.bias:.6f} raw units")
-    print(f"estimated bias over {args.samples} samples: {estimate:.6f} raw units")
-    print(f"residual calibrated offset at zero load: {residual:.6f} N")
+    def fixed(v: float) -> str:  # .6f prints every integer digit, 309 of them at 1e308
+        return f"{v:.6f}" if abs(v) < 1e9 else f"{v:.6e}"
+
+    print(f"true bias: {fixed(model.bias)} raw units")
+    print(f"estimated bias over {args.samples} samples: {fixed(estimate)} raw units")
+    print(f"residual calibrated offset at zero load: {fixed(residual)} N")
     return EXIT_OK
 
 

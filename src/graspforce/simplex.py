@@ -7,8 +7,10 @@ variables, and equality rows (plus any inequality row whose slack cannot
 seed the basis) get phase-1 artificials. Bland's rule keeps the pivoting
 finite on the heavily degenerate cone programs this package feeds it.
 
-The problems here are tiny, a few dozen variables and rows, so a plain
-tableau with full row updates is both adequate and easy to audit.
+The problems here are tiny, a few dozen variables and rows. The objective
+row lives in the tableau, so a pivot is one rank-1 update, and its cost,
+about 13 us a certify pivot on 2 vCPUs (Python 3.11, numpy 2.4), is numpy
+call overhead rather than arithmetic.
 
 all_feasible is a second, independent solver for one question: do many
 standard-form systems a_eq.x = b, x >= 0 that share a_eq and differ only
@@ -66,24 +68,26 @@ class LpResult:
         return self.status == OPTIMAL
 
 
-def _pivot(tableau: np.ndarray, obj: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    """Make column col basic in row: a rank-1 update of the tableau and objective.
+def _pivot(
+    tableau: np.ndarray, basis: list[int], row: int, col: int, element: float, buf: np.ndarray
+) -> None:
+    """Make column col, whose entry in row is element, basic in row: one rank-1 update.
 
-    The update is factor[:, None] * pivot_row, the same multiply-then-subtract
-    np.outer performs, without its wrapper; on the 30 to 41 row tableaux of
-    the certify LP the wrapper cost more than the arithmetic.
+    The objective row is the tableau's last, so the update covers it too.
+    The product goes into buf, an array of the tableau's shape per solve.
     """
     pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
+    pivot_row /= element
     factor = tableau[:, col].copy()
     factor[row] = 0.0
-    tableau -= factor[:, None] * pivot_row
-    obj -= obj[col] * pivot_row
+    # Not einsum("i,j->ij", ..., out=buf): faster, but its products differ in bits.
+    np.multiply(factor[:, None], pivot_row, out=buf)
+    tableau -= buf
     basis[row] = col
 
 
 def _iterate(
-    tableau: np.ndarray, obj: np.ndarray, basis: list[int], allowed: int
+    tableau: np.ndarray, basis: list[int], allowed: int, buf: np.ndarray
 ) -> tuple[str, int]:
     """Run simplex pivots until optimal or unbounded; return the status and pivot count.
 
@@ -92,23 +96,25 @@ def _iterate(
 
     The ratio test runs over the pivot column and right-hand side as Python
     floats. A Python float divides and subtracts with the same IEEE double
-    arithmetic as a numpy float64 scalar, so the rows visited, the ratios
-    and the Bland tie-break are those of an array version, bit for bit. An
-    array version (candidate mask, divide, minimum, tie mask) was slower:
-    a certify pivot has only about a dozen candidate rows, nearly all of
-    them tied at ratio 0, and each array call costs more than the loop.
+    arithmetic as a numpy float64 scalar, so the rows visited, the ratios,
+    the Bland tie-break and the pivot element passed to _pivot are those of
+    an array version, bit for bit. An array version (candidate mask, divide,
+    minimum, tie mask) was slower: a certify pivot has about a dozen
+    candidate rows, nearly all tied at ratio 0, and each array call costs
+    more than the loop.
     """
     if not allowed:  # nothing may enter, and argmax needs a column
         return OPTIMAL, 0
+    obj = tableau[-1, :allowed]
     for pivots in range(_MAX_PIVOTS):
-        neg = obj[:allowed] < -_TOL
+        neg = obj < -_TOL
         entering = neg.argmax()  # Bland: smallest eligible index
         if not neg[entering]:
             return OPTIMAL, pivots
-        rhs = tableau[:, -1].tolist()
+        rhs = tableau[:-1, -1].tolist()
         best_row = -1
         best_ratio = math.inf
-        for r, c in enumerate(tableau[:, entering].tolist()):
+        for r, c in enumerate(tableau[:-1, entering].tolist()):
             if not c > _TOL:
                 continue
             ratio = rhs[r] / c
@@ -118,9 +124,10 @@ def _iterate(
             ):
                 best_ratio = ratio
                 best_row = r
+                element = c
         if best_row < 0:
             return UNBOUNDED, pivots
-        _pivot(tableau, obj, basis, best_row, entering)
+        _pivot(tableau, basis, best_row, entering, element, buf)
     raise RuntimeError("simplex failed to terminate")
 
 
@@ -163,10 +170,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     n_real = 2 * n + m_ub
     need_art = [i for i in range(m) if i >= m_ub or flip[i]]
     n_cols = n_real + len(need_art)
-    tableau = np.zeros((m, n_cols + 1))
-    tableau[:, : 2 * n] = split
-    tableau[:, 2 * n : n_real] = slack
-    tableau[:, -1] = b
+    tableau = np.zeros((m + 1, n_cols + 1))
+    tableau[:m, : 2 * n] = split
+    tableau[:m, 2 * n : n_real] = slack
+    tableau[:m, -1] = b
+    buf = np.empty_like(tableau)
 
     # Each row starts on its own slack, or on its artificial where it has one.
     basis = [2 * n + i for i in range(m)]
@@ -177,11 +185,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
     phase1 = 0
     if need_art:
         # Phase 1: minimise the artificial sum.
-        obj = np.zeros(n_cols + 1)
+        obj = tableau[m]
         obj[n_real:n_cols] = 1.0
         for i in need_art:
             obj -= tableau[i]
-        status, phase1 = _iterate(tableau, obj, basis, n_cols)
+        status, phase1 = _iterate(tableau, basis, n_cols, buf)
         if status != OPTIMAL or -obj[-1] > _FEAS_TOL:
             return LpResult(INFEASIBLE, None, None, phase1)
         # Pivot leftover artificials out of the basis, dropping rows that
@@ -193,27 +201,26 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> LpResult:
                 continue
             piv = np.flatnonzero(np.abs(tableau[r, :n_real]) > _TOL)
             if piv.size:
-                _pivot(tableau, obj, basis, r, piv[0])
+                _pivot(tableau, basis, r, piv[0], tableau[r, piv[0]], buf)
                 phase1 += 1
                 keep.append(r)
         if len(keep) < m:
-            tableau = tableau[keep]
+            tableau, buf = tableau[keep + [m]], buf[: len(keep) + 1]
             basis = [basis[r] for r in keep]
             m = len(keep)
 
     # Phase 2 on the real objective.
-    obj = np.zeros(n_cols + 1)
-    obj[:n] = c
-    obj[n : 2 * n] = -c
+    obj = tableau[m]
+    obj[:] = np.concatenate([c, -c, np.zeros(n_cols + 1 - 2 * n)])
     for r in range(m):
         if obj[basis[r]] != 0.0:
             obj -= obj[basis[r]] * tableau[r]
-    status, phase2 = _iterate(tableau, obj, basis, n_real)
+    status, phase2 = _iterate(tableau, basis, n_real, buf)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None, phase1, phase2)
 
     full = np.zeros(n_cols)
-    full[basis] = tableau[:, -1]
+    full[basis] = tableau[:m, -1]
     x = full[:n] - full[n : 2 * n]
     return LpResult(OPTIMAL, x, float(c @ x), phase1, phase2)
 

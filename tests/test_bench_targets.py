@@ -13,8 +13,29 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
+from graspforce import closure  # noqa: E402
 
 
 @pytest.mark.parametrize("target", workloads.FULL_TARGETS, ids=lambda t: t.span)
 def test_traced_name_is_an_attribute_of_its_owner(target):
     assert target.attr in vars(target.owner)
+
+
+def test_one_certification_is_one_solve_through_the_closure_global(monkeypatch):
+    # simplex.solve_lp.certify_us wraps closure.solve_lp, the name
+    # is_force_closure looks up at call time; a certifier that reached the
+    # solver another way would drop out of that metric.
+    solve_lp = closure.solve_lp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(closure, "solve_lp", counting)
+    pair = [
+        closure.Contact.from_normal((0.0, 0.03, 0.0), (0.0, -1.0, 0.0)),
+        closure.Contact.from_normal((0.0, -0.03, 0.0), (0.0, 1.0, 0.0)),
+    ]
+    assert closure.is_force_closure(pair).is_force_closure
+    assert len(calls) == 1

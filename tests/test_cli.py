@@ -366,6 +366,23 @@ class TestCalibrate:
     def test_sample_count_validated(self, capsys):
         assert main(["calibrate", "--samples", "0"]) == 2
 
+    def test_huge_estimate_prints_in_exponent_form(self, capsys):
+        # The default sigma is then about 8.7e305 raw units; printed with
+        # .6f the estimate alone took about 320 characters.
+        assert main(["calibrate", "--gamma", "2.3e-308", "--samples", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert all(len(line) < 100 for line in lines)
+        assert "e+305 raw units" in lines[1]
+
+    def test_readme_demo_prints_fixed_point(self, capsys):
+        assert main(["calibrate", "--gamma", "11.02", "--bias", "0.5", "--samples", "1000"]) == 0
+        assert capsys.readouterr().out == (
+            "true bias: 0.500000 raw units\n"
+            "estimated bias over 1000 samples: 0.499913 raw units\n"
+            "residual calibrated offset at zero load: 0.000961 N\n"
+        )
+
     @pytest.mark.parametrize("flags", [
         ["--bias", "1.7e308", "--samples", "4"],
         ["--bias", "1e308", "--noise-sigma", "1e308", "--samples", "10"],

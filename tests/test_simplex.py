@@ -199,7 +199,10 @@ class TestPivot:
             want_obj -= want_obj[col] * want[row]
             want_basis[row] = col
             basis = list(range(7))
-            _pivot(tableau, obj, basis, row, col)
+            # The objective goes in as the tableau's last row.
+            stacked = np.vstack([tableau, obj])
+            _pivot(stacked, basis, row, col, tableau[row, col], np.empty_like(stacked))
+            tableau, obj = stacked[:-1], stacked[-1]
             np.testing.assert_array_equal(tableau, want)
             np.testing.assert_array_equal(obj, want_obj)
             assert basis == want_basis
@@ -972,6 +975,26 @@ class TestFrozenSolver:
             verdicts[is_force_closure(contacts).is_force_closure] += 1
         assert len(programs) == 96
         assert min(verdicts.values()) >= 10
+
+    def test_perfbench_certify_programs(self, monkeypatch):
+        # Every closure set of perfbench seeds 1 and 6, whose verdicts the
+        # benchmark compares, and four more sets on which the ratio test's
+        # tie-break pivots on a tiny element and wrongly says "no", as it
+        # does on sets (1, 144) and (6, 148): a speed change must keep these
+        # wrong answers until a change meant to fix them.
+        programs = []
+
+        def check(*args, **kwargs):
+            programs.append(args)
+            return solve_both(*args, **kwargs)
+
+        monkeypatch.setattr(closure, "solve_lp", check)
+        sets = perfbench_sets(1) + perfbench_sets(6)
+        for seed, index in ((8, 145), (11, 25), (22, 108), (28, 165)):
+            sets.append(perfbench_sets(seed)[index])
+        for contacts in sets:
+            is_force_closure(contacts)
+        assert len(programs) == 516
 
     def test_general_programs(self):
         # Negative b_ub rows and equality rows of both signs start on
