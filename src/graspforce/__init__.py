@@ -34,6 +34,7 @@ from .controller import (
 )
 from .geometry import adjoint_transform, rotation_from_normal
 from .harness import (
+    TrialMetrics,
     TrialResult,
     run_experiment_a,
     run_experiment_b,

@@ -178,14 +178,12 @@ class GraspController:
         self.t = t_next
 
         if self.phase is not GraspPhase.HOLDING:
-            new_contact = False
             for i, f in enumerate((f1, f2)):
                 # Strict: a reading of exactly f_theta is no contact.
                 if not self.latched[i] and f > cfg.f_theta:
                     self.latched[i] = True
                     self.freeze_q[i] = (q1, q2)[i]
-                    new_contact = True
-            if new_contact and self.pair_closes and all(self.latched):
+            if self.pair_closes and all(self.latched):
                 self.phase = GraspPhase.HOLDING
                 self.integral = 0.0
                 self.ref_center = 0.5 * (q2 - q1)

@@ -3,9 +3,11 @@
 run_trial wires sensors, controller, and plant together at the control
 rate and records one row per control tick. Experiment A sweeps object,
 offset, and repetition for both controllers and reports displacement
-statistics; experiment B runs the push and wrist-rotation disturbance
-scenarios for the baseline controller and each single-component ablation,
-recording full time series plus headline metrics.
+statistics; it keeps each trial's metrics, not its series, which
+run_trial (or `graspforce run`) gives for any one spec. Experiment B
+runs the push and wrist-rotation disturbance scenarios for the baseline
+controller and each single-component ablation, recording full time
+series plus headline metrics.
 
 All randomness flows from explicit integer seeds, so rerunning any
 experiment with the same seed writes byte-identical CSV files.
@@ -52,7 +54,7 @@ _EXPERIMENT_B_FIXED = ("controller", "seed", "pushes", "wrist", "control.phase3_
                        *(f"control.{flag}" for flags in EXPERIMENT_B_VARIANTS.values()
                          for flag in flags))
 # exp_a_trials.csv opens with these, from each trial's spec and grid cell,
-# then carries the TrialResult metrics.
+# then carries the TrialMetrics fields.
 _SPEC_COLUMNS = ("object", "controller", "offset", "rep", "seed")
 
 # Prime strides decorrelate the per-trial sensor seeds across grid axes.
@@ -95,8 +97,8 @@ _ROW_FORMAT = ",".join("%s" if f.type == "str" else "%.9g" for f in fields(TimeS
 
 
 @dataclass
-class TrialResult:
-    """Metrics plus the full time series of one trial.
+class TrialMetrics:
+    """The metrics of one trial, as exp-a keeps them.
 
     displacement_truth is the unsigned object-center travel from the plant
     ground truth; displacement_proxy is the joint-state estimate (travel of
@@ -114,7 +116,17 @@ class TrialResult:
     settle_time: float | None
     overshoot: float
     finished: bool
+
+
+@dataclass
+class TrialResult(TrialMetrics):
+    """The metrics plus the full time series of one trial."""
+
     series: list[TimeSeriesRow]
+
+    def metrics(self) -> TrialMetrics:
+        """The trial's metrics, without its series."""
+        return TrialMetrics(**{f.name: getattr(self, f.name) for f in fields(TrialMetrics)})
 
     def value_at(self, t: float) -> TimeSeriesRow:
         """Row closest to time t (series rows are at a fixed rate)."""
@@ -287,7 +299,10 @@ class ExperimentASummary:
 
 @dataclass
 class ExperimentAResult:
-    trials: list[TrialResult]
+    """exp-a's trials, each kept as its metrics only, so memory does not grow
+    with the grid; run_trial or `graspforce run` on a trial's spec gives its series."""
+
+    trials: list[TrialMetrics]
     summary: list[ExperimentASummary]
     elapsed: float
 
@@ -338,7 +353,7 @@ def run_experiment_a(
         for controller in (FORCE, TRAJECTORY)
     ]
     out = None if out_dir is None else make_out_dir(out_dir)
-    trials = [run_trial(spec) for spec in specs]
+    trials = [run_trial(spec).metrics() for spec in specs]
 
     summary = []
     for object_name in objects:
@@ -364,7 +379,7 @@ def run_experiment_a(
     result = ExperimentAResult(trials, summary, elapsed=time.perf_counter() - started)
 
     if out is not None:
-        metrics = _columns(TrialResult, "spec", "series")
+        metrics = _columns(TrialMetrics, "spec")
         _write_table(
             out / "exp_a_trials.csv",
             [*_SPEC_COLUMNS, *metrics],

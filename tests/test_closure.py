@@ -125,6 +125,10 @@ class TestQuadraticCone:
     def test_pulling_outside(self):
         assert not in_friction_cone((0.0, 0.0, -1.0, 0.0), 0.5, 0.1)
 
+    @pytest.mark.parametrize("tau", [0.25, -0.25])
+    def test_torsion_on_the_boundary_inside(self, tau):
+        assert in_friction_cone((0.0, 0.0, 1.0, tau), 0.5, 0.25)
+
     def test_margin_tightens_the_test(self):
         f = (0.49, 0.0, 1.0, 0.0)
         assert in_friction_cone(f, 0.5, 0.1)

@@ -215,6 +215,16 @@ class TestHoldingPhase:
         ctrl.tick(0.5, 0.5, cmd[0], cmd[1], 0.0, DT)
         assert ctrl.integral == pytest.approx(-1.0 * DT, abs=1e-15)
 
+    @pytest.mark.parametrize("f,sign", [(0.0, -1.0), (100.0, 1.0)])
+    def test_integral_stops_at_its_bound(self, f, sign):
+        # The bound is the integral whose term alone spans the joints' travel.
+        ctrl = make_controller()
+        cmd = enter_holding(ctrl)
+        ctrl.tick(f, f, cmd[0], cmd[1], 0.0, 10.0)
+        cfg = ctrl.config
+        bound = cfg.ks_int * (cfg.joint_max - cfg.joint_min) / cfg.ki_int
+        assert ctrl.integral == pytest.approx(sign * bound, rel=1e-12)
+
     def test_integral_parked_while_commands_are_in_flight(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
@@ -299,6 +309,16 @@ class TestStopAtGoal:
         cmd = ctrl.tick(0.4, 0.4, q1, q2, 0.0, DT)
         assert ctrl._dwell == 0.0
         assert not ctrl.finished
+
+    @pytest.mark.parametrize("f", [0.75, 1.25])
+    def test_force_error_of_exactly_the_tolerance_starts_no_dwell(self, f):
+        # Strict: |f1 + f2 - f_goal| must be below goal_tolerance.
+        ctrl = make_controller(phase3_mode=STOP_AT_GOAL, goal_tolerance=0.5, goal_dwell=0.0)
+        q1, q2 = ctrl.tick(f, f, 0.028, 0.028, 0.0, DT)
+        assert ctrl.phase is GraspPhase.HOLDING
+        assert not ctrl.finished
+        ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+        assert ctrl.finished
 
     def test_hold_forever_never_finishes(self):
         ctrl = make_controller(phase3_mode=HOLD_FOREVER)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,6 +52,14 @@ class TestRunTrial:
         jtc = run_trial(quiet_spec(controller="trajectory", offset=0.008,
                                    object="wooden_cuboid"))
         assert fc.displacement_truth < jtc.displacement_truth
+
+    def test_proxy_at_zero_offset_reads_finger_two(self):
+        # Neither finger is nearer; the proxy takes finger 2, as for a positive offset.
+        result = run_trial(ScenarioSpec(offset=0.0))
+        last = result.series[-1]
+        assert abs(last.q1 - last.q2) > 1e-4
+        width = resolve(result.spec).obj.width
+        assert result.displacement_proxy == pytest.approx(0.5 * width - last.q2, rel=1e-12)
 
     def test_proxy_tracks_but_overestimates_truth(self):
         result = run_trial(quiet_spec(controller="force", offset=0.008))
@@ -278,6 +287,28 @@ class TestExperimentPlumbing:
         table = result.table()
         assert "tape_roll" in table
         assert result.mean_displacement("tape_roll", "force") >= 0.0
+
+    def test_experiment_a_keeps_each_trials_metrics_only(self):
+        result = run_experiment_a(offsets=(0.005,), reps=1, objects=("tape_roll",))
+        for trial in result.trials:
+            assert not hasattr(trial, "series")
+            # The trial's series comes from running its spec again.
+            assert run_trial(trial.spec).metrics() == trial
+
+    def test_experiment_a_memory_does_not_grow_with_reps(self):
+        def peak(reps):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            run_experiment_a(objects=("tape_roll",), offsets=(0.005,), reps=reps)
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            peak(1)  # warm up caches so they count against neither size
+            one, six = peak(1), peak(6)
+        finally:
+            tracemalloc.stop()
+        assert six <= 1.5 * one, (one, six)
 
     def test_experiment_a_pairs_seeds_across_controllers(self):
         result = run_experiment_a(offsets=(0.008,), reps=2, objects=("tape_roll",))
