@@ -23,7 +23,6 @@ toward +axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .checks import NON_NEGATIVE, POSITIVE, check_fields
 
@@ -37,7 +36,9 @@ STOP_AT_GOAL = "stop_at_goal"
 _CMD_REACHED_TOL = 1e-12
 
 
-class GraspPhase(Enum):
+class GraspPhase:
+    """The controller's phases, as the strings of the CSV phase column."""
+
     CLOSING = "closing"
     CONTACT = "contact"
     HOLDING = "holding"
@@ -136,6 +137,8 @@ class GraspController:
     latch, so the caller decides it once per trial; True, the default,
     takes an opposing pair as closed once both fingers touch. The caller
     also owns the check that every measurement passed to tick is finite.
+    phase is one of the GraspPhase strings. The closing rate and the
+    integral bound are fixed for the trial and derived once, here.
     """
 
     def __init__(self, config: ControllerConfig, request: GraspRequest, pair_closes: bool = True):
@@ -143,6 +146,7 @@ class GraspController:
         self.request = request
         self.pair_closes = pair_closes
         self.closing_rate = (request.start_aperture - request.end_aperture) / request.duration
+        self._integral_bound = config.ks_int * (config.joint_max - config.joint_min) / config.ki_int
 
         self.t = 0.0
         self.phase = GraspPhase.CLOSING
@@ -164,39 +168,40 @@ class GraspController:
         posture (an off-center object leaves one finger with farther to go),
         stopped only by its joint limit.
         """
-        return max(0.0, self.request.start_aperture - self.closing_rate * t)
-
-    def _clamp(self, q: float) -> float:
-        return min(max(q, self.config.joint_min), self.config.joint_max)
+        aperture = self.request.start_aperture - self.closing_rate * t
+        return aperture if aperture > 0.0 else 0.0
 
     def tick(
         self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
     ) -> tuple[float, float]:
         """Advance one control period and return the commanded (q1, q2)."""
         cfg = self.config
+        # Commands are clamped as min(max(c, lo), hi) would, a NaN passing through.
+        lo, hi = cfg.joint_min, cfg.joint_max
         t_next = self.t + dt
         self.t = t_next
 
         if self.phase is not GraspPhase.HOLDING:
-            for i, f in enumerate((f1, f2)):
-                # Strict: a reading of exactly f_theta is no contact.
-                if not self.latched[i] and f > cfg.f_theta:
-                    self.latched[i] = True
-                    self.freeze_q[i] = (q1, q2)[i]
-            if self.pair_closes and all(self.latched):
-                self.phase = GraspPhase.HOLDING
-                self.integral = 0.0
-                self.ref_center = 0.5 * (q2 - q1)
-
-        if self.phase is not GraspPhase.HOLDING:
-            self.phase = GraspPhase.CONTACT if any(self.latched) else GraspPhase.CLOSING
-            target = self.closing_aperture(t_next)
-            self.last_u_int = 0.0
-            self.last_u_ext = 0.0
-            return (
-                self._clamp(self.freeze_q[0] if self.latched[0] else 0.5 * target),
-                self._clamp(self.freeze_q[1] if self.latched[1] else 0.5 * target),
-            )
+            latched = self.latched
+            # Strict: a reading of exactly f_theta is no contact.
+            if not latched[0] and f1 > cfg.f_theta:
+                latched[0] = True
+                self.freeze_q[0] = q1
+            if not latched[1] and f2 > cfg.f_theta:
+                latched[1] = True
+                self.freeze_q[1] = q2
+            if not (self.pair_closes and latched[0] and latched[1]):
+                self.phase = GraspPhase.CONTACT if latched[0] or latched[1] else GraspPhase.CLOSING
+                self.last_u_int = 0.0
+                self.last_u_ext = 0.0
+                free_q = 0.5 * self.closing_aperture(t_next)
+                c1 = self.freeze_q[0] if latched[0] else free_q
+                c2 = self.freeze_q[1] if latched[1] else free_q
+                return (lo if lo > c1 else hi if hi < c1 else c1,
+                        lo if lo > c2 else hi if hi < c2 else c2)
+            self.phase = GraspPhase.HOLDING
+            self.integral = 0.0
+            self.ref_center = 0.5 * (q2 - q1)
 
         # Holding: decoupled internal/external force control.
         f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
@@ -212,10 +217,9 @@ class GraspController:
             and abs(q2 - self._prev_cmd[1]) <= _CMD_REACHED_TOL
         )
         if reached:
-            self.integral += delta_f_int * dt
-            travel = cfg.joint_max - cfg.joint_min
-            bound = cfg.ks_int * travel / cfg.ki_int
-            self.integral = min(max(self.integral, -bound), bound)
+            integral = self.integral + delta_f_int * dt
+            bound = self._integral_bound
+            self.integral = -bound if -bound > integral else bound if bound < integral else integral
 
         u_int = (cfg.kp_int * delta_f_int + cfg.ki_int * self.integral) / cfg.ks_int
 
@@ -228,7 +232,8 @@ class GraspController:
             u_ext = self.ref_center - center
 
         dq1, dq2 = distribute(u_int, u_ext)
-        cmd = (self._clamp(q1 + dq1), self._clamp(q2 + dq2))
+        c1, c2 = q1 + dq1, q2 + dq2
+        cmd = (lo if lo > c1 else hi if hi < c1 else c1, lo if lo > c2 else hi if hi < c2 else c2)
 
         if cfg.phase3_mode == STOP_AT_GOAL and not self.finished:
             if abs(delta_f_int) < cfg.goal_tolerance:
@@ -258,7 +263,8 @@ class TrajectoryController:
 
     def aperture(self, t: float) -> float:
         r = self.request
-        frac = min(max(t / r.duration, 0.0), 1.0)
+        frac = t / r.duration
+        frac = 0.0 if 0.0 > frac else 1.0 if 1.0 < frac else frac
         return r.start_aperture + (r.end_aperture - r.start_aperture) * frac
 
     def tick(
@@ -270,6 +276,7 @@ class TrajectoryController:
         matches the caller's own tick clock bit for bit.
         """
         self.ticks += 1
-        cfg = self.config
-        q = min(max(0.5 * self.aperture(self.ticks * dt), cfg.joint_min), cfg.joint_max)
+        lo, hi = self.config.joint_min, self.config.joint_max
+        q = 0.5 * self.aperture(self.ticks * dt)
+        q = lo if lo > q else hi if hi < q else q
         return q, q

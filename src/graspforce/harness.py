@@ -186,7 +186,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         rows.append(
             TimeSeriesRow(
-                t, q1, q2, f1, f2, f1 + f2, f_ext, plant.x_obj, controller.phase.value,
+                t, q1, q2, f1, f2, f1 + f2, f_ext, plant.x_obj, controller.phase,
                 controller.last_u_int, controller.last_u_ext,
             )
         )
@@ -210,7 +210,7 @@ def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
     # moving (or squeezing) the object.
     near_q_end = rows[-1].q2 if spec.offset >= 0.0 else rows[-1].q1
     proxy = 0.5 * obj_width + abs(spec.offset) - near_q_end
-    holding = [r for r in rows if r.phase == GraspPhase.HOLDING.value]
+    holding = [r for r in rows if r.phase == GraspPhase.HOLDING]
 
     band = 0.05 * cfg.f_goal
     settle_time = None

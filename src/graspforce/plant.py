@@ -161,9 +161,16 @@ class Plant:
         }
         self.wrist = wrist
         self.config = config if config is not None else PlantConfig()
+        cfg = self.config
         k = obj.stiffness
-        pad = self.config.pad_stiffness
+        pad = cfg.pad_stiffness
         self.contact_stiffness = k if pad is None else k * pad / (k + pad)
+        # Fixed for the trial; without a sweep the wrist angle stays 0 throughout.
+        self._level_g_dot_n = -cfg.gravity * math.sin(0.0)
+        self._finger_pushes = (self.pushes_on[FINGER_1], self.pushes_on[FINGER_2])
+        self._fixed = (self.contact_stiffness, 0.5 * obj.width, obj.mass, cfg.max_finger_speed,
+                       cfg.gravity, wrist, self.pushes_on[OBJECT], obj.mass * self._level_g_dot_n)
+        self._period = (None, 0, 0.0, 0.0)  # (duration, n_sub, dt, drag) of the last step
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
         self.x_obj = offset
@@ -172,8 +179,9 @@ class Plant:
         self.true_f1, self.true_f2 = self._contact_forces()
 
     def g_dot_n(self) -> float:
-        angle = self.wrist.angle(self.t) if self.wrist is not None else 0.0
-        return -self.config.gravity * math.sin(angle)
+        if self.wrist is None:
+            return self._level_g_dot_n
+        return -self.config.gravity * math.sin(self.wrist.angle(self.t))
 
     def _contact_forces(self) -> tuple[float, float]:
         k = self.contact_stiffness
@@ -189,7 +197,7 @@ class Plant:
         gives, so a -0.0 force still reads 0.0.
         """
         t = self.t
-        on_1, on_2 = self.pushes_on[FINGER_1], self.pushes_on[FINGER_2]
+        on_1, on_2 = self._finger_pushes
         return (
             self.true_f1 + (sum(p.value(t) for p in on_1) if on_1 else 0),
             self.true_f2 + (sum(p.value(t) for p in on_2) if on_2 else 0),
@@ -199,19 +207,30 @@ class Plant:
         """Advance by one controller period, holding the command (q1, q2) fixed.
 
         The state advances in place and is read from the plant's attributes.
-        Values fixed for the period are bound once; the substeps run on
-        locals and write the state back at the end. Only the wrist angle
-        (when a sweep is scheduled) and the object pushes (when any exist)
-        are evaluated per substep. The substep body calls no builtins. A
-        penetration `d` that is NaN, -0.0 or negative gives the force
+        What the trial fixes, the object's weight along the axis included
+        when no sweep is scheduled, is bound once in __init__; the substep
+        count, substep and drag once per distinct duration; the finger
+        velocities once per period. The substeps run on locals and write the
+        state back at the end. Only the wrist angle and the weight it
+        projects (when a sweep is scheduled) and the object pushes (when any
+        exist) are evaluated per substep. The substep body calls no builtins.
+        A penetration `d` that is NaN, -0.0 or negative gives the force
         `k * 0.0`, so an infinite stiffness still gives NaN; keep it that way.
         """
         if not duration > 0.0:
             raise ValueError(f"duration must be > 0, got {duration}")
-        cfg = self.config
-        obj = self.obj
-        n_sub = max(1, round(duration / cfg.dt))
-        dt = duration / n_sub
+        period = self._period
+        if period[0] != duration:
+            n_sub = max(1, round(duration / self.config.dt))
+            dt = duration / n_sub
+            # Spring forces explicit, drag backward: the drag-to-mass ratios
+            # of well-damped catalog objects sit at the edge of the explicit
+            # stability bound at this substep, and drag divided into the
+            # velocity update cannot flip its sign.
+            drag = 1.0 + dt * self.obj.damping / self.obj.mass
+            period = self._period = (duration, n_sub, dt, drag)
+        _, n_sub, dt, drag = period
+        k, half, mass, cap, gravity, wrist, object_pushes, weight = self._fixed
         q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
         q1_cmd, q2_cmd = command
         # One constant velocity per finger for the whole period, sized to
@@ -221,40 +240,27 @@ class Plant:
         # is below half an ulp of q, q + move == q, and the finger stays
         # that gap (about 1e-17 m) short of a held command for good. The
         # cap keeps min's semantics, so a NaN speed passes through it.
-        cap = cfg.max_finger_speed
         need1, need2 = q1_cmd - q1, q2_cmd - q2
         speed1, speed2 = abs(need1) / duration, abs(need2) / duration
         move1 = 0.0 if need1 == 0.0 else math.copysign(cap if cap < speed1 else speed1, need1) * dt
         move2 = 0.0 if need2 == 0.0 else math.copysign(cap if cap < speed2 else speed2, need2) * dt
         reach1, reach2 = abs(move1), abs(move2)
-        k = self.contact_stiffness
-        half = 0.5 * obj.width
-        mass = obj.mass
-        wrist = self.wrist
-        gravity = cfg.gravity
-        # Without a sweep the wrist angle stays 0 for the whole trial.
-        g_dot_n = -gravity * math.sin(0.0)
-        object_pushes = self.pushes_on[OBJECT]
-        push_obj = 0
-        # Spring forces explicit, drag backward: the drag-to-mass ratios of
-        # well-damped catalog objects sit at the edge of the explicit
-        # stability bound at this substep, and drag divided into the
-        # velocity update cannot flip its sign.
-        drag = 1.0 + dt * obj.damping / mass
+        low1, low2 = -reach1, -reach2
+        push_obj = 0.0  # adds exactly as an empty sum's int 0 would, in float arithmetic
         for _ in range(n_sub):
             d = q1_cmd - q1
-            q1 = q1_cmd if -reach1 <= d <= reach1 else q1 + move1
+            q1 = q1_cmd if low1 <= d <= reach1 else q1 + move1
             d = q2_cmd - q2
-            q2 = q2_cmd if -reach2 <= d <= reach2 else q2 + move2
+            q2 = q2_cmd if low2 <= d <= reach2 else q2 + move2
             if wrist is not None:
-                g_dot_n = -gravity * math.sin(wrist.angle(t))
+                weight = mass * (-gravity * math.sin(wrist.angle(t)))
             if object_pushes:
                 push_obj = sum(p.value(t) for p in object_pushes)
             d = -q1 - (x - half)
             f1 = k * (d if d > 0.0 else 0.0)
             d = (x + half) - q2
             f2 = k * (d if d > 0.0 else 0.0)
-            net = f1 - f2 + mass * g_dot_n + push_obj
+            net = f1 - f2 + weight + push_obj
             v = (v + dt * net / mass) / drag
             x += dt * v
             t += dt

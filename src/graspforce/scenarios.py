@@ -243,8 +243,11 @@ def with_overrides(spec: ScenarioSpec, tree: dict | None) -> ScenarioSpec:
     Where both the spec and the override hold a mapping the merge recurses;
     anywhere else the override value replaces the spec value, so a mapping
     can stand in for a catalog object name or an unset wrist sweep. Keys
-    the spec does not have raise ValueError naming the dotted path.
+    the spec does not have raise ValueError naming the dotted path. No
+    overrides (None or {}) return the spec itself, checked when it was built.
     """
+    if not tree:
+        return spec
 
     def merge(base: dict, over: dict, prefix: str) -> dict:
         merged = dict(base)
@@ -257,7 +260,7 @@ def with_overrides(spec: ScenarioSpec, tree: dict | None) -> ScenarioSpec:
             merged[key] = value
         return merged
 
-    return ScenarioSpec.from_dict(merge(spec.to_dict(), tree or {}, ""))
+    return ScenarioSpec.from_dict(merge(spec.to_dict(), tree, ""))
 
 
 @dataclass

@@ -89,6 +89,10 @@ class CalibratedSensor:
 
     def __init__(self, model: SensorModel, calibration_samples: int = 1000):
         self.model = model
+        # The model's fields a read uses, bound once, with calibrate()'s gain
+        # gamma * gain_scale, which it returns exactly for a unit difference.
+        self._read_with = (model.min_force, model.gamma, model.bias, model.noise_sigma,
+                           calibrate(1.0, model, 0.0))
         self._rng = np.random.default_rng(model.seed)
         # Standard normals drawn from _rng but not used yet, the next one last.
         self._normals: list[float] = []
@@ -100,13 +104,11 @@ class CalibratedSensor:
         numpy computes that draw as 0.0 + sigma * z from one standard normal z, and a chunk of
         `standard_normal(n)` holds the z values of n single draws, in the same order.
         """
-        model = self.model
-        effective = true_force if true_force >= model.min_force else 0.0
-        raw = effective / model.gamma + model.bias
-        sigma = model.noise_sigma
+        min_force, gamma, bias, sigma, gain = self._read_with
+        raw = (true_force if true_force >= min_force else 0.0) / gamma + bias
         if sigma > 0.0:
             normals = self._normals
             if not normals:
                 normals.extend(self._rng.standard_normal(_NORMALS_AHEAD)[::-1].tolist())
             raw += 0.0 + sigma * normals.pop()
-        return calibrate(raw, model, self.bias_estimate)
+        return gain * (raw - self.bias_estimate)

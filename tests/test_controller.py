@@ -193,6 +193,26 @@ class TestContactPhase:
         assert ctrl.latched == [True, True]
         assert ctrl.phase is GraspPhase.CONTACT
 
+    @pytest.mark.parametrize("pair_closes", [True, False])
+    def test_both_fingers_cross_f_theta_on_the_same_tick(self, pair_closes):
+        ctrl = GraspController(ControllerConfig(), GraspRequest(0.08, 0.05, 3.0), pair_closes)
+        ctrl.tick(0.2, 0.2, 0.04, 0.04, 0.0, DT)
+        assert ctrl.phase is GraspPhase.CLOSING
+        q1, q2 = 0.027, 0.031
+        cmd = ctrl.tick(0.21, 0.3, q1, q2, 0.0, DT)
+        assert ctrl.latched == [True, True]
+        assert ctrl.freeze_q == [q1, q2]
+        if pair_closes:
+            assert ctrl.phase is GraspPhase.HOLDING
+            assert ctrl.ref_center == 0.5 * (q2 - q1)
+            assert ctrl.integral == 0.0
+        else:
+            assert ctrl.phase is GraspPhase.CONTACT
+            assert ctrl.ref_center is None
+            assert cmd == (q1, q2)
+            assert ctrl.tick(2.0, 0.0, 0.025, 0.033, 0.0, DT) == (q1, q2)
+            assert ctrl.phase is GraspPhase.CONTACT
+
 
 class TestHoldingPhase:
     def test_entry_resets_integral_and_reference(self):

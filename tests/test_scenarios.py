@@ -152,6 +152,18 @@ class TestOverrides:
         ))
         assert spec.object == ObjectSpec("slab", mass=0.1, width=0.05, stiffness=3000.0)
 
+    @pytest.mark.parametrize("tree", [None, {}])
+    def test_no_overrides_return_the_spec_itself(self, tree):
+        spec = ScenarioSpec(object="tape_roll", offset=0.005, seed=3)
+        assert with_overrides(spec, tree) is spec
+
+    def test_a_non_empty_tree_rebuilds_and_checks_the_spec(self):
+        spec = ScenarioSpec(object="tape_roll", offset=0.005, seed=3)
+        same = with_overrides(spec, {"seed": 3})
+        assert same == spec and same is not spec
+        with pytest.raises(ValueError, match="f_goal"):
+            with_overrides(spec, {"control": {"f_goal": -1.0}})
+
     def test_experiments_take_the_same_keys(self):
         items = ["control.f_goal=2.5", "sensors.noise_sigma=0.0"]
         result = run_experiment_a(
