@@ -139,6 +139,8 @@ class GraspController:
     also owns the check that every measurement passed to tick is finite.
     phase is one of the GraspPhase strings. The closing rate and the
     integral bound are fixed for the trial and derived once, here.
+    last_f_ext is the tick's external-force estimate, made on every tick
+    and used by holding; last_u_int and last_u_ext stay 0 until holding.
     """
 
     def __init__(self, config: ControllerConfig, request: GraspRequest, pair_closes: bool = True):
@@ -157,6 +159,7 @@ class GraspController:
         self.finished = False
         self.last_u_int = 0.0
         self.last_u_ext = 0.0
+        self.last_f_ext = 0.0
         self._dwell = 0.0
         self._prev_cmd: tuple[float, float] | None = None
 
@@ -180,6 +183,8 @@ class GraspController:
         lo, hi = cfg.joint_min, cfg.joint_max
         t_next = self.t + dt
         self.t = t_next
+        f_ext = self.last_f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n,
+                                                         cfg.gravity_comp_enabled)
 
         if self.phase is not GraspPhase.HOLDING:
             latched = self.latched
@@ -192,19 +197,15 @@ class GraspController:
                 self.freeze_q[1] = q2
             if not (self.pair_closes and latched[0] and latched[1]):
                 self.phase = GraspPhase.CONTACT if latched[0] or latched[1] else GraspPhase.CLOSING
-                self.last_u_int = 0.0
-                self.last_u_ext = 0.0
                 free_q = 0.5 * self.closing_aperture(t_next)
                 c1 = self.freeze_q[0] if latched[0] else free_q
                 c2 = self.freeze_q[1] if latched[1] else free_q
                 return (lo if lo > c1 else hi if hi < c1 else c1,
                         lo if lo > c2 else hi if hi < c2 else c2)
             self.phase = GraspPhase.HOLDING
-            self.integral = 0.0
             self.ref_center = 0.5 * (q2 - q1)
 
         # Holding: decoupled internal/external force control.
-        f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         delta_f_int = f1 + f2 - cfg.f_goal
 
         # The integral accumulates only while the loop is actually closed:
@@ -250,7 +251,8 @@ class GraspController:
 
 
 class TrajectoryController:
-    """Open-loop baseline: linear aperture interpolation, blind to forces."""
+    """Open-loop baseline: linear aperture interpolation, blind to forces; its
+    last_f_ext, estimated each tick as GraspController's is, is for the record only."""
 
     def __init__(self, config: ControllerConfig, request: GraspRequest):
         self.config = config
@@ -260,6 +262,7 @@ class TrajectoryController:
         self.finished = False
         self.last_u_int = 0.0
         self.last_u_ext = 0.0
+        self.last_f_ext = 0.0
 
     def aperture(self, t: float) -> float:
         r = self.request
@@ -276,7 +279,10 @@ class TrajectoryController:
         matches the caller's own tick clock bit for bit.
         """
         self.ticks += 1
-        lo, hi = self.config.joint_min, self.config.joint_max
+        cfg = self.config
+        self.last_f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n,
+                                                 cfg.gravity_comp_enabled)
+        lo, hi = cfg.joint_min, cfg.joint_max
         q = 0.5 * self.aperture(self.ticks * dt)
         q = lo if lo > q else hi if hi < q else q
         return q, q

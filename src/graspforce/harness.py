@@ -30,7 +30,6 @@ from .controller import (
     GraspPhase,
     STOP_AT_GOAL,
     TrajectoryController,
-    compute_external_force,
 )
 from .plant import Plant, Push, WristSweep
 from .scenarios import (
@@ -182,11 +181,9 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         q1, q2 = plant.q1, plant.q2
 
         cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
-
-        f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n, cfg.gravity_comp_enabled)
         rows.append(
             TimeSeriesRow(
-                t, q1, q2, f1, f2, f1 + f2, f_ext, plant.x_obj, controller.phase,
+                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj, controller.phase,
                 controller.last_u_int, controller.last_u_ext,
             )
         )
@@ -450,11 +447,10 @@ def _experiment_b_spec(scenario: str, variant: str, base_seed: int,
         **disturbance,
     )
     spec = with_overrides(spec, overrides)
-    if spec.duration is None or not spec.duration >= metrics_end:
-        raise ValueError(
-            f"{scenario} duration {spec.duration!r} s ends before its metric windows, "
-            f"which run to {metrics_end} s"
-        )
+    duration = resolve(spec).duration
+    if not duration >= metrics_end:
+        raise ValueError(f"{scenario} duration {duration!r} s ends before its metric windows, "
+                         f"which run to {metrics_end} s")
     if spec.control.control_rate < _MIN_CONTROL_RATE:
         raise ValueError(f"control_rate {spec.control.control_rate!r} Hz is below the "
                           f"{_MIN_CONTROL_RATE:g} Hz that puts two ticks in every metric window")

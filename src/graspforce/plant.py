@@ -139,8 +139,8 @@ class Plant:
     offset places the object center relative to the gripper center at the
     start, positive toward finger 2. contact_stiffness is the object
     stiffness in series with the fingertip pad, per contact; it is fixed
-    for the plant's lifetime. pushes_on holds the pushes of each target.
-    The plant sums pushes that overlap on one target; ScenarioSpec is
+    for the plant's lifetime. The pushes are grouped by target once, here;
+    the plant sums pushes that overlap on one target, and ScenarioSpec is
     where overlapping pushes are refused.
     """
 
@@ -156,9 +156,7 @@ class Plant:
         if not start_aperture > 0.0:
             raise ValueError("start_aperture must be > 0")
         self.obj = obj
-        self.pushes_on = {
-            target: tuple(p for p in pushes if p.target == target) for target in _TARGETS
-        }
+        on = {target: tuple(p for p in pushes if p.target == target) for target in _TARGETS}
         self.wrist = wrist
         self.config = config if config is not None else PlantConfig()
         cfg = self.config
@@ -167,9 +165,9 @@ class Plant:
         self.contact_stiffness = k if pad is None else k * pad / (k + pad)
         # Fixed for the trial; without a sweep the wrist angle stays 0 throughout.
         self._level_g_dot_n = -cfg.gravity * math.sin(0.0)
-        self._finger_pushes = (self.pushes_on[FINGER_1], self.pushes_on[FINGER_2])
+        self._finger_pushes = (on[FINGER_1], on[FINGER_2])
         self._fixed = (self.contact_stiffness, 0.5 * obj.width, obj.mass, cfg.max_finger_speed,
-                       cfg.gravity, wrist, self.pushes_on[OBJECT], obj.mass * self._level_g_dot_n)
+                       cfg.gravity, wrist, on[OBJECT], obj.mass * self._level_g_dot_n)
         self._period = (None, 0, 0.0, 0.0)  # (duration, n_sub, dt, drag) of the last step
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture

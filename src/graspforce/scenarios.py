@@ -74,15 +74,16 @@ class SensorSetup:
 class ScenarioSpec:
     """Everything one trial needs, in declarative form.
 
-    Construction checks all that a trial derives from the spec, and the
-    record is frozen, so a spec that builds is one that resolve can run.
+    Construction derives and checks all that a trial needs, once, and keeps
+    it for resolve; the record is frozen, so a spec that builds is one that runs.
 
     start_aperture, end_aperture and duration may be left unset: the start
     aperture then clears the offset object by 5 mm per side, the end
     aperture undershoots the object width by 2 mm so the closing posture
     would penetrate it, and the duration covers the closing motion plus
     settle_time. mu and mu_tau are the friction of the two face contacts
-    that a force trial certifies once, before it starts, to gate holding.
+    that a force trial certifies once, before it starts, to gate holding;
+    they are bounded far above any fingertip (mu <= 10, mu_tau <= 1 m).
     """
 
     object: str | ObjectSpec = "tape_roll"
@@ -109,7 +110,7 @@ class ScenarioSpec:
         check_fields(self, {
             **dict.fromkeys(("seed", "end_aperture", "settle_time", "mu", "mu_tau"), NON_NEGATIVE),
             **dict.fromkeys(("start_aperture", "closing_speed", "duration"), POSITIVE),
-        })
+        }, {"mu": (10.0, True), "mu_tau": (1.0, True)})
         period = 1.0 / self.control.control_rate
         if self.plant.dt > period:
             raise ValueError(
@@ -120,7 +121,19 @@ class ScenarioSpec:
                 or isinstance(self.object, str) and self.object in OBJECTS):
             raise ValueError(f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}")
         obj = self.object_spec()
-        start, end, closing, duration = _closing_plan(self, obj)
+        start, end = self.start_aperture, self.end_aperture
+        if start is None:
+            start = obj.width + 2.0 * abs(self.offset) + 0.010
+        if end is None:
+            end = obj.width - 0.002
+        closing = (start - end) / self.closing_speed
+        duration = self.duration
+        if duration is None:
+            # An off-center object leaves the far finger with extra ground to
+            # cover after the near finger freezes, so budget the aperture the
+            # nominal posture does not account for, plus latch slack.
+            march = max(0.0, 2.0 * abs(self.offset) - (obj.width - end)) / self.closing_speed
+            duration = closing + (march + 0.3 if march > 0.0 else 0.0) + self.settle_time
         max_aperture = 2.0 * self.control.joint_max
         if start > max_aperture + 1e-12:
             raise ValueError(f"start aperture {start:.4f} m exceeds the maximum aperture"
@@ -148,6 +161,23 @@ class ScenarioSpec:
             for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
                 if start_b < end_a:
                     raise ValueError(f"overlapping pushes scheduled on {target}")
+
+        control = self.control
+        if control.mass == 0.0:
+            # The controller's gravity model defaults to the true object mass.
+            control = dataclasses.replace(control, mass=obj.mass)
+        s = self.sensors
+        models = tuple(
+            SensorModel(gamma=gamma, bias=bias, noise_sigma=s.noise_sigma, seed=self.seed + stride,
+                        min_force=s.min_force, gain_scale=gain_scale)
+            for gamma, bias, gain_scale, stride in (
+                (s.gamma1, s.bias1, s.gain_scale1, 0),
+                (s.gamma2, s.bias2, s.gain_scale2, 1000003),
+            )
+        )
+        # Not a field, so ==, hash, asdict and with_overrides see the declaration only.
+        object.__setattr__(self, "_resolved", ResolvedScenario(
+            obj, control, GraspRequest(start, end, closing), models, duration))
 
     def object_spec(self) -> ObjectSpec:
         return self.object if isinstance(self.object, ObjectSpec) else OBJECTS[self.object]
@@ -263,9 +293,10 @@ def with_overrides(spec: ScenarioSpec, tree: dict | None) -> ScenarioSpec:
     return ScenarioSpec.from_dict(merge(spec.to_dict(), tree, ""))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResolvedScenario:
-    """A ScenarioSpec turned into the runtime pieces a trial loop needs."""
+    """The runtime pieces a trial loop needs, derived once as a ScenarioSpec is built;
+    every resolve of that spec returns this one record."""
 
     obj: ObjectSpec
     control: ControllerConfig
@@ -274,49 +305,6 @@ class ResolvedScenario:
     duration: float
 
 
-def _closing_plan(spec: ScenarioSpec, obj: ObjectSpec) -> tuple[float, float, float, float]:
-    """Start and end aperture, closing time and trial duration, unset ones derived."""
-    start, end = spec.start_aperture, spec.end_aperture
-    if start is None:
-        start = obj.width + 2.0 * abs(spec.offset) + 0.010
-    if end is None:
-        end = obj.width - 0.002
-    closing = (start - end) / spec.closing_speed
-    if spec.duration is not None:
-        return start, end, closing, spec.duration
-    # An off-center object leaves the far finger with extra ground to
-    # cover after the near finger freezes, so budget the aperture the
-    # nominal posture does not account for, plus latch slack.
-    march = max(0.0, 2.0 * abs(spec.offset) - (obj.width - end)) / spec.closing_speed
-    if march > 0.0:
-        march += 0.3
-    return start, end, closing, closing + march + spec.settle_time
-
-
 def resolve(spec: ScenarioSpec) -> ResolvedScenario:
-    """Derive every unset quantity of a spec; raises nothing, as the frozen spec checked it all."""
-    obj = spec.object_spec()
-    control = spec.control
-    if control.mass == 0.0:
-        # The controller's gravity model defaults to the true object mass.
-        control = dataclasses.replace(control, mass=obj.mass)
-
-    start, end, closing_duration, duration = _closing_plan(spec, obj)
-    request = GraspRequest(start_aperture=start, end_aperture=end, duration=closing_duration)
-
-    s = spec.sensors
-    models = tuple(
-        SensorModel(gamma=gamma, bias=bias, noise_sigma=s.noise_sigma, seed=spec.seed + stride,
-                    min_force=s.min_force, gain_scale=gain_scale)
-        for gamma, bias, gain_scale, stride in (
-            (s.gamma1, s.bias1, s.gain_scale1, 0),
-            (s.gamma2, s.bias2, s.gain_scale2, 1000003),
-        )
-    )
-    return ResolvedScenario(
-        obj=obj,
-        control=control,
-        request=request,
-        sensor_models=models,
-        duration=duration,
-    )
+    """The spec's runtime pieces, derived and checked when it was built; raises nothing."""
+    return spec._resolved

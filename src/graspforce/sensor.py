@@ -88,7 +88,6 @@ class CalibratedSensor:
     """
 
     def __init__(self, model: SensorModel, calibration_samples: int = 1000):
-        self.model = model
         # The model's fields a read uses, bound once, with calibrate()'s gain
         # gamma * gain_scale, which it returns exactly for a unit difference.
         self._read_with = (model.min_force, model.gamma, model.bias, model.noise_sigma,

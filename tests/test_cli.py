@@ -116,6 +116,35 @@ class TestRun:
         assert code == 2
         assert err == "error: unknown key 'initial_offset' in object\n"
 
+    def test_object_fields_over_a_catalog_name_exit_2(self, scenario_file, tmp_path, capsys):
+        # A mapping replaces the catalog name, so the object misses its other fields.
+        code = main(["run", scenario_file, "--out-dir", str(tmp_path / "o"),
+                     "--set", "object.mass=0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: invalid object: ")
+        assert "missing" in err
+        assert "Traceback" not in err
+
+    def test_scenario_that_is_not_a_mapping_exits_2(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "list.json", [1, 2])
+        code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: scenario must be a mapping")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("item", ["mu=1e9", "mu_tau=1e20"])
+    def test_absurd_friction_exits_2(self, item, scenario_file, tmp_path, capsys):
+        # Such friction certified "no" and kept a force trial from ever holding.
+        field = item.split("=")[0]
+        code = main(["run", scenario_file, "--out-dir", str(tmp_path / "o"), "--set", item])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {field} must be a finite number >= 0 and <= ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_flag_overrides_scenario(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "a"
         main(["run", scenario_file, "--out-dir", str(out), "--seed", "3",
@@ -420,3 +449,12 @@ class TestExperiments:
         assert (out / "exp_b_metrics.csv").exists()
         assert len(series) == 9  # 2 scenarios x 4 variants + the metrics table
         assert "rotation" in captured.out
+
+    def test_unwritable_report_is_a_fault(self, tmp_path, capsys):
+        out = tmp_path / "expb"
+        (out / "exp_b_metrics.csv").mkdir(parents=True)
+        code = main(["exp-b", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"fault: cannot write {out / 'exp_b_metrics.csv'}: ")
+        assert "Traceback" not in err

@@ -95,7 +95,7 @@ class TestGraspMatrix:
             np.testing.assert_allclose(g @ f, total, atol=1e-12)
 
     def test_empty_contacts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero contacts"):
             build_grasp_matrix([])
 
     def test_one_adjoint_call_per_contact(self, monkeypatch):
@@ -344,7 +344,8 @@ class TestOracle:
     def test_non_finite_wrench_rejected(self, bad):
         wrenches = np.zeros((3, 6))
         wrenches[1, 2] = bad
-        with pytest.raises(ValueError):
+        # can_resist's own check, not the solver's check of the scaled wrenches.
+        with pytest.raises(ValueError, match="^wrenches must be finite$"):
             can_resist(antipodal_pair(), wrenches)
 
     def test_oracle_builds_the_grasp_matrix_once(self, monkeypatch):

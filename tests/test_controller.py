@@ -102,6 +102,8 @@ class TestConfigValidation:
     def test_rejects_inverted_joint_range(self):
         with pytest.raises(ValueError):
             ControllerConfig(joint_min=0.06, joint_max=0.05)
+        with pytest.raises(ValueError, match="^joint range must satisfy"):
+            ControllerConfig(joint_min=0.04, joint_max=0.04)
 
     @pytest.mark.parametrize("goal_dwell", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_goal_dwell(self, goal_dwell):
@@ -121,6 +123,8 @@ class TestConfigValidation:
     def test_request_apertures_ordered(self):
         with pytest.raises(ValueError):
             GraspRequest(start_aperture=0.05, end_aperture=0.08, duration=1.0)
+        with pytest.raises(ValueError, match="^apertures must satisfy start > end >= 0$"):
+            GraspRequest(start_aperture=0.05, end_aperture=0.05, duration=1.0)
 
 
 class TestClosingPhase:

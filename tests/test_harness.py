@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -16,13 +17,14 @@ from graspforce.harness import (
     EXPERIMENT_B_VARIANTS,
     TimeSeriesRow,
     _experiment_b_spec,
+    _finish_trial,
     _trial_seed,
     run_experiment_a,
     run_experiment_b,
     run_trial,
     write_csv,
 )
-from graspforce.controller import ControllerConfig
+from graspforce.controller import ControllerConfig, compute_external_force
 from graspforce.plant import Push
 from graspforce.scenarios import ScenarioSpec, parse_overrides, resolve
 
@@ -161,6 +163,57 @@ class TestRunTrial:
         result = run_trial(quiet_spec(offset=0.0))
         row = result.value_at(1.0)
         assert row.t == pytest.approx(1.0, abs=0.011)
+
+    def test_value_at_on_a_one_tick_trial_returns_that_row(self):
+        result = run_trial(quiet_spec(duration=0.005))
+        assert len(result.series) == 1
+        assert result.value_at(0.0) is result.value_at(3.0) is result.series[0]
+
+    @pytest.mark.parametrize("wrist", [None, {"t_start": 1.0, "t_end": 3.0}],
+                             ids=["level", "sweep"])
+    @pytest.mark.parametrize("gravity_comp", [True, False], ids=["comp", "no_comp"])
+    @pytest.mark.parametrize("controller", ["force", "trajectory"])
+    def test_f_ext_is_the_controllers_estimate(self, monkeypatch, controller, gravity_comp, wrist):
+        # Each tick's gravity projection is recorded as the plant hands it over.
+        g_dot_n, seen = harness.Plant.g_dot_n, []
+
+        def recording(plant):
+            seen.append(g_dot_n(plant))
+            return seen[-1]
+
+        monkeypatch.setattr(harness.Plant, "g_dot_n", recording)
+        spec = quiet_spec(offset=0.005, controller=controller, wrist=wrist,
+                          control={"gravity_comp_enabled": gravity_comp})
+        rows = run_trial(spec).series
+        assert controller == "trajectory" or rows[-1].phase == "holding"
+        assert len(seen) == len(rows) and (wrist is None) == (set(seen) == {-0.0})
+        mass = resolve(spec).control.mass
+        assert [r.f_ext for r in rows] == [
+            compute_external_force(r.f1, r.f2, mass, g, gravity_comp) for r, g in zip(rows, seen)
+        ]
+
+    @pytest.mark.parametrize("controller", ["force", "trajectory"])
+    def test_each_trial_resolves_its_spec_once(self, monkeypatch, controller):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return resolve(spec)
+
+        monkeypatch.setattr(harness, "resolve", counting)
+        spec = quiet_spec(controller=controller, duration=0.5)
+        run_trial(spec)
+        assert calls == [spec]
+
+    def test_settle_time_when_every_holding_row_is_inside_the_band(self):
+        # The goal band holds from the first holding row on, so that row's t is the settle time.
+        spec = ScenarioSpec()
+        cfg = resolve(spec).control
+        phases = [("contact", 0.5)] + [("holding", cfg.f_goal)] * 3
+        rows = [TimeSeriesRow(0.01 * k, 0.03, 0.03, 1.0, 1.0, f_int, 0.0, 0.0, phase, 0.0, 0.0)
+                for k, (phase, f_int) in enumerate(phases)]
+        result = _finish_trial(spec, cfg, 0.06, rows, False)
+        assert result.settle_time == rows[1].t == 0.01
 
 
 @pytest.fixture(scope="module")
@@ -351,6 +404,24 @@ class TestExperimentPlumbing:
         assert clean.sensors.gain_scale1 == 1.0
         assert clean.sensors.gain_scale2 == 1.0
         assert dataclasses.replace(clean, sensors=miscal.sensors) == miscal
+
+    def test_experiment_a_one_trial_group_has_zero_std(self):
+        result = run_experiment_a(offsets=(0.005,), reps=1, objects=("tape_roll",),
+                                  overrides=QUIET)
+        assert [s.n_trials for s in result.summary] == [1, 1]
+        assert all(s.std_displacement == s.std_proxy == 0.0 for s in result.summary)
+
+    def test_experiment_b_duration_must_reach_the_last_metric_window(self):
+        # The push windows run to 14.5 s; the bound is inclusive.
+        assert _experiment_b_spec("push", "none", 0, {"duration": 14.5}).duration == 14.5
+        with pytest.raises(ValueError, match=r"^push duration 14\.49 s ends before its metric "
+                                             r"windows, which run to 14\.5 s$"):
+            _experiment_b_spec("push", "none", 0, {"duration": 14.49})
+
+    def test_experiment_b_unset_duration_names_the_derived_duration(self):
+        derived = resolve(ScenarioSpec(object="tape_roll")).duration
+        with pytest.raises(ValueError, match=f"^push duration {re.escape(repr(derived))} s ends"):
+            _experiment_b_spec("push", "none", 0, {"duration": None})
 
     def test_experiment_b_control_rate_fits_the_metric_windows(self):
         # The shortest metric window is 1 s; it needs a period of at most 0.5 s.

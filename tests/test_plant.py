@@ -262,6 +262,12 @@ class TestValidation:
             Push("elbow", 1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Push(FINGER_1, 1.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="^push needs t_end > t_start$"):
+            Push(FINGER_1, 1.0, 1.0, 1.0)
+
+    def test_zero_length_wrist_sweep_rejected(self):
+        with pytest.raises(ValueError, match="^wrist sweep needs t_end > t_start$"):
+            WristSweep(t_start=1.0, t_end=1.0)
 
     def test_plant_config_bounds(self):
         with pytest.raises(ValueError):

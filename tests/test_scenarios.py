@@ -1,5 +1,6 @@
 """Scenario loading, validation, overrides, and resolution."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graspforce import scenarios
 from graspforce.controller import STOP_AT_GOAL, ControllerConfig
 from graspforce.harness import run_experiment_a, run_trial
 from graspforce.plant import FINGER_1, FINGER_2, OBJECT, ObjectSpec, Plant, PlantConfig, Push
@@ -91,6 +93,7 @@ class TestSerialization:
         ("mu", "x"), ("mu", True), ("mu", -0.1), ("mu_tau", float("nan")),
         ("closing_speed", 0.0), ("closing_speed", float("inf")), ("settle_time", -5.0),
         ("duration", 0.0), ("duration", float("inf")), ("offset", float("nan")),
+        ("mu", 10.000001), ("mu_tau", 1.000001),
     ])
     def test_top_level_scalars_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -99,6 +102,20 @@ class TestSerialization:
     def test_top_level_scalar_bounds_are_inclusive_where_stated(self):
         spec = ScenarioSpec(mu=0, mu_tau=0.0, settle_time=0.0, offset=-0.01, duration=None)
         assert spec.mu == 0 and spec.duration is None
+        # Friction is bounded far above any fingertip, and the bounds are inclusive.
+        widest = ScenarioSpec(mu=10, mu_tau=1.0)
+        assert (widest.mu, widest.mu_tau) == (10, 1.0)
+
+    def test_from_dict_leaves_the_callers_mapping_unchanged(self):
+        data = {
+            "object": {"name": "slab", "mass": 0.05, "width": 0.05, "stiffness": 2000.0},
+            "control": {"f_goal": 2.5}, "sensors": {"noise_sigma": 0.0}, "plant": {"dt": 0.002},
+            "pushes": [{"target": "finger1", "force": 1.0, "t_start": 1.0, "t_end": 2.0}],
+            "wrist": {"t_start": 1.0, "t_end": 2.0},
+        }
+        before = copy.deepcopy(data)
+        ScenarioSpec.from_dict(data)
+        assert data == before
 
     def test_load_scenario_file(self, tmp_path):
         path = tmp_path / "scene.json"
@@ -217,6 +234,34 @@ class TestResolve:
                            for p in plants)
         assert rounded == coarse
 
+    def test_every_resolve_returns_the_record_built_with_the_spec(self):
+        spec = ScenarioSpec(object="tape_roll", offset=0.005)
+        assert resolve(spec) is resolve(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            resolve(spec).duration = 1.0
+
+    def test_derived_record_is_not_a_field(self):
+        a, b = ScenarioSpec(seed=3), ScenarioSpec(seed=3)
+        assert resolve(a) is not resolve(b)
+        assert a == b and hash(a) == hash(b) and resolve(a) == resolve(b)
+        assert "_resolved" not in a.to_dict()
+        assert resolve(with_overrides(a, {"seed": 4})).sensor_models[0].seed == 4
+        assert resolve(dataclasses.replace(a, duration=2.0)).duration == 2.0
+
+    def test_one_grasp_request_per_spec_and_none_per_trial(self, monkeypatch):
+        made = []
+        grasp_request = scenarios.GraspRequest
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return grasp_request(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "GraspRequest", counting)
+        spec = ScenarioSpec(object="tape_roll", duration=0.5)
+        assert len(made) == 1
+        run_trial(spec)
+        assert len(made) == 1
+
     def test_explicit_duration_wins(self):
         resolved = resolve(ScenarioSpec(object="tape_roll", duration=9.0))
         assert resolved.duration == 9.0
@@ -249,6 +294,17 @@ class TestResolve:
     def test_end_aperture_below_start(self):
         with pytest.raises(ValueError, match="end aperture"):
             ScenarioSpec(object="tape_roll", start_aperture=0.07, end_aperture=0.07)
+
+    def test_explicit_zero_end_aperture_builds(self):
+        spec = ScenarioSpec(object="tape_roll", end_aperture=0.0)
+        assert resolve(spec).request.end_aperture == 0.0
+
+    def test_closing_time_that_overflows_is_rejected_by_its_own_check(self):
+        # 0.012 m at 1e-320 m/s overflows to an infinite closing time, which
+        # the closing check names before the work budget sees the duration.
+        with pytest.raises(ValueError, match=r"^closing from 0\.07 m to 0\.058 m at \S+ m/s"
+                                             r" takes inf s"):
+            ScenarioSpec(object="tape_roll", closing_speed=1e-320)
 
     # Specs are built, never run: a rejected one would run for hours or forever.
     @pytest.mark.parametrize("fields", [
