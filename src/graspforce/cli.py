@@ -1,4 +1,4 @@
-"""Command-line front end for trials, experiments, and closure analysis.
+"""Command-line front end: arguments, reports and exit codes; scenarios decodes the input files.
 
 Exit codes: 0 success (and closure-yes), 1 runtime fault inside a started
 simulation, a non-finite calibration or a solver that hit its pivot cap,
@@ -9,14 +9,13 @@ them), 3 closure-no from the closure subcommand.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .closure import Contact, is_force_closure
+from .closure import is_force_closure
 from .harness import (
     experiment_b_table,
     make_out_dir,
@@ -25,7 +24,7 @@ from .harness import (
     run_trial,
     write_csv,
 )
-from .scenarios import load_scenario, parse_overrides, with_overrides
+from .scenarios import load_contacts, load_scenario, parse_overrides, with_overrides
 from .sensor import CalibratedSensor, SensorModel, calibrate
 
 EXIT_OK = 0
@@ -132,52 +131,10 @@ def _cmd_exp_b(args) -> int:
     return EXIT_OK
 
 
-# A contact entry's keys: its position, one frame key, and its friction.
-_CONTACT_KEYS = {"position", "normal", "rotation", "mu", "mu_tau"}
-
-
-def _unknown_key(data: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-
-
-def _load_contacts(path: str):
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read contact file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"contact file {path} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        _unknown_key(data, {"contacts"}, f"contact file {path}")
-        entries = data.get("contacts")
-    else:
-        entries = data
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"contact file {path} must hold a non-empty contact list")
-    contacts = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"contact {i} in {path} is malformed: not an object: {entry!r}")
-        _unknown_key(entry, _CONTACT_KEYS, f"contact {i} in {path}")
-        if "normal" in entry and "rotation" in entry:
-            raise ValueError(f"contact {i} in {path} gives both 'normal' and 'rotation'")
-        try:
-            friction = {key: entry[key] for key in ("mu", "mu_tau") if key in entry}
-            if "rotation" in entry:
-                contacts.append(Contact(entry["position"], entry["rotation"], **friction))
-            else:
-                contacts.append(Contact.from_normal(entry["position"], entry["normal"], **friction))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"contact {i} in {path} is malformed: {exc}") from exc
-    return contacts
-
-
 def _cmd_closure(args) -> int:
     if args.sides < 3:
         raise ValueError(f"--sides must be >= 3, got {args.sides}")
-    contacts = _load_contacts(args.contacts)
+    contacts = load_contacts(args.contacts)
     rows = len(contacts) * (args.sides + 3)
     if rows > MAX_CONE_ROWS:
         raise ValueError(

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _reject_overrides(experiment: str, overrides: dict | None, fixed: tuple[str,
             raise ValueError(f"{path} is set per trial by {experiment}, not overridable{hint}")
 
 
-@dataclass(slots=True)
-class TimeSeriesRow:
+class TimeSeriesRow(NamedTuple):
     t: float
     q1: float
     q2: float
@@ -87,12 +86,11 @@ class TimeSeriesRow:
     u_ext: float
 
 
-CSV_HEADER = ",".join(f.name for f in fields(TimeSeriesRow))
-# A row's values in CSV_HEADER order, as a tuple.
-_row_values = attrgetter(*CSV_HEADER.split(","))
+CSV_HEADER = ",".join(TimeSeriesRow._fields)
 # One CSV line per row: "%.9g" gives the bytes format(float(v), ".9g") gives
 # for every float, int and bool, so a series reads as the report tables do.
-_ROW_FORMAT = ",".join("%s" if f.type == "str" else "%.9g" for f in fields(TimeSeriesRow)) + "\n"
+_ROW_FORMAT = ",".join("%s" if kind is str else "%.9g"
+                       for kind in get_type_hints(TimeSeriesRow).values()) + "\n"
 
 
 @dataclass
@@ -250,7 +248,7 @@ def write_csv(rows: list[TimeSeriesRow], path: str | Path) -> Path:
     if not rows:
         raise ValueError("refusing to write an empty time series")
     path = Path(path)
-    _write_table(path, CSV_HEADER.split(","), map(_ROW_FORMAT.__mod__, map(_row_values, rows)))
+    _write_table(path, CSV_HEADER.split(","), map(_ROW_FORMAT.__mod__, rows))
     return path
 
 

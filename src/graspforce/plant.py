@@ -46,11 +46,11 @@ _TARGETS = (FINGER_1, FINGER_2, OBJECT)
 class ObjectSpec:
     """A grasp target: slab mass, width, contact stiffness and damping.
 
-    mass is > 0: the plant integrates the object's motion, and a massless
-    object is outside the model. stiffness is the true contact stiffness of
-    the object surface, which the controller does not know (it works from
-    its own ks_int estimate). damping is the object's sliding drag against
-    its support.
+    mass is at least 1 mg: the plant integrates the object's motion, and a
+    massless object is outside the model. stiffness, at most 1e9 N/m, is the
+    true contact stiffness of the object surface, which the controller does
+    not know (it works from its own ks_int estimate). damping is the
+    object's sliding drag against its support.
     """
 
     name: str
@@ -61,7 +61,9 @@ class ObjectSpec:
 
     def __post_init__(self):
         check_fields(self, {"mass": POSITIVE, "width": POSITIVE, "stiffness": POSITIVE,
-                            "damping": NON_NEGATIVE})
+                            "damping": NON_NEGATIVE}, {"stiffness": (1e9, True)})
+        if self.mass < 1e-6:
+            raise ValueError(f"mass must be at least 1e-06 kg (1 mg), got {self.mass!r}")
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,10 @@ class WristSweep:
 class PlantConfig:
     """Simulation resolution and the finger/fingertip model.
 
-    pad_stiffness acts in series with the object stiffness at each contact,
-    modeling the compliant fingertip pads that cap how fast contact force
-    can grow per unit of commanded travel; None disables it (rigid tips).
+    pad_stiffness, at most 1e9 N/m, acts in series with the object
+    stiffness at each contact, modeling the compliant fingertip pads that
+    cap how fast contact force can grow per unit of commanded travel; None
+    disables it (rigid tips).
     """
 
     dt: float = 1e-3
@@ -130,7 +133,8 @@ class PlantConfig:
     gravity: float = 9.81
 
     def __post_init__(self):
-        check_fields(self, dict.fromkeys(("dt", "max_finger_speed", "pad_stiffness"), POSITIVE))
+        check_fields(self, dict.fromkeys(("dt", "max_finger_speed", "pad_stiffness"), POSITIVE),
+                     {"pad_stiffness": (1e9, True)})
 
 
 class Plant:

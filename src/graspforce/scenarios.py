@@ -6,7 +6,8 @@ settings (its three *_enabled flags are the one way to ablate a part), the
 pushes and wrist sweep, and the sensor and plant parameters. Specs load from
 JSON files and accept dotted-path overrides like control.f_goal=2.5, so
 every documented field is reachable from the command line without a
-dedicated flag.
+dedicated flag. Contact files for the closure check load here too, through
+the same file reader, unknown-key rule and friction bounds.
 
 The catalog holds the three benchmark objects: a light foam cylinder, a
 tape roll, and a dense wooden cuboid. Their true contact stiffnesses span
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checks import NON_NEGATIVE, NORMAL, POSITIVE, check_fields
+from .closure import Contact
 from .controller import ControllerConfig, GraspRequest
 from .plant import FINGER_1, FINGER_2, OBJECT, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, MAX_CALIBRATION_SAMPLES, SensorModel
@@ -38,6 +40,11 @@ OBJECTS = {spec.name: spec for spec in (STYROFOAM, TAPE_ROLL, WOODEN_CUBOID)}
 FORCE = "force"
 TRAJECTORY = "trajectory"
 _CONTROLLERS = (FORCE, TRAJECTORY)
+
+# Friction bounds far above any fingertip, for a spec's face pair and a contact file.
+_FRICTION_BOUNDS = {"mu": (10.0, True), "mu_tau": (1.0, True)}
+# A contact entry's keys: its position, one frame key, and its friction.
+_CONTACT_KEYS = {"position", "normal", "rotation", *_FRICTION_BOUNDS}
 
 # The most plant substeps one trial may run: its ticks times the substeps
 # per tick. The longest shipped trial, exp-b's rotation, runs 16,000.
@@ -110,7 +117,7 @@ class ScenarioSpec:
         check_fields(self, {
             **dict.fromkeys(("seed", "end_aperture", "settle_time", "mu", "mu_tau"), NON_NEGATIVE),
             **dict.fromkeys(("start_aperture", "closing_speed", "duration"), POSITIVE),
-        }, {"mu": (10.0, True), "mu_tau": (1.0, True)})
+        }, _FRICTION_BOUNDS)
         period = 1.0 / self.control.control_rate
         if self.plant.dt > period:
             raise ValueError(
@@ -213,31 +220,62 @@ _NESTED = {
 }
 
 
+def _reject_unknown(data: dict, allowed, where: str) -> None:
+    unknown = sorted(set(data).difference(allowed))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
 def _build_dataclass(cls, data, where: str):
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a mapping of field names to values, got {data!r}")
-    names = {f.name for f in dataclasses.fields(cls) if f.init}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    _reject_unknown(data, (f.name for f in dataclasses.fields(cls) if f.init), where)
     try:
         return cls(**data)
     except TypeError as exc:
         raise ValueError(f"invalid {where}: {exc}") from exc
 
 
+def _read_json(path: str | Path, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> ScenarioSpec:
     """Read a scenario JSON file into a validated ScenarioSpec."""
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read scenario file {p}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scenario file {p} is not valid JSON: {exc}") from exc
-    return ScenarioSpec.from_dict(data)
+    return ScenarioSpec.from_dict(_read_json(path, "scenario"))
+
+
+def load_contacts(path: str | Path) -> list[Contact]:
+    """Read a contact JSON file, {"contacts": [...]} or the bare list, into checked Contacts."""
+    data = _read_json(path, "contact")
+    if isinstance(data, dict):
+        _reject_unknown(data, {"contacts"}, f"contact file {path}")
+        data = data.get("contacts")
+    if not isinstance(data, list) or not data:
+        raise ValueError(f"contact file {path} must hold a non-empty contact list")
+    contacts = []
+    for i, entry in enumerate(data):
+        where = f"contact {i} in {path}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is malformed: not an object: {entry!r}")
+        _reject_unknown(entry, _CONTACT_KEYS, where)
+        if "normal" in entry and "rotation" in entry:
+            raise ValueError(f"{where} gives both 'normal' and 'rotation'")
+        try:
+            friction = {key: entry[key] for key in _FRICTION_BOUNDS if key in entry}
+            frame = "rotation" if "rotation" in entry else "normal"
+            make = Contact if frame == "rotation" else Contact.from_normal
+            contact = make(entry["position"], entry[frame], **friction)
+            check_fields(contact, upper=_FRICTION_BOUNDS)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where} is malformed: {exc}") from exc
+        contacts.append(contact)
+    return contacts
 
 
 def parse_overrides(items: list[str]) -> dict:

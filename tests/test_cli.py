@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graspforce import cli, harness, simplex
 from graspforce.cli import build_parser, main
+from graspforce.geometry import rotation_from_normal
+from graspforce.scenarios import ScenarioSpec
 
 ANTIPODAL = {
     "contacts": [
@@ -14,6 +19,13 @@ ANTIPODAL = {
         {"position": [0.0, -0.03, 0.0], "normal": [0.0, 1.0, 0.0], "mu": 0.5},
     ]
 }
+# What `graspforce closure` prints for ANTIPODAL, the pair README documents.
+ANTIPODAL_REPORT = (
+    "contacts: 2\n"
+    "surjective: yes\n"
+    "strict internal force: yes (margin 2.500e-03)\n"
+    "force-closure: yes\n"
+)
 
 
 def write_json(path, payload):
@@ -63,6 +75,18 @@ class TestRun:
         assert "displacement (ground truth)" in captured.out
         assert "displacement (joint proxy)" in captured.out
 
+    def test_report_lines(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", scenario_file, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"series: {out / 'tape.csv'}\n"
+            "displacement (ground truth): 0.450 mm\n"
+            "displacement (joint proxy):  2.617 mm\n"
+            "max total force: 2.002 N\n"
+            "settled at: 3.01 s\n"
+            "finished: no\n"
+        )
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json")])
         assert code == 2
@@ -87,7 +111,8 @@ class TestRun:
             assert not list(out.glob("*.csv"))
 
     def test_non_finite_plant_state_faults(self, tmp_path, capsys):
-        speck = {"name": "speck", "mass": 1e-310, "width": 0.06, "stiffness": 2000.0}
+        # Inside every bound, but the stiff light object goes numerically unstable.
+        speck = {"name": "speck", "mass": 1e-5, "width": 0.05, "stiffness": 20000.0}
         scenario = write_json(tmp_path / "speck.json",
                               {"object": speck, "offset": 0.003, "sensors": {"noise_sigma": 0.0}})
         code = main(["run", scenario, "--out-dir", str(tmp_path / "o")])
@@ -196,6 +221,13 @@ def bad_override_cases():
                  'wrist={"t_start": 1, "t_end": Infinity}',
                  'wrist={"t_start": 1, "t_end": 2, "angle_end": NaN}']:
         cases.append(("run", [item]))
+    # Outside the physical bounds of the object and the fingertip pads: a
+    # subnormal mass faulted late, and a huge stiffness ran with absurd forces.
+    cases += [("run", ['object={"name": "speck", "mass": 1e-310, "width": 0.06, '
+                        '"stiffness": 2000}']),
+              ("run", ['object={"name": "slab", "mass": 0.05, "width": 0.05, "stiffness": 1e308}',
+                       "plant.pad_stiffness=null"]),
+              ("run", ["plant.pad_stiffness=1e308"])]
     # Not an integer from 1 to 10**6: the bias calibration's sample count.
     # 10**9 would need about 49 GB; the spec rejects it before any is drawn.
     for value in ["1.5", "true", '"x"', "0", "1000001", "1000000000"]:
@@ -301,6 +333,45 @@ class TestClosure:
         assert "force-closure: yes" in out
         assert "margin" in out
 
+    def test_report_lines(self, tmp_path, capsys):
+        assert main(["closure", write_json(tmp_path / "c.json", ANTIPODAL)]) == 0
+        assert capsys.readouterr().out == ANTIPODAL_REPORT
+
+    def test_bare_contact_list(self, tmp_path, capsys):
+        assert main(["closure", write_json(tmp_path / "c.json", ANTIPODAL["contacts"])]) == 0
+        assert capsys.readouterr().out == ANTIPODAL_REPORT
+
+    def test_contacts_given_by_rotation(self, tmp_path, capsys):
+        contacts = [{"position": c["position"], "mu": c["mu"],
+                     "rotation": rotation_from_normal(c["normal"]).tolist()}
+                    for c in ANTIPODAL["contacts"]]
+        assert main(["closure", write_json(tmp_path / "c.json", contacts)]) == 0
+        assert capsys.readouterr().out == ANTIPODAL_REPORT
+
+    def test_unreadable_contact_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["closure", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read contact file {path}: ")
+        assert "Traceback" not in err
+
+    def test_contact_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"contacts": [', encoding="utf-8")
+        assert main(["closure", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: contact file {path} is not valid JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("payload", [{"contacts": 5}, {}, 5, []],
+                             ids=["number under contacts", "no contacts", "number", "empty list"])
+    def test_contact_file_without_a_contact_list(self, payload, tmp_path, capsys):
+        path = write_json(tmp_path / "c.json", payload)
+        assert main(["closure", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: contact file {path} must hold a non-empty contact list\n"
+        )
+
     def test_frictionless_pair_is_no_closure(self, tmp_path, capsys):
         payload = {"contacts": [dict(c, mu=0.0, mu_tau=0.0) for c in ANTIPODAL["contacts"]]}
         code = main(["closure", write_json(tmp_path / "c.json", payload)])
@@ -361,6 +432,27 @@ class TestClosure:
         path = write_json(tmp_path / "c.json", payload)
         assert main(["closure", path]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    @pytest.mark.parametrize("index,field,value,bound", [
+        (0, "mu", 1e308, "10"), (1, "mu_tau", 1.5, "1"),
+    ], ids=["mu", "mu_tau"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_friction_past_the_scenario_bounds_exits_2(self, index, field, value, bound,
+                                                        tmp_path, capsys):
+        # More friction cannot remove closure, yet mu 1e308 overflowed the
+        # certify LP into a warned "no"; the bounds are those of a scenario.
+        contacts = [dict(c) for c in ANTIPODAL["contacts"]]
+        contacts[index][field] = value
+        path = write_json(tmp_path / "c.json", contacts)
+        assert main(["closure", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: contact {index} in {path} is malformed: {field} must be a finite number"
+            f" <= {bound}, got {value!r}\n"
+        )
+
+    def test_friction_bounds_are_inclusive(self, tmp_path, capsys):
+        contacts = [dict(c, mu=10, mu_tau=1.0) for c in ANTIPODAL["contacts"]]
+        assert main(["closure", write_json(tmp_path / "c.json", contacts)]) == 0
 
     def test_empty_contact_list(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", {"contacts": []})])
@@ -450,6 +542,13 @@ class TestExperiments:
         assert len(series) == 9  # 2 scenarios x 4 variants + the metrics table
         assert "rotation" in captured.out
 
+    def test_exp_b_report_names_its_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_experiment_b", lambda **kwargs: ["run"] * 8)
+        monkeypatch.setattr(cli, "experiment_b_table", lambda runs: "table")
+        out = str(tmp_path / "expb")
+        assert main(["exp-b", "--out-dir", out]) == 0
+        assert capsys.readouterr().out == f"table\n8 runs; series and metrics in {out}\n"
+
     def test_unwritable_report_is_a_fault(self, tmp_path, capsys):
         out = tmp_path / "expb"
         (out / "exp_b_metrics.csv").mkdir(parents=True)
@@ -457,4 +556,63 @@ class TestExperiments:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"fault: cannot write {out / 'exp_b_metrics.csv'}: ")
+        assert "Traceback" not in err
+
+
+def dotted_paths(tree: dict, prefix: str = ""):
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from dotted_paths(value, prefix + key + ".")
+
+
+# Every field of a default spec by its dotted path, and JSON edge values as
+# typed after --set: zeros, the float extremes, non-finite numbers, and
+# values of the wrong kind ("x" is taken as a plain string).
+SPEC_PATHS = sorted(dotted_paths(ScenarioSpec().to_dict()))
+EDGE_VALUES = ["0", "-0.0", "1e308", "-1e308", "1e-310", "NaN", "Infinity", "true", "null",
+               "x", "[1]"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+VEC3 = st.lists(FINITE, min_size=3, max_size=3)
+CONTACT = st.fixed_dictionaries({"position": VEC3, "normal": VEC3},
+                                optional={"mu": FINITE, "mu_tau": FINITE})
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_json(path / "short.json", {"object": "tape_roll", "offset": 0.002, "duration": 0.3,
+                                     "sensors": {"noise_sigma": 0.0}})
+    return path
+
+
+def exit_code_and_stderr(argv: list[str]) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzz:
+    """Any input gets an exit code of the contract and no traceback."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(items=st.lists(st.tuples(st.sampled_from(SPEC_PATHS), st.sampled_from(EDGE_VALUES)),
+                          min_size=1, max_size=2))
+    def test_run_with_edge_overrides(self, items, fuzz_dir):
+        argv = ["run", str(fuzz_dir / "short.json"), "--out-dir", str(fuzz_dir / "out")]
+        for path, value in items:
+            argv += ["--set", f"{path}={value}"]
+        code, err = exit_code_and_stderr(argv)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    # Coordinates near the float maximum still overflow with a RuntimeWarning
+    # on the way to their exit code; that is an open defect, not this test's.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(contacts=st.lists(CONTACT, min_size=1, max_size=4))
+    def test_closure_of_finite_contacts(self, contacts, fuzz_dir):
+        code, err = exit_code_and_stderr(["closure", write_json(fuzz_dir / "c.json", contacts)])
+        assert code in (0, 1, 2, 3)
         assert "Traceback" not in err

@@ -312,6 +312,10 @@ class TestOracle:
     def test_oracle_rejects_single_contact(self):
         assert not resistance_oracle([antipodal_pair()[0]], wrench_samples=200)
 
+    def test_oracle_needs_at_least_one_sample(self):
+        with pytest.raises(ValueError, match="^wrench_samples must be >= 1$"):
+            resistance_oracle(antipodal_pair(), 0)
+
     def test_sampled_wrenches_are_unit_and_deterministic(self):
         a = sample_unit_wrenches(100, seed=3)
         b = sample_unit_wrenches(100, seed=3)

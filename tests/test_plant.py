@@ -257,6 +257,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             ObjectSpec("bad", mass=0.01, width=0.05, stiffness=0.0)
 
+    @pytest.mark.parametrize("cls,field,edge,past", [
+        (ObjectSpec, "mass", 1e-6, 0.99e-6),
+        (ObjectSpec, "stiffness", 1e9, 1.000001e9),
+        (PlantConfig, "pad_stiffness", 1e9, 1.000001e9),
+    ])
+    def test_physical_bounds_are_inclusive(self, cls, field, edge, past):
+        base = {"name": "slab", "mass": 0.01, "width": 0.05, "stiffness": 500.0}
+        base = base if cls is ObjectSpec else {}
+        assert getattr(cls(**dict(base, **{field: edge})), field) == edge
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            cls(**dict(base, **{field: past}))
+
     def test_push_bounds(self):
         with pytest.raises(ValueError):
             Push("elbow", 1.0, 0.0, 1.0)

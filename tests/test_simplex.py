@@ -75,6 +75,14 @@ class TestBasics:
         assert result.status == OPTIMAL
         assert result.x[0] == pytest.approx(-5.0, abs=1e-9)
 
+    @pytest.mark.parametrize("kind,blocks", [
+        ("inequality", {"a_ub": [[1.0, 1.0, 1.0]], "b_ub": [1.0]}),
+        ("equality", {"a_eq": [[1.0, 1.0]], "b_eq": [1.0, 2.0]}),
+    ])
+    def test_constraint_shapes_must_agree(self, kind, blocks):
+        with pytest.raises(ValueError, match=f"^{kind} constraint shapes disagree: "):
+            solve_lp([1.0, 1.0], **blocks)
+
     def test_infeasible(self):
         a_ub = np.array([[1.0], [-1.0]])
         b_ub = np.array([1.0, -2.0])  # x <= 1 and x >= 2
