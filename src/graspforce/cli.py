@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="simulate one scenario file and write its time series")
     run.add_argument("scenario", help="path to a scenario JSON file")
     run.add_argument("--out-dir", default="out", help="directory for the time-series CSV")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
 
     expa = sub.add_parser(
         "exp-a", help="displacement grid: 5 offsets x 3 objects x 3 reps x 2 controllers"
@@ -98,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    overrides = args.overrides + ([] if args.seed is None else [f"seed={args.seed}"])
-    spec = with_overrides(load_scenario(args.scenario), parse_overrides(overrides))
+    spec = with_overrides(load_scenario(args.scenario), parse_overrides(args.overrides))
     out = make_out_dir(args.out_dir)
     result = run_trial(spec)
     csv_path = write_csv(result.series, out / (Path(args.scenario).stem + ".csv"))
@@ -132,8 +130,6 @@ def _cmd_exp_b(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    if args.sides < 3:
-        raise ValueError(f"--sides must be >= 3, got {args.sides}")
     contacts = load_contacts(args.contacts)
     rows = len(contacts) * (args.sides + 3)
     if rows > MAX_CONE_ROWS:
@@ -151,8 +147,6 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     model = SensorModel(
         gamma=args.gamma, bias=args.bias, noise_sigma=args.noise_sigma, seed=args.seed
     )

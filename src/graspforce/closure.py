@@ -163,19 +163,14 @@ def is_force_closure(contacts: list[Contact], sides: int = DEFAULT_CONE_SIDES) -
     a_eq = np.hstack([g, np.zeros((6, 1))])
 
     result = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(6))
-    if result.ok:
-        margin = float(result.x[-1])
-        internal = result.x[:nf].copy()
-    else:
-        margin = 0.0
-        internal = None
+    margin = float(result.x[-1]) if result.ok else 0.0
     strict = margin > MARGIN_TOL
     return ClosureReport(
         surjective=surjective,
         has_strict_internal=strict,
         is_force_closure=surjective and strict,
         margin=margin if strict else 0.0,
-        internal_force=internal if strict else None,
+        internal_force=result.x[:nf].copy() if strict else None,
     )
 
 
@@ -231,16 +226,8 @@ def can_resist(contacts: list[Contact], wrench, sides: int = DEFAULT_CONE_SIDES)
 
 def sample_unit_wrenches(count: int, seed: int = 0) -> np.ndarray:
     """Quasi-uniform points on the unit 6-sphere from a seeded stream."""
-    rng = np.random.default_rng(seed)
-    points = np.empty((count, 6))
-    filled = 0
-    while filled < count:
-        draw = rng.standard_normal((count - filled, 6))
-        norms = np.linalg.norm(draw, axis=1)
-        good = draw[norms > 1e-12] / norms[norms > 1e-12, None]
-        points[filled : filled + good.shape[0]] = good
-        filled += good.shape[0]
-    return points
+    draw = np.random.default_rng(seed).standard_normal((count, 6))
+    return draw / np.linalg.norm(draw, axis=1)[:, None]
 
 
 def resistance_oracle(

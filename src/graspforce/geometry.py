@@ -75,10 +75,12 @@ def rotation_from_normal(normal) -> np.ndarray:
     produce the same frame.
     """
     n = as_vec3(normal)
-    ln = np.linalg.norm(n)
-    if ln == 0.0:
+    largest = np.abs(n).max()
+    if largest == 0.0:
         raise ValueError("contact normal must be nonzero")
-    n = n / ln
+    if not 1e-150 <= largest <= 1e150:  # where the squares in the norm would under- or overflow
+        n = n / largest
+    n = n / np.linalg.norm(n)
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     t1 = np.cross(seed, n)
     t1 /= np.linalg.norm(t1)

@@ -126,11 +126,8 @@ class TrialResult(TrialMetrics):
         return TrialMetrics(**{f.name: getattr(self, f.name) for f in fields(TrialMetrics)})
 
     def value_at(self, t: float) -> TimeSeriesRow:
-        """Row closest to time t (series rows are at a fixed rate)."""
-        if not self.series:
-            raise ValueError("empty series")
-        step = self.series[1].t - self.series[0].t if len(self.series) > 1 else 1.0
-        idx = round((t - self.series[0].t) / step)
+        """Row closest to time t; row k is at k control periods."""
+        idx = round(t / resolve(self.spec).period)
         return self.series[min(max(idx, 0), len(self.series) - 1)]
 
 
@@ -162,13 +159,11 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
     else:
         controller = TrajectoryController(resolved.control, resolved.request)
 
-    cfg = resolved.control
-    dt = 1.0 / cfg.control_rate
-    n_ticks = max(1, math.ceil(resolved.duration * cfg.control_rate))
+    cfg, dt = resolved.control, resolved.period
     rows: list[TimeSeriesRow] = []
     isfinite = math.isfinite
 
-    for k in range(n_ticks):
+    for k in range(resolved.ticks):
         t = k * dt
         true_f1, true_f2 = plant.measured_forces()
         f1 = sensors[0].read(true_f1)

@@ -29,6 +29,7 @@ from .closure import Contact
 from .controller import ControllerConfig, GraspRequest
 from .plant import FINGER_1, FINGER_2, OBJECT, ObjectSpec, PlantConfig, Push, WristSweep
 from .sensor import DEFAULT_GAMMA_1, DEFAULT_GAMMA_2, MAX_CALIBRATION_SAMPLES, SensorModel
+from .sensor import MAX_GAIN_SCALE, MAX_GAMMA
 
 STYROFOAM = ObjectSpec("styrofoam", mass=0.002, width=0.050, stiffness=500.0, damping=1.0)
 TAPE_ROLL = ObjectSpec("tape_roll", mass=0.049, width=0.060, stiffness=2000.0, damping=60.0)
@@ -57,7 +58,8 @@ class SensorSetup:
 
     noise_sigma applies to both channels: 0 turns the noise off, and None
     keeps each channel's sigma sized from its gamma. gain_scale values
-    other than 1 miscalibrate that channel's gain.
+    other than 1 miscalibrate that channel's gain. Each channel's gamma and
+    gain_scale have SensorModel's upper bounds.
     """
 
     gamma1: float = DEFAULT_GAMMA_1
@@ -74,7 +76,9 @@ class SensorSetup:
         check_fields(self, {
             "gamma1": NORMAL, "gamma2": NORMAL, "gain_scale1": POSITIVE, "gain_scale2": POSITIVE,
             "noise_sigma": NON_NEGATIVE, "min_force": NON_NEGATIVE, "calibration_samples": (1, True),
-        }, {"calibration_samples": (MAX_CALIBRATION_SAMPLES, True)})
+        }, {"calibration_samples": (MAX_CALIBRATION_SAMPLES, True),
+            **dict.fromkeys(("gamma1", "gamma2"), (MAX_GAMMA, True)),
+            **dict.fromkeys(("gain_scale1", "gain_scale2"), (MAX_GAIN_SCALE, True))})
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,7 @@ class ScenarioSpec:
         if not (isinstance(self.object, ObjectSpec)
                 or isinstance(self.object, str) and self.object in OBJECTS):
             raise ValueError(f"unknown object {self.object!r}; catalog: {tuple(OBJECTS)}")
-        obj = self.object_spec()
+        obj = self.object if isinstance(self.object, ObjectSpec) else OBJECTS[self.object]
         start, end = self.start_aperture, self.end_aperture
         if start is None:
             start = obj.width + 2.0 * abs(self.offset) + 0.010
@@ -154,11 +158,11 @@ class ScenarioSpec:
         if not 0.0 < closing < math.inf:
             raise ValueError(f"closing from {start:g} m to {end:g} m at {self.closing_speed:g} m/s"
                              f" takes {closing:g} s, not a positive finite time")
-        # The tick count of run_trial times the substeps per tick of Plant.step.
-        ticks, substeps = duration * self.control.control_rate, period / self.plant.dt
-        if not (math.isfinite(ticks * substeps) and max(1, math.ceil(ticks))
+        # The trial's ticks, one per period from t = 0, times the substeps per tick of Plant.step.
+        span, substeps = duration * self.control.control_rate, period / self.plant.dt
+        if not (math.isfinite(span * substeps) and (ticks := max(1, math.ceil(span)))
                 * max(1, round(substeps)) <= MAX_TRIAL_SUBSTEPS):
-            raise ValueError(f"duration {duration:g} s is {ticks:.4g} ticks x {substeps:.4g}"
+            raise ValueError(f"duration {duration:g} s is {span:.4g} ticks x {substeps:.4g}"
                              f" substeps at control_rate {self.control.control_rate:g} Hz and"
                              f" plant.dt {self.plant.dt:g} s, over the budget of"
                              f" {MAX_TRIAL_SUBSTEPS:,}")
@@ -184,10 +188,7 @@ class ScenarioSpec:
         )
         # Not a field, so ==, hash, asdict and with_overrides see the declaration only.
         object.__setattr__(self, "_resolved", ResolvedScenario(
-            obj, control, GraspRequest(start, end, closing), models, duration))
-
-    def object_spec(self) -> ObjectSpec:
-        return self.object if isinstance(self.object, ObjectSpec) else OBJECTS[self.object]
+            obj, control, GraspRequest(start, end, closing), models, duration, period, ticks))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -341,6 +342,8 @@ class ResolvedScenario:
     request: GraspRequest
     sensor_models: tuple[SensorModel, SensorModel]
     duration: float
+    period: float  # the control period, s; row k of the trial's series is at k * period
+    ticks: int  # control ticks the trial runs unless its controller finishes first
 
 
 def resolve(spec: ScenarioSpec) -> ResolvedScenario:

@@ -32,6 +32,10 @@ DEFAULT_GAMMA_2 = 11.03
 DEFAULT_CALIBRATED_NOISE_5SIGMA = 0.1
 # Standard normals drawn ahead per refill of a sensor's noise buffer.
 _NORMALS_AHEAD = 256
+# Upper bounds on a channel's gain, so that gamma * gain_scale, the calibrated
+# Newtons per raw unit, is at most 1e7 (a gain_scale of 1e308 overflowed it).
+MAX_GAMMA = 1e6  # N per raw unit
+MAX_GAIN_SCALE = 10.0
 # estimate_bias holds about 49 bytes per sample at once, so this many take
 # about 49 MB.
 MAX_CALIBRATION_SAMPLES = 10**6
@@ -44,7 +48,8 @@ class SensorModel:
     noise_sigma is in raw units, and 0 turns the noise off; when omitted
     it is sized from gamma so that 5 sigma of calibrated noise equals 0.1 N. gain_scale multiplies
     gamma inside calibrate() only, modeling a miscalibrated gain; the raw
-    signal itself always uses the true gamma.
+    signal itself always uses the true gamma. gamma is at most MAX_GAMMA and
+    gain_scale at most MAX_GAIN_SCALE.
     """
 
     gamma: float = DEFAULT_GAMMA_1
@@ -56,7 +61,8 @@ class SensorModel:
 
     def __post_init__(self):
         check_fields(self, {"gamma": NORMAL, "noise_sigma": NON_NEGATIVE, "seed": NON_NEGATIVE,
-                            "min_force": NON_NEGATIVE, "gain_scale": POSITIVE})
+                            "min_force": NON_NEGATIVE, "gain_scale": POSITIVE},
+                     {"gamma": (MAX_GAMMA, True), "gain_scale": (MAX_GAIN_SCALE, True)})
         if self.noise_sigma is None:
             object.__setattr__(self, "noise_sigma",
                                DEFAULT_CALIBRATED_NOISE_5SIGMA / (5.0 * self.gamma))

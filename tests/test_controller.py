@@ -33,6 +33,15 @@ def enter_holding(ctrl: GraspController, q: float = 0.028) -> tuple[float, float
     return cmd
 
 
+class TestFreshController:
+    @pytest.mark.parametrize("kind", [GraspController, TrajectoryController])
+    def test_state_before_the_first_tick(self, kind):
+        ctrl = kind(ControllerConfig(), GraspRequest(0.08, 0.05, 3.0))
+        assert ctrl.phase == "closing"
+        assert ctrl.finished is False
+        assert (ctrl.last_f_ext, ctrl.last_u_int, ctrl.last_u_ext) == (0.0, 0.0, 0.0)
+
+
 class TestExternalForce:
     def test_balanced_horizontal_is_zero(self):
         assert compute_external_force(1.0, 1.0, 0.5, 0.0) == 0.0

@@ -109,6 +109,18 @@ class TestRotationFromNormal:
         with pytest.raises(ValueError):
             rotation_from_normal([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e-150, 1e150, 1e155, 1.7e308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normal_of_any_finite_nonzero_size(self, scale):
+        # The squares in the norm of a tiny or huge normal under- or overflow;
+        # its frame is that of the unit normal, with no warning on the way.
+        np.testing.assert_array_equal(rotation_from_normal([0.0, -scale, 0.0]),
+                                      rotation_from_normal([0.0, -1.0, 0.0]))
+        if scale > 1e-300:
+            r = rotation_from_normal(np.array([3.0, -4.0, 12.0]) * min(scale, 1e300))
+            assert is_rotation(r)
+            np.testing.assert_allclose(r[:, 2], [3 / 13, -4 / 13, 12 / 13], rtol=1e-15)
+
     @pytest.mark.parametrize("n", NON_FINITE, ids=NON_FINITE_IDS)
     def test_rejects_non_finite_normal(self, n):
         # Refused before the normalisation could divide by an infinite norm.

@@ -97,13 +97,14 @@ class TestRunTrial:
         assert result.series[-1].t < 3.0
 
     def test_overflowing_config_raises_runtime_fault(self):
-        # A finite gain passes the spec boundary, but gamma * gain_scale
-        # overflows and the first calibrated reading is NaN. The check is
-        # the harness's, so the force-blind baseline faults too.
+        # A gamma inside its bounds passes the spec boundary, but the raw
+        # signal of a 10 N push overflows and the calibrated reading is not
+        # finite. The check is the harness's, so the force-blind baseline faults too.
+        push = [{"target": "finger1", "force": 10.0, "t_start": 0.5, "t_end": 1.0}]
         for controller in ("force", "trajectory"):
-            spec = quiet_spec(controller=controller,
-                              sensors={"noise_sigma": 0.0, "gain_scale1": 1e308})
-            with pytest.raises(RuntimeError, match=r"non-finite measurement at t=0\.000 s"):
+            spec = quiet_spec(controller=controller, pushes=push,
+                              sensors={"noise_sigma": 0.0, "gamma1": 2.3e-308})
+            with pytest.raises(RuntimeError, match=r"non-finite measurement at t=0\.510 s"):
                 run_trial(spec)
 
     def test_frictionless_pair_never_holds(self):

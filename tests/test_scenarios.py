@@ -34,7 +34,7 @@ class TestCatalog:
 
     def test_trial_starts_the_object_at_the_offset(self):
         spec = ScenarioSpec(object="tape_roll", offset=0.008, duration=0.01)
-        assert spec.object_spec() is OBJECTS["tape_roll"]
+        assert resolve(spec).obj is OBJECTS["tape_roll"]
         assert run_trial(spec).series[0].x_obj == 0.008
 
     def test_inline_object_spec(self):
@@ -45,7 +45,7 @@ class TestCatalog:
 
     def test_unknown_object_rejected(self):
         with pytest.raises(ValueError, match="unknown object"):
-            ScenarioSpec(object="brick").object_spec()
+            resolve(ScenarioSpec(object="brick")).obj
 
 
 class TestSerialization:
@@ -398,7 +398,7 @@ class TestPushes:
 
     def test_overlap_on_different_targets_allowed(self):
         spec = ScenarioSpec(pushes=(Push(FINGER_1, 1.0, 0.0, 2.0), Push(OBJECT, 1.0, 1.0, 3.0)))
-        obj = spec.object_spec()
+        obj = resolve(spec).obj
         plant = Plant(obj, 0.08, pushes=spec.pushes, wrist=spec.wrist)
         for _ in range(3):
             plant.step((plant.q1, plant.q2), 0.5)

@@ -78,6 +78,15 @@ class TestRawSignal:
         with pytest.raises(ValueError):
             SensorModel(gamma=0.0)
 
+    @pytest.mark.parametrize("field,edge,past", [
+        ("gamma", sensor.MAX_GAMMA, 1.000001e6), ("gain_scale", sensor.MAX_GAIN_SCALE, 10.000001),
+    ])
+    def test_gain_bounds_are_inclusive(self, field, edge, past):
+        # gamma * gain_scale of at most 1e7 keeps a reading of a finite force finite.
+        assert getattr(SensorModel(**{field: edge}), field) == edge
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number .* and <= "):
+            SensorModel(**{field: past})
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             SensorModel(noise_sigma=-0.001)
