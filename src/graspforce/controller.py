@@ -17,7 +17,7 @@ Joint convention: q1 and q2 are each finger's distance from the gripper
 center, so increasing q opens the hand. Fingertip 1 sits at -q1 and
 fingertip 2 at +q2 on the closing axis; the grasp center is (q2 - q1) / 2.
 Negative u_int closes the aperture; positive u_ext shifts the center
-toward +axis.
+toward +axis. Both controllers tick once per 1 / config.control_rate.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ControllerConfig:
     are the ablation switches: disabling compliance pins the grasp center,
     disabling the deadband applies compliance to arbitrarily small external
     forces, and disabling gravity compensation drops the mass term from the
-    external-force estimate.
+    external-force estimate. Each tick advances 1 / control_rate seconds.
     """
 
     f_goal: float = 2.0
@@ -137,7 +137,7 @@ class GraspController:
     latch, so the caller decides it once per trial; True, the default,
     takes an opposing pair as closed once both fingers touch. The caller
     also owns the check that every measurement passed to tick is finite.
-    phase is one of the GraspPhase strings. The closing rate and the
+    phase is one of the GraspPhase strings. The period, closing rate and
     integral bound are fixed for the trial and derived once, here.
     last_f_ext is the tick's external-force estimate, made on every tick
     and used by holding; last_u_int and last_u_ext stay 0 until holding.
@@ -147,6 +147,7 @@ class GraspController:
         self.config = config
         self.request = request
         self.pair_closes = pair_closes
+        self.period = 1.0 / config.control_rate
         self.closing_rate = (request.start_aperture - request.end_aperture) / request.duration
         self._integral_bound = config.ks_int * (config.joint_max - config.joint_min) / config.ki_int
 
@@ -175,10 +176,10 @@ class GraspController:
         return aperture if aperture > 0.0 else 0.0
 
     def tick(
-        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
+        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float
     ) -> tuple[float, float]:
         """Advance one control period and return the commanded (q1, q2)."""
-        cfg = self.config
+        cfg, dt = self.config, self.period
         # Commands are clamped as min(max(c, lo), hi) would, a NaN passing through.
         lo, hi = cfg.joint_min, cfg.joint_max
         t_next = self.t + dt
@@ -257,6 +258,7 @@ class TrajectoryController:
     def __init__(self, config: ControllerConfig, request: GraspRequest):
         self.config = config
         self.request = request
+        self.period = 1.0 / config.control_rate
         self.ticks = 0
         self.phase = GraspPhase.CLOSING
         self.finished = False
@@ -271,18 +273,18 @@ class TrajectoryController:
         return r.start_aperture + (r.end_aperture - r.start_aperture) * frac
 
     def tick(
-        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float, dt: float
+        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float
     ) -> tuple[float, float]:
         """Advance one control period; only the elapsed time shapes the command.
 
-        The time is the tick count times dt rather than a running sum, so it
-        matches the caller's own tick clock bit for bit.
+        The time is the tick count times the period rather than a running
+        sum, so it matches the caller's own tick clock bit for bit.
         """
         self.ticks += 1
         cfg = self.config
         self.last_f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n,
                                                  cfg.gravity_comp_enabled)
         lo, hi = cfg.joint_min, cfg.joint_max
-        q = 0.5 * self.aperture(self.ticks * dt)
+        q = 0.5 * self.aperture(self.ticks * self.period)
         q = lo if lo > q else hi if hi < q else q
         return q, q

@@ -56,14 +56,20 @@ def require_rotation(r) -> np.ndarray:
     return r
 
 
+def _unit(v, what: str) -> np.ndarray:
+    """v scaled to unit length; any finite nonzero size works."""
+    v = as_vec3(v)
+    largest = np.abs(v).max()
+    if largest == 0.0:
+        raise ValueError(f"{what} must be nonzero")
+    if not 1e-150 <= largest <= 1e150:  # where the squares in the norm would under- or overflow
+        v = v / largest
+    return v / np.linalg.norm(v)
+
+
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rodrigues' formula; axis need not be normalised."""
-    a = as_vec3(axis)
-    n = np.linalg.norm(a)
-    if n == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    a = a / n
-    k = hat(a)
+    k = hat(_unit(axis, "rotation axis"))
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
@@ -74,13 +80,7 @@ def rotation_from_normal(normal) -> np.ndarray:
     world axis is least aligned with the normal, so equal inputs always
     produce the same frame.
     """
-    n = as_vec3(normal)
-    largest = np.abs(n).max()
-    if largest == 0.0:
-        raise ValueError("contact normal must be nonzero")
-    if not 1e-150 <= largest <= 1e150:  # where the squares in the norm would under- or overflow
-        n = n / largest
-    n = n / np.linalg.norm(n)
+    n = _unit(normal, "contact normal")
     seed = np.array([1.0, 0.0, 0.0]) if abs(n[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
     t1 = np.cross(seed, n)
     t1 /= np.linalg.norm(t1)

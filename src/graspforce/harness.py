@@ -144,6 +144,7 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         pushes=spec.pushes,
         wrist=spec.wrist,
         config=spec.plant,
+        period=resolved.period,
     )
     if spec.controller == FORCE:
         # The fingers touch the object's two faces wherever they latch, so
@@ -173,14 +174,14 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
         q1, q2 = plant.q1, plant.q2
 
-        cmd = controller.tick(f1, f2, q1, q2, g_dot_n, dt)
+        cmd = controller.tick(f1, f2, q1, q2, g_dot_n)
         rows.append(
             TimeSeriesRow(
                 t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj, controller.phase,
                 controller.last_u_int, controller.last_u_ext,
             )
         )
-        plant.step(cmd, dt)
+        plant.step(cmd)
         if not (
             isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
             and isfinite(plant.true_f1) and isfinite(plant.true_f2)

@@ -141,11 +141,11 @@ class Plant:
     """Steps the finger/object system under zero-order-hold position commands.
 
     offset places the object center relative to the gripper center at the
-    start, positive toward finger 2. contact_stiffness is the object
-    stiffness in series with the fingertip pad, per contact; it is fixed
-    for the plant's lifetime. The pushes are grouped by target once, here;
-    the plant sums pushes that overlap on one target, and ScenarioSpec is
-    where overlapping pushes are refused.
+    start, positive toward finger 2. Each step advances period seconds, and
+    contact_stiffness is the object stiffness in series with the fingertip
+    pad, per contact; both are fixed for the plant's lifetime. The pushes
+    are grouped by target once, here; the plant sums pushes that overlap
+    on one target, and ScenarioSpec is where overlapping pushes are refused.
     """
 
     def __init__(
@@ -156,9 +156,12 @@ class Plant:
         pushes: tuple[Push, ...] = (),
         wrist: WristSweep | None = None,
         config: PlantConfig | None = None,
+        *, period: float,
     ):
         if not start_aperture > 0.0:
             raise ValueError("start_aperture must be > 0")
+        if not period > 0.0:
+            raise ValueError(f"period must be > 0, got {period}")
         self.obj = obj
         on = {target: tuple(p for p in pushes if p.target == target) for target in _TARGETS}
         self.wrist = wrist
@@ -172,7 +175,13 @@ class Plant:
         self._finger_pushes = (on[FINGER_1], on[FINGER_2])
         self._fixed = (self.contact_stiffness, 0.5 * obj.width, obj.mass, cfg.max_finger_speed,
                        cfg.gravity, wrist, on[OBJECT], obj.mass * self._level_g_dot_n)
-        self._period = (None, 0, 0.0, 0.0)  # (duration, n_sub, dt, drag) of the last step
+        n_sub = max(1, round(period / cfg.dt))
+        dt = period / n_sub
+        # Spring forces explicit, drag backward: the drag-to-mass ratios
+        # of well-damped catalog objects sit at the edge of the explicit
+        # stability bound at this substep, and drag divided into the
+        # velocity update cannot flip its sign.
+        self._plan = (period, n_sub, dt, 1.0 + dt * obj.damping / obj.mass)
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
         self.x_obj = offset
@@ -205,13 +214,13 @@ class Plant:
             self.true_f2 + (sum(p.value(t) for p in on_2) if on_2 else 0),
         )
 
-    def step(self, command: tuple[float, float], duration: float) -> None:
+    def step(self, command: tuple[float, float]) -> None:
         """Advance by one controller period, holding the command (q1, q2) fixed.
 
         The state advances in place and is read from the plant's attributes.
-        What the trial fixes, the object's weight along the axis included
-        when no sweep is scheduled, is bound once in __init__; the substep
-        count, substep and drag once per distinct duration; the finger
+        What the trial fixes, the substep plan (period, substep count,
+        substep and drag) and, when no sweep is scheduled, the object's
+        weight along the axis, is bound once in __init__; the finger
         velocities once per period. The substeps run on locals and write the
         state back at the end. Only the wrist angle and the weight it
         projects (when a sweep is scheduled) and the object pushes (when any
@@ -219,19 +228,7 @@ class Plant:
         A penetration `d` that is NaN, -0.0 or negative gives the force
         `k * 0.0`, so an infinite stiffness still gives NaN; keep it that way.
         """
-        if not duration > 0.0:
-            raise ValueError(f"duration must be > 0, got {duration}")
-        period = self._period
-        if period[0] != duration:
-            n_sub = max(1, round(duration / self.config.dt))
-            dt = duration / n_sub
-            # Spring forces explicit, drag backward: the drag-to-mass ratios
-            # of well-damped catalog objects sit at the edge of the explicit
-            # stability bound at this substep, and drag divided into the
-            # velocity update cannot flip its sign.
-            drag = 1.0 + dt * self.obj.damping / self.obj.mass
-            period = self._period = (duration, n_sub, dt, drag)
-        _, n_sub, dt, drag = period
+        period, n_sub, dt, drag = self._plan
         k, half, mass, cap, gravity, wrist, object_pushes, weight = self._fixed
         q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
         q1_cmd, q2_cmd = command
@@ -243,7 +240,7 @@ class Plant:
         # that gap (about 1e-17 m) short of a held command for good. The
         # cap keeps min's semantics, so a NaN speed passes through it.
         need1, need2 = q1_cmd - q1, q2_cmd - q2
-        speed1, speed2 = abs(need1) / duration, abs(need2) / duration
+        speed1, speed2 = abs(need1) / period, abs(need2) / period
         move1 = 0.0 if need1 == 0.0 else math.copysign(cap if cap < speed1 else speed1, need1) * dt
         move2 = 0.0 if need2 == 0.0 else math.copysign(cap if cap < speed2 else speed2, need2) * dt
         reach1, reach2 = abs(move1), abs(move2)

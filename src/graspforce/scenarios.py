@@ -44,6 +44,9 @@ _CONTROLLERS = (FORCE, TRAJECTORY)
 
 # Friction bounds far above any fingertip, for a spec's face pair and a contact file.
 _FRICTION_BOUNDS = {"mu": (10.0, True), "mu_tau": (1.0, True)}
+# A contact file's bound on each position component, m: far above any grasp
+# and far below where the certify LP's products overflow.
+_POSITION_BOUND = 1e3
 # A contact entry's keys: its position, one frame key, and its friction.
 _CONTACT_KEYS = {"position", "normal", "rotation", *_FRICTION_BOUNDS}
 
@@ -273,6 +276,9 @@ def load_contacts(path: str | Path) -> list[Contact]:
             make = Contact if frame == "rotation" else Contact.from_normal
             contact = make(entry["position"], entry[frame], **friction)
             check_fields(contact, upper=_FRICTION_BOUNDS)
+            if not all(abs(x) <= _POSITION_BOUND for x in contact.position.tolist()):
+                raise ValueError(f"position must be 3 numbers in [-{_POSITION_BOUND:g},"
+                                 f" {_POSITION_BOUND:g}] m, got {contact.position.tolist()}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{where} is malformed: {exc}") from exc
         contacts.append(contact)

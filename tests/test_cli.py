@@ -494,6 +494,24 @@ class TestClosure:
         contacts = [dict(c, mu=10, mu_tau=1.0) for c in ANTIPODAL["contacts"]]
         assert main(["closure", write_json(tmp_path / "c.json", contacts)]) == 0
 
+    @pytest.mark.parametrize("y", [1e308, 1e20, 1000.0000001])
+    def test_position_past_its_bound_exits_2(self, y, tmp_path, capsys):
+        # The pair at y = +-1e308 warned its way to a "no"; at +-1e20 it
+        # printed margin 2.310e-01, past the 2.5e-3 its torsion faces allow.
+        contacts = [dict(c, position=[0.0, y if c["position"][1] > 0 else -y, 0.0])
+                    for c in ANTIPODAL["contacts"]]
+        path = write_json(tmp_path / "c.json", contacts)
+        assert main(["closure", path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: contact 0 in {path} is malformed: position must be 3 numbers in"
+            f" [-1000, 1000] m, got [0.0, {y!r}, 0.0]\n"
+        )
+
+    def test_position_bound_is_inclusive(self, tmp_path, capsys):
+        contacts = [dict(c, position=[-1e3, 1e3 if c["position"][1] > 0 else -1e3, 1e3])
+                    for c in ANTIPODAL["contacts"]]
+        assert main(["closure", write_json(tmp_path / "c.json", contacts)]) == 0
+
     def test_empty_contact_list(self, tmp_path, capsys):
         code = main(["closure", write_json(tmp_path / "c.json", {"contacts": []})])
         assert code == 2
@@ -651,9 +669,6 @@ class TestFuzz:
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
 
-    # Positions near the float maximum still overflow the certify LP with a
-    # RuntimeWarning on the way to their exit code; that is an open defect, not this test's.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(contacts=st.lists(CONTACT, min_size=1, max_size=4))
     def test_closure_of_finite_contacts(self, contacts, fuzz_dir):

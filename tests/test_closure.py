@@ -344,6 +344,22 @@ class TestOracle:
         assert can_resist(contact, scale * np.zeros(6))
         assert not can_resist(contact, scale * np.vstack([resisted, unresisted, np.zeros(6)]))
 
+    def test_each_nonzero_wrench_reaches_phase_1_at_unit_norm(self, monkeypatch):
+        # The docstring's contract, seen where phase 1 receives the stack:
+        # a huge row and a tiny row arrive at norm 1, a zero row stays zero.
+        stacks = []
+
+        def capture(rays, stack):
+            stacks.append(stack)
+            return True
+
+        monkeypatch.setattr(closure, "all_feasible", capture)
+        tiny = 1e-12 * np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
+        wrenches = np.array([[1e8] * 6, [0.0] * 6, tiny])
+        assert can_resist(antipodal_pair(), wrenches)
+        np.testing.assert_allclose(np.linalg.norm(stacks[0], axis=1), [1.0, 0.0, 1.0],
+                                   rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_wrench_rejected(self, bad):
         wrenches = np.zeros((3, 6))

@@ -17,7 +17,7 @@ from graspforce.controller import (
     distribute,
 )
 
-DT = 0.01
+DT = 0.01  # the period of the default control_rate, 100 Hz
 
 
 def make_controller(**config_kw) -> GraspController:
@@ -28,7 +28,7 @@ def make_controller(**config_kw) -> GraspController:
 
 def enter_holding(ctrl: GraspController, q: float = 0.028) -> tuple[float, float]:
     """Latch both fingers with a solid force so the controller starts holding."""
-    cmd = ctrl.tick(1.0, 1.0, q, q, 0.0, DT)
+    cmd = ctrl.tick(1.0, 1.0, q, q, 0.0)
     assert ctrl.phase is GraspPhase.HOLDING
     return cmd
 
@@ -139,7 +139,7 @@ class TestConfigValidation:
 class TestClosingPhase:
     def test_both_fingers_follow_the_ramp(self):
         ctrl = make_controller()
-        cmd = ctrl.tick(0.0, 0.0, 0.04, 0.04, 0.0, DT)
+        cmd = ctrl.tick(0.0, 0.0, 0.04, 0.04, 0.0)
         expected = 0.5 * (0.08 - 0.01 * DT)
         assert cmd[0] == pytest.approx(expected, abs=1e-12)
         assert cmd[1] == pytest.approx(expected, abs=1e-12)
@@ -156,20 +156,20 @@ class TestClosingPhase:
 
     def test_force_at_threshold_does_not_latch(self):
         ctrl = make_controller()
-        ctrl.tick(0.2, 0.0, 0.04, 0.04, 0.0, DT)
+        ctrl.tick(0.2, 0.0, 0.04, 0.04, 0.0)
         assert ctrl.latched == [False, False]
 
     @pytest.mark.parametrize("f,latches", [(0.25, True), (0.2, False), (-0.1, False)])
     def test_first_sample_above_f_theta_latches(self, f, latches):
         # Strict threshold: exactly f_theta (0.2 N) is no contact.
         ctrl = make_controller()
-        ctrl.tick(0.0, f, 0.04, 0.04, 0.0, DT)
+        ctrl.tick(0.0, f, 0.04, 0.04, 0.0)
         assert ctrl.latched == [False, latches]
 
     def test_integral_is_zero_before_holding(self):
         ctrl = make_controller()
         for _ in range(20):
-            ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
+            ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0)
         assert ctrl.phase is GraspPhase.CONTACT
         assert ctrl.integral == 0.0
 
@@ -177,23 +177,23 @@ class TestClosingPhase:
 class TestContactPhase:
     def test_single_contact_freezes_one_finger_only(self):
         ctrl = make_controller()
-        cmd = ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
+        cmd = ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0)
         assert ctrl.phase is GraspPhase.CONTACT
         assert ctrl.latched == [True, False]
         # The touched finger is pinned where it latched; the free finger
         # stays on the time-based closing ramp and keeps shrinking.
         assert cmd[0] == 0.035
         assert cmd[1] == pytest.approx(0.5 * (0.08 - 0.01 * DT), abs=1e-12)
-        later = ctrl.tick(0.25, 0.0, 0.035, cmd[1], 0.0, DT)
+        later = ctrl.tick(0.25, 0.0, 0.035, cmd[1], 0.0)
         assert later[0] == 0.035
         assert later[1] < cmd[1]
 
     def test_frozen_command_is_constant_until_holding(self):
         ctrl = make_controller()
-        first = ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0, DT)
+        first = ctrl.tick(0.25, 0.0, 0.035, 0.035, 0.0)
         q2 = 0.0349
         for _ in range(30):
-            cmd = ctrl.tick(0.25, 0.0, 0.035, q2, 0.0, DT)
+            cmd = ctrl.tick(0.25, 0.0, 0.035, q2, 0.0)
             assert cmd[0] == first[0]
             q2 = cmd[1]
         assert ctrl.phase is GraspPhase.CONTACT
@@ -202,17 +202,17 @@ class TestContactPhase:
         config = ControllerConfig()
         request = GraspRequest(0.08, 0.05, 3.0)
         ctrl = GraspController(config, request, pair_closes=False)
-        ctrl.tick(1.0, 1.0, 0.028, 0.028, 0.0, DT)
+        ctrl.tick(1.0, 1.0, 0.028, 0.028, 0.0)
         assert ctrl.latched == [True, True]
         assert ctrl.phase is GraspPhase.CONTACT
 
     @pytest.mark.parametrize("pair_closes", [True, False])
     def test_both_fingers_cross_f_theta_on_the_same_tick(self, pair_closes):
         ctrl = GraspController(ControllerConfig(), GraspRequest(0.08, 0.05, 3.0), pair_closes)
-        ctrl.tick(0.2, 0.2, 0.04, 0.04, 0.0, DT)
+        ctrl.tick(0.2, 0.2, 0.04, 0.04, 0.0)
         assert ctrl.phase is GraspPhase.CLOSING
         q1, q2 = 0.027, 0.031
-        cmd = ctrl.tick(0.21, 0.3, q1, q2, 0.0, DT)
+        cmd = ctrl.tick(0.21, 0.3, q1, q2, 0.0)
         assert ctrl.latched == [True, True]
         assert ctrl.freeze_q == [q1, q2]
         if pair_closes:
@@ -223,7 +223,7 @@ class TestContactPhase:
             assert ctrl.phase is GraspPhase.CONTACT
             assert ctrl.ref_center is None
             assert cmd == (q1, q2)
-            assert ctrl.tick(2.0, 0.0, 0.025, 0.033, 0.0, DT) == (q1, q2)
+            assert ctrl.tick(2.0, 0.0, 0.025, 0.033, 0.0) == (q1, q2)
             assert ctrl.phase is GraspPhase.CONTACT
 
 
@@ -239,21 +239,21 @@ class TestHoldingPhase:
         cmd = enter_holding(ctrl)
         # Forces vanish entirely; feed a slightly off position so the
         # integrator stays parked and the pure P term is visible.
-        ctrl.tick(0.0, 0.0, cmd[0] + 1e-6, cmd[1], 0.0, DT)
+        ctrl.tick(0.0, 0.0, cmd[0] + 1e-6, cmd[1], 0.0)
         assert ctrl.last_u_int == pytest.approx(1.9 * (-2.0) / 1000.0, abs=1e-12)
 
     def test_integral_accumulates_once_commands_are_reached(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.5, 0.5, cmd[0], cmd[1], 0.0, DT)
+        ctrl.tick(0.5, 0.5, cmd[0], cmd[1], 0.0)
         assert ctrl.integral == pytest.approx(-1.0 * DT, abs=1e-15)
 
     @pytest.mark.parametrize("f,sign", [(0.0, -1.0), (100.0, 1.0)])
     def test_integral_stops_at_its_bound(self, f, sign):
         # The bound is the integral whose term alone spans the joints' travel.
-        ctrl = make_controller()
+        ctrl = make_controller(control_rate=0.1)
         cmd = enter_holding(ctrl)
-        ctrl.tick(f, f, cmd[0], cmd[1], 0.0, 10.0)
+        ctrl.tick(f, f, cmd[0], cmd[1], 0.0)
         cfg = ctrl.config
         bound = cfg.ks_int * (cfg.joint_max - cfg.joint_min) / cfg.ki_int
         assert ctrl.integral == pytest.approx(sign * bound, rel=1e-12)
@@ -261,14 +261,14 @@ class TestHoldingPhase:
     def test_integral_parked_while_commands_are_in_flight(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.5, 0.5, cmd[0] + 1e-4, cmd[1], 0.0, DT)
+        ctrl.tick(0.5, 0.5, cmd[0] + 1e-4, cmd[1], 0.0)
         assert ctrl.integral == 0.0
 
     def test_compliance_branch_value_and_reference_update(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
         q1, q2 = cmd[0], cmd[1] + 0.0002
-        ctrl.tick(0.5, 1.5, q1, q2, 0.0, DT)
+        ctrl.tick(0.5, 1.5, q1, q2, 0.0)
         assert ctrl.last_u_ext == pytest.approx(1.9 * 1.0 / 1000.0, abs=1e-12)
         assert ctrl.ref_center == 0.5 * (q2 - q1)
 
@@ -277,20 +277,20 @@ class TestHoldingPhase:
         enter_holding(ctrl, q=0.025)
         assert ctrl.ref_center == 0.0
         # Small imbalance, object carried 1 mm toward finger 2.
-        ctrl.tick(1.05, 0.95, 0.024, 0.026, 0.0, DT)
+        ctrl.tick(1.05, 0.95, 0.024, 0.026, 0.0)
         assert ctrl.last_u_ext == pytest.approx(-0.001, abs=1e-12)
         assert ctrl.ref_center == 0.0
 
     def test_deadband_ablated_complies_with_small_forces(self):
         ctrl = make_controller(deadband_enabled=False)
         cmd = enter_holding(ctrl)
-        ctrl.tick(1.05, 0.95, cmd[0], cmd[1], 0.0, DT)
+        ctrl.tick(1.05, 0.95, cmd[0], cmd[1], 0.0)
         assert ctrl.last_u_ext == pytest.approx(1.9 * (-0.1) / 1000.0, abs=1e-12)
 
     def test_compliance_ablated_holds_position_under_large_force(self):
         ctrl = make_controller(compliance_enabled=False)
         cmd = enter_holding(ctrl)
-        ctrl.tick(0.0, 2.0, cmd[0], cmd[1], 0.0, DT)
+        ctrl.tick(0.0, 2.0, cmd[0], cmd[1], 0.0)
         center = 0.5 * (cmd[1] - cmd[0])
         assert ctrl.last_u_ext == ctrl.ref_center - center
 
@@ -300,7 +300,7 @@ class TestHoldingPhase:
         q1, q2 = cmd
         commands = set()
         for _ in range(50):
-            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0)
             commands.add(cmd)
             q1, q2 = cmd
         assert commands == {(q1, q2)}
@@ -308,13 +308,13 @@ class TestHoldingPhase:
     def test_below_goal_with_no_external_force_closes_both_fingers(self):
         ctrl = make_controller()
         cmd = enter_holding(ctrl)
-        out = ctrl.tick(0.4, 0.4, cmd[0], cmd[1], 0.0, DT)
+        out = ctrl.tick(0.4, 0.4, cmd[0], cmd[1], 0.0)
         assert out[0] < cmd[0]
         assert out[1] < cmd[1]
 
     def test_commands_respect_joint_limits(self):
         ctrl = make_controller(joint_min=0.0, joint_max=0.03)
-        cmd = ctrl.tick(0.0, 0.0, 0.029, 0.029, 0.0, DT)
+        cmd = ctrl.tick(0.0, 0.0, 0.029, 0.029, 0.0)
         assert 0.0 <= cmd[0] <= 0.03
         assert 0.0 <= cmd[1] <= 0.03
 
@@ -326,7 +326,7 @@ class TestStopAtGoal:
         q1, q2 = cmd
         ticks = 0
         while not ctrl.finished and ticks < 100:
-            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0)
             q1, q2 = cmd
             ticks += 1
         assert ctrl.finished
@@ -337,9 +337,9 @@ class TestStopAtGoal:
         cmd = enter_holding(ctrl)
         q1, q2 = cmd
         for _ in range(20):
-            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0)
             q1, q2 = cmd
-        cmd = ctrl.tick(0.4, 0.4, q1, q2, 0.0, DT)
+        cmd = ctrl.tick(0.4, 0.4, q1, q2, 0.0)
         assert ctrl._dwell == 0.0
         assert not ctrl.finished
 
@@ -347,10 +347,10 @@ class TestStopAtGoal:
     def test_force_error_of_exactly_the_tolerance_starts_no_dwell(self, f):
         # Strict: |f1 + f2 - f_goal| must be below goal_tolerance.
         ctrl = make_controller(phase3_mode=STOP_AT_GOAL, goal_tolerance=0.5, goal_dwell=0.0)
-        q1, q2 = ctrl.tick(f, f, 0.028, 0.028, 0.0, DT)
+        q1, q2 = ctrl.tick(f, f, 0.028, 0.028, 0.0)
         assert ctrl.phase is GraspPhase.HOLDING
         assert not ctrl.finished
-        ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+        ctrl.tick(1.0, 1.0, q1, q2, 0.0)
         assert ctrl.finished
 
     def test_hold_forever_never_finishes(self):
@@ -358,14 +358,14 @@ class TestStopAtGoal:
         cmd = enter_holding(ctrl)
         q1, q2 = cmd
         for _ in range(60):
-            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0, DT)
+            cmd = ctrl.tick(1.0, 1.0, q1, q2, 0.0)
             q1, q2 = cmd
         assert not ctrl.finished
 
 
 class TestTrajectoryController:
-    def make(self):
-        return TrajectoryController(ControllerConfig(), GraspRequest(0.08, 0.05, 3.0))
+    def make(self, **config_kw):
+        return TrajectoryController(ControllerConfig(**config_kw), GraspRequest(0.08, 0.05, 3.0))
 
     def test_endpoints(self):
         ctrl = self.make()
@@ -377,16 +377,16 @@ class TestTrajectoryController:
         assert self.make().aperture(1.5) == pytest.approx(0.065)
 
     def test_tick_ignores_everything_but_time(self):
-        ctrl = self.make()
-        cmd = ctrl.tick(5.0, 5.0, 0.001, 0.07, 0.0, 1.5)
+        ctrl = self.make(control_rate=1 / 1.5)
+        cmd = ctrl.tick(5.0, 5.0, 0.001, 0.07, 0.0)
         assert cmd[0] == cmd[1] == pytest.approx(0.0325)
 
     def test_joint_clamp(self):
         config = ControllerConfig(joint_max=0.03)
         ctrl = TrajectoryController(config, GraspRequest(0.08, 0.05, 3.0))
-        cmd = ctrl.tick(0.0, 0.0, 0.0, 0.0, 0.0, DT)
+        cmd = ctrl.tick(0.0, 0.0, 0.0, 0.0, 0.0)
         assert cmd[0] == 0.03
 
     def test_never_faults_on_forces(self):
-        ctrl = self.make()
-        assert math.isfinite(ctrl.tick(float("nan"), float("inf"), 0.0, 0.0, 0.0, 0.5)[0])
+        ctrl = self.make(control_rate=2.0)
+        assert math.isfinite(ctrl.tick(float("nan"), float("inf"), 0.0, 0.0, 0.0)[0])

@@ -75,6 +75,17 @@ class TestRotations:
             rotation_about_axis([0.0, 1.0, 0.0], 0.0), np.eye(3), atol=1e-15
         )
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_axis_of_any_finite_nonzero_size(self, scale):
+        # The squares in the norm of a tiny or huge axis under- or overflow;
+        # its rotation is that of the unit axis, with no warning on the way.
+        np.testing.assert_array_equal(rotation_about_axis([0.0, scale, 0.0], 0.7),
+                                      rotation_about_axis([0.0, 1.0, 0.0], 0.7))
+
+    def test_rejects_zero_axis(self):
+        with pytest.raises(ValueError, match="^rotation axis must be nonzero$"):
+            rotation_about_axis([0.0, 0.0, 0.0], 0.7)
+
     def test_require_rotation_rejects_scaled(self):
         with pytest.raises(ValueError):
             require_rotation(2.0 * np.eye(3))

@@ -26,41 +26,42 @@ def hold(plant: Plant) -> tuple[float, float]:
 class TestContactForces:
     def test_no_overlap_no_force(self):
         obj = ObjectSpec("slab", mass=0.05, width=0.05, stiffness=2000.0)
-        plant = Plant(obj, start_aperture=0.07, config=RIGID_TIPS)
+        plant = Plant(obj, start_aperture=0.07, config=RIGID_TIPS, period=0.01)
         assert plant.true_f1 == 0.0
         assert plant.true_f2 == 0.0
 
     def test_one_millimeter_penetration_at_2000(self):
         obj = ObjectSpec("slab", mass=0.05, width=0.05, stiffness=2000.0)
-        plant = Plant(obj, start_aperture=0.048, config=RIGID_TIPS)
+        plant = Plant(obj, start_aperture=0.048, config=RIGID_TIPS, period=0.01)
         assert plant.true_f1 == pytest.approx(2.0, rel=1e-9)
         assert plant.true_f2 == pytest.approx(2.0, rel=1e-9)
 
     def test_symmetric_penetration_is_symmetric(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.06, stiffness=900.0)
-        plant = Plant(obj, start_aperture=0.055)
+        plant = Plant(obj, start_aperture=0.055, period=0.01)
         assert plant.true_f1 == plant.true_f2
         assert plant.true_f1 > 0.0
 
     def test_pad_acts_in_series(self):
         obj = ObjectSpec("slab", mass=0.05, width=0.05, stiffness=2000.0)
-        plant = Plant(obj, start_aperture=0.06, config=PlantConfig(pad_stiffness=600.0))
+        plant = Plant(obj, start_aperture=0.06, config=PlantConfig(pad_stiffness=600.0),
+                      period=0.01)
         assert plant.contact_stiffness == pytest.approx(2000.0 * 600.0 / 2600.0, rel=1e-12)
 
     def test_catalog_series_stiffnesses(self):
         for k_obj, expected in ((500.0, 3000.0 / 11.0), (2000.0, 6000.0 / 13.0),
                                 (20000.0, 600.0 * 20000.0 / 20600.0)):
             obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=k_obj)
-            plant = Plant(obj, start_aperture=0.06)
+            plant = Plant(obj, start_aperture=0.06, period=0.01)
             assert plant.contact_stiffness == pytest.approx(expected, rel=1e-12)
 
     def test_force_implies_penetration(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
-        plant = Plant(obj, start_aperture=0.08)
+        plant = Plant(obj, start_aperture=0.08, period=0.01)
         q = 0.04
         for _ in range(200):
             q -= 0.00005
-            plant.step((q, q), 0.01)
+            plant.step((q, q))
             half = 0.5 * obj.width
             if plant.true_f1 > 0.0:
                 assert -plant.q1 - (plant.x_obj - half) > 0.0
@@ -71,11 +72,11 @@ class TestContactForces:
 class TestDynamics:
     def test_free_damped_object_loses_kinetic_energy(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
-        plant = Plant(obj, start_aperture=0.12)
+        plant = Plant(obj, start_aperture=0.12, period=0.01)
         plant.v_obj = 0.05
         prev_ke = 0.5 * obj.mass * plant.v_obj**2
         for _ in range(50):
-            plant.step(hold(plant), 0.01)
+            plant.step(hold(plant))
             ke = 0.5 * obj.mass * plant.v_obj**2
             assert ke <= prev_ke
             prev_ke = ke
@@ -83,9 +84,9 @@ class TestDynamics:
 
     def test_balanced_contact_leaves_object_still(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
-        plant = Plant(obj, start_aperture=0.048)
+        plant = Plant(obj, start_aperture=0.048, period=0.01)
         for _ in range(100):
-            plant.step(hold(plant), 0.01)
+            plant.step(hold(plant))
         assert plant.x_obj == pytest.approx(0.0, abs=1e-12)
         assert plant.v_obj == pytest.approx(0.0, abs=1e-12)
 
@@ -94,27 +95,28 @@ class TestDynamics:
         # only accumulated rounding across substeps can remain (about one
         # ulp), well inside the controller's documented position gate.
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
-        plant = Plant(obj, start_aperture=0.08)
-        plant.step((0.0399, 0.0398), 0.01)
+        plant = Plant(obj, start_aperture=0.08, period=0.01)
+        plant.step((0.0399, 0.0398))
         q1, q2 = plant.q1, plant.q2
         assert q1 == pytest.approx(0.0399, abs=1e-15)
         assert q2 == pytest.approx(0.0398, abs=1e-15)
-        plant.step((q1, q2), 0.01)
+        plant.step((q1, q2))
         assert plant.q1 == q1
         assert plant.q2 == q2
 
     def test_finger_speed_limit(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
-        plant = Plant(obj, start_aperture=0.08)
-        plant.step((0.0, 0.04), 0.01)
+        plant = Plant(obj, start_aperture=0.08, period=0.01)
+        plant.step((0.0, 0.04))
         assert plant.q1 == pytest.approx(0.04 - 0.05 * 0.01, abs=1e-12)
         assert plant.q2 == 0.04
 
     def test_gravity_pulls_uncompensated_object_down(self):
         obj = ObjectSpec("slab", mass=0.144, width=0.055, stiffness=20000.0, damping=150.0)
-        plant = Plant(obj, start_aperture=0.054, wrist=WristSweep(0.0, 1.0, angle_end=math.pi / 2))
+        plant = Plant(obj, start_aperture=0.054, wrist=WristSweep(0.0, 1.0, angle_end=math.pi / 2),
+                      period=0.01)
         for _ in range(200):
-            plant.step(hold(plant), 0.01)
+            plant.step(hold(plant))
         # Finger 1 is at the bottom once the axis is vertical.
         assert plant.x_obj < -1e-5
         assert plant.true_f1 > plant.true_f2
@@ -124,24 +126,24 @@ class TestDynamics:
         # the full half-turn; the object must not drift measurably.
         obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
         sweep = WristSweep(0.0, 10.0, angle_end=math.pi)
-        plant = Plant(obj, start_aperture=0.08, wrist=sweep)
+        tick = 0.01
+        plant = Plant(obj, start_aperture=0.08, wrist=sweep, period=tick)
         k = plant.contact_stiffness
         half = 0.5 * obj.width
         x0 = plant.x_obj
         base = 2.0 / k
-        tick = 0.01
         peak = 0.0
         for i in range(1000):
             g_next = -9.81 * math.sin(sweep.angle((i + 1) * tick))
             lean = obj.mass * g_next / (2.0 * k)
             cmd = (half - x0 - (base - lean), x0 + half - (base + lean))
-            plant.step(cmd, tick)
+            plant.step(cmd)
             peak = max(peak, abs(plant.x_obj - x0))
         assert peak < 1e-4
 
     def test_freeze_on_touch_bounds_displacement_to_one_tick(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
-        plant = Plant(obj, start_aperture=0.08, offset=0.005)
+        plant = Plant(obj, start_aperture=0.08, offset=0.005, period=0.01)
         frozen = [None, None]
         cmd1 = cmd2 = 0.04
         for _ in range(2000):
@@ -151,7 +153,7 @@ class TestDynamics:
                 cmd1 -= 0.5 * 0.010 * 0.01
             if frozen[1] is None:
                 cmd2 -= 0.5 * 0.010 * 0.01
-            plant.step((cmd1, cmd2), 0.01)
+            plant.step((cmd1, cmd2))
             if frozen[0] is None and plant.true_f1 > 0.01:
                 frozen[0] = plant.q1
                 cmd1 = plant.q1
@@ -162,18 +164,18 @@ class TestDynamics:
                 break
         assert all(f is not None for f in frozen)
         for _ in range(50):
-            plant.step((cmd1, cmd2), 0.01)
+            plant.step((cmd1, cmd2))
         assert abs(plant.x_obj - 0.005) <= 0.010 * 0.01
 
     def test_steps_are_deterministic(self):
         def run():
             obj = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
-            plant = Plant(obj, start_aperture=0.08)
+            plant = Plant(obj, start_aperture=0.08, period=0.01)
             out = []
             q = 0.04
             for _ in range(300):
                 q -= 0.00005
-                plant.step((q, q), 0.01)
+                plant.step((q, q))
                 out.append((plant.x_obj, plant.v_obj, plant.true_f1, plant.true_f2))
             return out
 
@@ -184,8 +186,8 @@ class TestDisturbances:
     def test_finger_push_reaches_measurement_not_object(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(FINGER_1, 1.0, 0.0, 1.0, ramp=0.01)
-        plant = Plant(obj, start_aperture=0.08, pushes=(push,))
-        plant.step(hold(plant), 0.05)
+        plant = Plant(obj, start_aperture=0.08, pushes=(push,), period=0.05)
+        plant.step(hold(plant))
         f1_meas, f2_meas = plant.measured_forces()
         assert f1_meas == pytest.approx(1.0, abs=1e-12)
         assert f2_meas == 0.0
@@ -198,7 +200,7 @@ class TestDisturbances:
         # a finger without pushes adds int 0 and a -0.0 force reads 0.0.
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         pushes = tuple(Push(target, 0.3, 0.0, 1.0, ramp=0.2) for target in targets)
-        plant = Plant(obj, start_aperture=0.08, pushes=pushes)
+        plant = Plant(obj, start_aperture=0.08, pushes=pushes, period=0.01)
         for true_f1, true_f2, t in [(-0.0, -0.0, 0.05), (0.25, -0.0, 0.5), (-0.0, 1.5, 2.0)]:
             plant.true_f1, plant.true_f2, plant.t = true_f1, true_f2, t
             want = [
@@ -210,9 +212,9 @@ class TestDisturbances:
     def test_object_push_is_a_real_force(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(OBJECT, 0.5, 0.0, 1.0, ramp=0.01)
-        plant = Plant(obj, start_aperture=0.08, pushes=(push,))
+        plant = Plant(obj, start_aperture=0.08, pushes=(push,), period=0.01)
         for _ in range(20):
-            plant.step(hold(plant), 0.01)
+            plant.step(hold(plant))
         assert plant.x_obj > 1e-4
 
     def test_trapezoid_profile(self):
@@ -237,12 +239,12 @@ class TestDisturbances:
         # ScenarioSpec refuses overlapping pushes; the plant itself adds them up.
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         pushes = (Push(FINGER_2, 1.0, 0.0, 2.0, ramp=0.0), Push(FINGER_2, 0.25, 1.0, 3.0, ramp=0.0))
-        plant = Plant(obj, start_aperture=0.08, pushes=pushes)
+        plant = Plant(obj, start_aperture=0.08, pushes=pushes, period=0.5)
         readings = []
         for _ in range(3):
-            plant.step(hold(plant), 0.5)
+            plant.step(hold(plant))
             readings.append(plant.measured_forces())
-            plant.step(hold(plant), 0.5)
+            plant.step(hold(plant))
         assert readings == [(0.0, 1.0), (0.0, 1.25), (0.0, 0.25)]
 
 
@@ -309,14 +311,13 @@ class TestValidation:
 
     def test_step_duration_must_be_positive(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
-        plant = Plant(obj, start_aperture=0.08)
         with pytest.raises(ValueError):
-            plant.step((0.04, 0.04), 0.0)
+            Plant(obj, start_aperture=0.08, period=0.0)
 
     def test_start_aperture_must_be_positive(self):
         obj = ObjectSpec("slab", mass=0.01, width=0.05, stiffness=500.0)
         with pytest.raises(ValueError):
-            Plant(obj, start_aperture=0.0)
+            Plant(obj, start_aperture=0.0, period=0.01)
 
 
 def _frozen_tracking_velocity(q, target, period, max_speed):
@@ -462,33 +463,36 @@ REFERENCE_SCENARIOS = {
 class TestFrozenReference:
     @pytest.mark.parametrize("name", sorted(REFERENCE_SCENARIOS))
     def test_bit_identical_to_frozen_substep_loop(self, name):
+        # A plant has one period, so each period, some not a multiple of
+        # dt, gets its own plant pair; the repeated 0.01 draws other commands.
         obj, offset, start, pushes, wrist, config = REFERENCE_SCENARIOS[name]
-        plant = Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
-                      config=config)
-        frozen = FrozenPlant(obj, start, offset, pushes, wrist, config)
-        assert _snapshot(plant) == _snapshot(frozen)
-        rng = random.Random(name)
         half_width = 0.5 * obj.width
-        for i in range(300):
-            # Small squeezes around contact, large slew-capped jumps,
-            # held commands and periods that are not a multiple of dt.
-            kind = i % 5
-            if kind == 0:
-                cmd = (plant.q1, plant.q2)
-            elif kind == 1:
-                cmd = (rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
-            else:
-                cmd = (
-                    half_width + rng.uniform(-0.002, 0.001),
-                    half_width + rng.uniform(-0.002, 0.001),
-                )
-            duration = (0.01, 0.01, 0.005, 0.0123, 0.0004)[i % 5]
-            plant.step(cmd, duration)
-            expected = frozen.step(cmd, duration)
-            assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
-                          plant.true_f1, plant.true_f2)) == _bits(expected)
+        for run, duration in enumerate((0.01, 0.01, 0.005, 0.0123, 0.0004)):
+            plant = Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
+                          config=config, period=duration)
+            frozen = FrozenPlant(obj, start, offset, pushes, wrist, config)
             assert _snapshot(plant) == _snapshot(frozen)
-        assert plant.t == frozen.t > 2.0
+            rng = random.Random(f"{name} {run}")
+            # Past the last push and the end of the sweep.
+            for i in range(math.ceil(2.6 / duration)):
+                # Small squeezes around contact, large slew-capped jumps
+                # and held commands.
+                kind = i % 5
+                if kind == 0:
+                    cmd = (plant.q1, plant.q2)
+                elif kind == 1:
+                    cmd = (rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
+                else:
+                    cmd = (
+                        half_width + rng.uniform(-0.002, 0.001),
+                        half_width + rng.uniform(-0.002, 0.001),
+                    )
+                plant.step(cmd)
+                expected = frozen.step(cmd, duration)
+                assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
+                              plant.true_f1, plant.true_f2)) == _bits(expected)
+                assert _snapshot(plant) == _snapshot(frozen)
+            assert plant.t == frozen.t > 2.0
 
 
 class TestFrozenSpeedCap:
@@ -503,12 +507,12 @@ class TestFrozenSpeedCap:
         target = q - 0.0004
         config = PlantConfig(max_finger_speed=abs(target - q) / duration)
         assert abs(target - q) / duration == config.max_finger_speed
-        plant = Plant(obj, start_aperture=start, config=config)
+        plant = Plant(obj, start_aperture=start, config=config, period=duration)
         frozen = FrozenPlant(obj, start, 0.0, (), None, config)
         cmd = (math.nan if nan_finger == 1 else target,
                math.nan if nan_finger == 2 else target)
         for _ in range(3):
-            plant.step(cmd, duration)
+            plant.step(cmd)
             expected = frozen.step(cmd, duration)
             assert _bits((plant.x_obj, plant.v_obj, plant.q1, plant.q2,
                           plant.true_f1, plant.true_f2)) == _bits(expected)

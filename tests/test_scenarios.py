@@ -225,11 +225,11 @@ class TestResolve:
         # Just below the period, dt rounds to one substep of the whole period.
         for dt in (0.0099, 0.0067):
             resolve(ScenarioSpec.from_dict({"object": "tape_roll", "plant": {"dt": dt}}))
-        plants = [Plant(OBJECTS["tape_roll"], 0.07, config=PlantConfig(dt=dt))
+        plants = [Plant(OBJECTS["tape_roll"], 0.07, config=PlantConfig(dt=dt), period=0.01)
                   for dt in (0.01, 0.0067)]
         for plant in plants:
             for _ in range(50):
-                plant.step((-0.02, 0.02), 0.01)
+                plant.step((-0.02, 0.02))
         coarse, rounded = ([p.q1, p.q2, p.x_obj, p.v_obj, p.t, p.true_f1, p.true_f2]
                            for p in plants)
         assert rounded == coarse
@@ -399,9 +399,9 @@ class TestPushes:
     def test_overlap_on_different_targets_allowed(self):
         spec = ScenarioSpec(pushes=(Push(FINGER_1, 1.0, 0.0, 2.0), Push(OBJECT, 1.0, 1.0, 3.0)))
         obj = resolve(spec).obj
-        plant = Plant(obj, 0.08, pushes=spec.pushes, wrist=spec.wrist)
+        plant = Plant(obj, 0.08, pushes=spec.pushes, wrist=spec.wrist, period=0.5)
         for _ in range(3):
-            plant.step((plant.q1, plant.q2), 0.5)
+            plant.step((plant.q1, plant.q2))
         assert plant.t == pytest.approx(1.5)
         assert plant.measured_forces() == (1.0, 0.0)
         assert plant.x_obj > 0.0
