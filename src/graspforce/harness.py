@@ -15,6 +15,7 @@ experiment with the same seed writes byte-identical CSV files.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -131,6 +132,17 @@ class TrialResult(TrialMetrics):
         return self.series[min(max(idx, 0), len(self.series) - 1)]
 
 
+@functools.lru_cache(maxsize=64)
+def _face_pair_closes(width: float, mu: float, mu_tau: float) -> bool:
+    """Whether contacts on an object's two faces, where the fingers latch, are in force
+    closure: one verdict gates a force trial's handoff, and one certify serves each pair."""
+    half = 0.5 * width
+    return is_force_closure([
+        Contact.from_normal((-half, 0.0, 0.0), (1.0, 0.0, 0.0), mu, mu_tau),
+        Contact.from_normal((half, 0.0, 0.0), (-1.0, 0.0, 0.0), mu, mu_tau),
+    ]).is_force_closure
+
+
 def run_trial(spec: ScenarioSpec) -> TrialResult:
     """Simulate one grasp trial and compute its metrics."""
     resolved = resolve(spec)
@@ -147,15 +159,9 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         period=resolved.period,
     )
     if spec.controller == FORCE:
-        # The fingers touch the object's two faces wherever they latch, so
-        # one verdict on that pair gates the handoff for the whole trial.
-        half = 0.5 * resolved.obj.width
-        pair = [
-            Contact.from_normal((-half, 0.0, 0.0), (1.0, 0.0, 0.0), spec.mu, spec.mu_tau),
-            Contact.from_normal((half, 0.0, 0.0), (-1.0, 0.0, 0.0), spec.mu, spec.mu_tau),
-        ]
         controller = GraspController(
-            resolved.control, resolved.request, pair_closes=is_force_closure(pair).is_force_closure
+            resolved.control, resolved.request,
+            pair_closes=_face_pair_closes(resolved.obj.width, spec.mu, spec.mu_tau),
         )
     else:
         controller = TrajectoryController(resolved.control, resolved.request)

@@ -74,12 +74,13 @@ def estimate_bias(model: SensorModel, n_samples: int, rng: np.random.Generator) 
         raise ValueError(
             f"n_samples must be >= 1 and <= {MAX_CALIBRATION_SAMPLES}, got {n_samples}"
         )
-    # n unloaded reads' raw values, summed in the order they are drawn.
+    # n unloaded reads' raw values, summed left to right in the order they are drawn:
+    # builtin sum compensates from Python 3.12, and np.sum adds pairwise.
     raw = np.full(n_samples, 0.0 / model.gamma + model.bias)
-    if model.noise_sigma > 0.0:
-        with np.errstate(over="ignore"):  # an overflow stays inf, for the caller to fault on
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan stays, for the caller
+        if model.noise_sigma > 0.0:
             raw += rng.normal(0.0, model.noise_sigma, n_samples)
-    return sum(raw.tolist()) / n_samples
+        return float(np.add.accumulate(raw)[-1]) / n_samples
 
 
 def calibrate(raw: float, model: SensorModel, bias_estimate: float) -> float:

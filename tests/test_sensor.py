@@ -23,6 +23,14 @@ def noiseless(gamma=11.02, bias=0.5, **kw):
     return SensorModel(gamma=gamma, bias=bias, noise_sigma=0.0, **kw)
 
 
+def left_to_right_sum(values) -> float:
+    """The plain running sum; builtin sum compensates from Python 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def scalar_raw(true_force, model, rng):
     """One raw sample with one scalar draw from rng, as the stream is defined."""
     effective = true_force if true_force >= model.min_force else 0.0
@@ -115,11 +123,22 @@ class TestBiasEstimate:
     def test_matches_a_scalar_sample_loop_bit_for_bit(self, noise_sigma, min_force):
         model = SensorModel(bias=0.4801, seed=23, noise_sigma=noise_sigma, min_force=min_force)
         fast, slow = np.random.default_rng(23), np.random.default_rng(23)
-        expected = sum(scalar_raw(0.0, model, slow) for _ in range(1000)) / 1000
+        expected = left_to_right_sum(scalar_raw(0.0, model, slow) for _ in range(1000)) / 1000
         assert estimate_bias(model, 1000, fast).hex() == expected.hex()
         if model.noise_sigma > 0.0:
             # The noise stream is left at the same position.
             assert fast.standard_normal() == slow.standard_normal()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 100, 129, 1000, 4099])
+    def test_sums_left_to_right_for_any_seed(self, n):
+        # Pairwise (np.sum) and compensated (math.fsum, builtin sum from 3.12)
+        # sums differ from this in the last bits for most seeds.
+        for seed in range(40):
+            model = SensorModel(seed=seed, noise_sigma=0.004, bias=0.4801)
+            raw = 0.4801 + np.random.default_rng(seed).normal(0.0, 0.004, n)
+            estimate = estimate_bias(model, n, np.random.default_rng(seed))
+            assert type(estimate) is float
+            assert estimate.hex() == (left_to_right_sum(raw.tolist()) / n).hex()
 
     def test_standard_error_bound(self):
         # 5 standard errors covers the estimate for essentially every seed.
