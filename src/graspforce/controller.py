@@ -272,19 +272,26 @@ class TrajectoryController:
         frac = 0.0 if 0.0 > frac else 1.0 if 1.0 < frac else frac
         return r.start_aperture + (r.end_aperture - r.start_aperture) * frac
 
-    def tick(
-        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float
-    ) -> tuple[float, float]:
-        """Advance one control period; only the elapsed time shapes the command.
+    def command(self, ticks: int) -> tuple[float, float]:
+        """The command of the tick that brings the tick count to ticks.
+
+        Only the elapsed time shapes it, so the whole stream is known without ticking.
 
         The time is the tick count times the period rather than a running
         sum, so it matches the caller's own tick clock bit for bit.
         """
+        cfg = self.config
+        lo, hi = cfg.joint_min, cfg.joint_max
+        q = 0.5 * self.aperture(ticks * self.period)
+        q = lo if lo > q else hi if hi < q else q
+        return q, q
+
+    def tick(
+        self, f1: float, f2: float, q1: float, q2: float, g_dot_n: float
+    ) -> tuple[float, float]:
+        """Advance one control period and return its command."""
         self.ticks += 1
         cfg = self.config
         self.last_f_ext = compute_external_force(f1, f2, cfg.mass, g_dot_n,
                                                  cfg.gravity_comp_enabled)
-        lo, hi = cfg.joint_min, cfg.joint_max
-        q = 0.5 * self.aperture(self.ticks * self.period)
-        q = lo if lo > q else hi if hi < q else q
-        return q, q
+        return self.command(self.ticks)

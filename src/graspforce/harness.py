@@ -1,13 +1,19 @@
 """Trial execution, experiment grids, metrics, and CSV reports.
 
 run_trial wires sensors, controller, and plant together at the control
-rate and records one row per control tick. Experiment A sweeps object,
-offset, and repetition for both controllers and reports displacement
-statistics; it keeps each trial's metrics, not its series, which
-run_trial (or `graspforce run`) gives for any one spec. Experiment B
-runs the push and wrist-rotation disturbance scenarios for the baseline
-controller and each single-component ablation, recording full time
-series plus headline metrics.
+rate and records one row per control tick. The trajectory controller is
+blind to its sensors, so its plant runs alike in every trial with the same
+plant and controller inputs: such a trial reads its own sensors and ticks
+its controller over the states of the last plant run recorded, when its
+inputs match that run's bit for bit, and records a new run when they do
+not. exp-a runs a cell's repetitions back to back, so each of its cells
+simulates the trajectory plant once per call and replays it for the other
+repetitions. Experiment A sweeps object, offset, and repetition for both
+controllers and reports displacement statistics; it keeps each trial's
+metrics, not its series, which run_trial (or `graspforce run`) gives for
+any one spec. Experiment B runs the push and wrist-rotation disturbance
+scenarios for the baseline controller and each single-component ablation,
+recording full time series plus headline metrics.
 
 All randomness flows from explicit integer seeds, so rerunning any
 experiment with the same seed writes byte-identical CSV files.
@@ -143,12 +149,57 @@ def _face_pair_closes(width: float, mu: float, mu_tau: float) -> bool:
     ]).is_force_closure
 
 
+@functools.lru_cache(maxsize=1)
+def _open_loop_run(key: str, obj, offset, pushes, wrist, plant_config, period, control,
+                   request, ticks) -> tuple[tuple[tuple[float, ...], ...], int | None]:
+    """The plant run of the trajectory trials with these inputs, simulated once.
+
+    The trajectory controller's commands depend on the tick count alone, so
+    its plant runs alike in every trial with these inputs, whatever the seed
+    and sensors. Returns the states, one per tick as the trial loop reads it
+    before the step: (f1, f2, g_dot_n, q1, q2, x_obj), with f1 and f2 the
+    measured forces with any finger pushes. Every trial with these inputs
+    shares the one tuple. Also returns the first tick whose step left a
+    non-finite state, the last one recorded, or None. key is the repr of
+    the other arguments, so inputs that compare equal with other bits, such
+    as offsets 0.0 and -0.0, do not share a run.
+    """
+    plant = Plant(obj, start_aperture=request.start_aperture, offset=offset, pushes=pushes,
+                  wrist=wrist, config=plant_config, period=period)
+    command = TrajectoryController(control, request).command
+    isfinite = math.isfinite
+    states = []
+    for k in range(ticks):
+        f1, f2 = plant.measured_forces()
+        states.append((f1, f2, plant.g_dot_n(), plant.q1, plant.q2, plant.x_obj))
+        plant.step(command(k + 1))
+        if not (
+            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
+            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
+        ):
+            return tuple(states), k
+    return tuple(states), None
+
+
 def run_trial(spec: ScenarioSpec) -> TrialResult:
-    """Simulate one grasp trial and compute its metrics."""
+    """Simulate one grasp trial and compute its metrics.
+
+    A force trial closes the loop through its plant on every tick. A
+    trajectory trial reads its sensors and ticks its controller over the
+    states of its plant run from _open_loop_run, and checks each tick's
+    measurement before the plant state that tick's step left.
+    """
     resolved = resolve(spec)
     samples = spec.sensors.calibration_samples
     sensors = tuple(CalibratedSensor(model, samples) for model in resolved.sensor_models)
+    if spec.controller == FORCE:
+        rows, finished = _closed_loop(spec, resolved, sensors)
+    else:
+        rows, finished = _open_loop(spec, resolved, sensors)
+    return _finish_trial(spec, resolved.control, resolved.obj.width, rows, finished)
 
+
+def _closed_loop(spec, resolved, sensors) -> tuple[list[TimeSeriesRow], bool]:
     plant = Plant(
         resolved.obj,
         start_aperture=resolved.request.start_aperture,
@@ -158,15 +209,11 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
         config=spec.plant,
         period=resolved.period,
     )
-    if spec.controller == FORCE:
-        controller = GraspController(
-            resolved.control, resolved.request,
-            pair_closes=_face_pair_closes(resolved.obj.width, spec.mu, spec.mu_tau),
-        )
-    else:
-        controller = TrajectoryController(resolved.control, resolved.request)
-
-    cfg, dt = resolved.control, resolved.period
+    controller = GraspController(
+        resolved.control, resolved.request,
+        pair_closes=_face_pair_closes(resolved.obj.width, spec.mu, spec.mu_tau),
+    )
+    dt = resolved.period
     rows: list[TimeSeriesRow] = []
     isfinite = math.isfinite
 
@@ -195,8 +242,34 @@ def run_trial(spec: ScenarioSpec) -> TrialResult:
             raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
         if controller.finished:
             break
+    return rows, controller.finished
 
-    return _finish_trial(spec, cfg, resolved.obj.width, rows, controller.finished)
+
+def _open_loop(spec, resolved, sensors) -> tuple[list[TimeSeriesRow], bool]:
+    inputs = (resolved.obj, spec.offset, spec.pushes, spec.wrist, spec.plant, resolved.period,
+              resolved.control, resolved.request, resolved.ticks)
+    states, fault_tick = _open_loop_run(repr(inputs), *inputs)
+    controller = TrajectoryController(resolved.control, resolved.request)
+    dt = resolved.period
+    rows: list[TimeSeriesRow] = []
+    isfinite = math.isfinite
+
+    for k, (true_f1, true_f2, g_dot_n, q1, q2, x_obj) in enumerate(states):
+        t = k * dt
+        f1 = sensors[0].read(true_f1)
+        f2 = sensors[1].read(true_f2)
+        if not (isfinite(f1) and isfinite(f2)):
+            raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
+        controller.tick(f1, f2, q1, q2, g_dot_n)
+        rows.append(
+            TimeSeriesRow(
+                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, x_obj, controller.phase,
+                controller.last_u_int, controller.last_u_ext,
+            )
+        )
+    if fault_tick is not None:
+        raise RuntimeError(f"non-finite plant state at t={fault_tick * dt:.3f} s")
+    return rows, controller.finished
 
 
 def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:

@@ -204,15 +204,18 @@ class Plant:
     def measured_forces(self) -> tuple[float, float]:
         """True contact forces plus any scheduled finger pushes, as the load cells see them.
 
-        A finger without pushes adds the int 0 that an empty push sum
-        gives, so a -0.0 force still reads 0.0.
+        Each finger's pushes add left to right onto the int 0, as builtin sum
+        did before Python 3.12 began to compensate; a finger without pushes
+        adds that 0, so a -0.0 force still reads 0.0.
         """
         t = self.t
         on_1, on_2 = self._finger_pushes
-        return (
-            self.true_f1 + (sum(p.value(t) for p in on_1) if on_1 else 0),
-            self.true_f2 + (sum(p.value(t) for p in on_2) if on_2 else 0),
-        )
+        push1 = push2 = 0
+        for p in on_1:
+            push1 += p.value(t)
+        for p in on_2:
+            push2 += p.value(t)
+        return self.true_f1 + push1, self.true_f2 + push2
 
     def step(self, command: tuple[float, float]) -> None:
         """Advance by one controller period, holding the command (q1, q2) fixed.
@@ -245,7 +248,9 @@ class Plant:
         move2 = 0.0 if need2 == 0.0 else math.copysign(cap if cap < speed2 else speed2, need2) * dt
         reach1, reach2 = abs(move1), abs(move2)
         low1, low2 = -reach1, -reach2
-        push_obj = 0.0  # adds exactly as an empty sum's int 0 would, in float arithmetic
+        # Object pushes add left to right onto the int 0, as measured_forces adds
+        # finger pushes; with none, 0.0 adds exactly as that 0 would, in float arithmetic.
+        push_obj = 0.0
         for _ in range(n_sub):
             d = q1_cmd - q1
             q1 = q1_cmd if low1 <= d <= reach1 else q1 + move1
@@ -254,7 +259,9 @@ class Plant:
             if wrist is not None:
                 weight = mass * (-gravity * math.sin(wrist.angle(t)))
             if object_pushes:
-                push_obj = sum(p.value(t) for p in object_pushes)
+                push_obj = 0
+                for p in object_pushes:
+                    push_obj += p.value(t)
             d = -q1 - (x - half)
             f1 = k * (d if d > 0.0 else 0.0)
             d = (x + half) - q2

@@ -24,9 +24,10 @@ from graspforce.harness import (
     run_trial,
     write_csv,
 )
-from graspforce.controller import ControllerConfig, compute_external_force
-from graspforce.plant import Push
+from graspforce.controller import ControllerConfig, TrajectoryController, compute_external_force
+from graspforce.plant import Plant, Push
 from graspforce.scenarios import OBJECTS, ScenarioSpec, parse_overrides, resolve
+from graspforce.sensor import CalibratedSensor
 
 QUIET = {"sensors": {"noise_sigma": 0.0}}
 REFUSED = {"exp-a": harness._EXPERIMENT_A_FIXED, "exp-b": harness._EXPERIMENT_B_FIXED}
@@ -66,6 +67,148 @@ class TestFacePairMemo:
             # twist or a sideways push.
             assert verdict is (mu > 0.0 and mu_tau > 0.0)
         assert harness._face_pair_closes.cache_info().misses == 1
+
+
+def frozen_trajectory_rows(spec: ScenarioSpec) -> list[TimeSeriesRow]:
+    """run_trial's closed loop as trajectory trials ran it before they replayed a
+    recorded plant run: sensors, controller and plant stepped together, tick by tick."""
+    resolved = resolve(spec)
+    samples = spec.sensors.calibration_samples
+    sensors = tuple(CalibratedSensor(model, samples) for model in resolved.sensor_models)
+    plant = Plant(resolved.obj, start_aperture=resolved.request.start_aperture,
+                  offset=spec.offset, pushes=spec.pushes, wrist=spec.wrist, config=spec.plant,
+                  period=resolved.period)
+    controller = TrajectoryController(resolved.control, resolved.request)
+    dt = resolved.period
+    rows = []
+    isfinite = math.isfinite
+    for k in range(resolved.ticks):
+        t = k * dt
+        true_f1, true_f2 = plant.measured_forces()
+        f1 = sensors[0].read(true_f1)
+        f2 = sensors[1].read(true_f2)
+        g_dot_n = plant.g_dot_n()
+        if not (isfinite(f1) and isfinite(f2)):
+            raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
+        q1, q2 = plant.q1, plant.q2
+        cmd = controller.tick(f1, f2, q1, q2, g_dot_n)
+        rows.append(TimeSeriesRow(t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj,
+                                  controller.phase, controller.last_u_int, controller.last_u_ext))
+        plant.step(cmd)
+        if not (
+            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
+            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
+        ):
+            raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
+        if controller.finished:
+            break
+    return rows
+
+
+def frozen_fault(spec: ScenarioSpec) -> str:
+    with pytest.raises(RuntimeError) as fault:
+        frozen_trajectory_rows(spec)
+    return str(fault.value)
+
+
+FINGER_PUSHES = ({"target": "finger1", "force": 1.0, "t_start": 0.5, "t_end": 1.5},
+                 {"target": "finger2", "force": 0.5, "t_start": 1.0, "t_end": 2.0})
+SPECK = {"name": "speck", "mass": 1e-5, "width": 0.05, "stiffness": 20000.0}
+OVERFLOWING_PUSH = {"pushes": [{"target": "finger1", "force": 10.0, "t_start": 0.5, "t_end": 1.0}],
+                    "sensors": {"noise_sigma": 0.0, "gamma1": 2.3e-308}}
+
+
+class TestOpenLoopReplay:
+    """A trajectory trial replays the plant run of the last trial with its inputs,
+    and gives the bits the closed loop gave."""
+
+    CASES = {
+        "noise": {"sensors": {"noise_sigma": None}},
+        "quiet": QUIET,
+        "wrist": {"wrist": {"t_start": 0.5, "t_end": 2.5, "angle_end": 1.5}},
+        "object_push": {"pushes": [{"target": "object", "force": 0.3, "t_start": 0.5,
+                                    "t_end": 1.5}]},
+        "finger_pushes": {"pushes": FINGER_PUSHES},
+    }
+
+    @staticmethod
+    def spec(seed=5, **kw) -> ScenarioSpec:
+        return ScenarioSpec.from_dict({"object": "tape_roll", "offset": 0.006,
+                                       "controller": "trajectory", "duration": 3.0,
+                                       "seed": seed, **kw})
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_miss_and_hits_match_the_closed_loop(self, case):
+        # The first trial records the run, a repeat and another seed's trial replay it.
+        harness._open_loop_run.cache_clear()
+        for seed in (5, 5, 6):
+            spec = self.spec(seed, **self.CASES[case])
+            result = run_trial(spec)
+            rows = frozen_trajectory_rows(spec)
+            assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+            want = _finish_trial(spec, resolve(spec).control, resolve(spec).obj.width, rows, False)
+            assert repr(result) == repr(want)
+        info = harness._open_loop_run.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_offsets_do_not_share_a_run(self, tmp_path, first, second):
+        def run(offset):
+            return run_trial(quiet_spec(controller="trajectory", offset=offset, duration=1.0))
+
+        uncached = []
+        for offset in (first, second):
+            harness._open_loop_run.cache_clear()
+            uncached.append(repr(run(offset)))
+        harness._open_loop_run.cache_clear()
+        results = [run(offset) for offset in (first, second)]
+        assert [repr(r) for r in results] == uncached
+        assert harness._open_loop_run.cache_info().misses == 2
+        for offset, result in zip((first, second), results):
+            path = write_csv(result.series, tmp_path / "series.csv")
+            x_obj = path.read_text().splitlines()[1].split(",")[7]
+            assert x_obj == ("-0" if math.copysign(1.0, offset) < 0.0 else "0")
+
+    @pytest.mark.parametrize("kw, message", [
+        (OVERFLOWING_PUSH, r"non-finite measurement at t=0\.510 s"),
+        ({"object": SPECK, "offset": 0.003, **QUIET}, r"non-finite plant state at t=1\.190 s"),
+        # The run records the speck's plant fault at 1.19 s; the measurement at 0.51 s comes first.
+        ({"object": SPECK, "offset": 0.003, **OVERFLOWING_PUSH},
+         r"non-finite measurement at t=0\.510 s"),
+    ], ids=["measurement", "plant_state", "measurement_first"])
+    def test_faults_repeat_on_a_replay(self, kw, message):
+        spec = quiet_spec(controller="trajectory", **kw)
+        assert re.fullmatch(message, frozen_fault(spec))
+        harness._open_loop_run.cache_clear()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                run_trial(spec)
+        info = harness._open_loop_run.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_each_exp_a_call_runs_one_plant_per_trajectory_cell(self, monkeypatch):
+        # A call's first cell is not the last cell of the call before, so every
+        # call pays for its own runs.
+        step, steps = harness.Plant.step, []
+
+        def counting(plant, command):
+            steps.append(command)
+            return step(plant, command)
+
+        monkeypatch.setattr(harness.Plant, "step", counting)
+        harness._open_loop_run.cache_clear()
+        per_call = []
+        for _ in range(2):
+            steps.clear()
+            result = run_experiment_a(objects=("tape_roll",), offsets=(0.005, 0.008), reps=3)
+            per_call.append(len(steps))
+        monkeypatch.undo()
+        force_ticks = sum(len(run_trial(t.spec).series)
+                          for t in result.trials if t.spec.controller == "force")
+        run_ticks = {t.spec.offset: resolve(t.spec).ticks
+                     for t in result.trials if t.spec.controller == "trajectory"}
+        assert len(run_ticks) == 2
+        assert per_call == [force_ticks + sum(run_ticks.values())] * 2
 
 
 class TestRunTrial:
@@ -217,7 +360,9 @@ class TestRunTrial:
     @pytest.mark.parametrize("gravity_comp", [True, False], ids=["comp", "no_comp"])
     @pytest.mark.parametrize("controller", ["force", "trajectory"])
     def test_f_ext_is_the_controllers_estimate(self, monkeypatch, controller, gravity_comp, wrist):
-        # Each tick's gravity projection is recorded as the plant hands it over.
+        # Each tick's gravity projection is recorded as the plant hands it over;
+        # a trajectory trial's plant runs only when no earlier trial ran it.
+        harness._open_loop_run.cache_clear()
         g_dot_n, seen = harness.Plant.g_dot_n, []
 
         def recording(plant):

@@ -209,6 +209,22 @@ class TestDisturbances:
             ]
             assert [f.hex() for f in plant.measured_forces()] == [f.hex() for f in want]
 
+    @pytest.mark.parametrize("target", [FINGER_1, OBJECT])
+    def test_overlapping_pushes_add_left_to_right(self, target):
+        # The bits builtin sum gave up to Python 3.11; from 3.12 it compensates
+        # and gives 0.6, and added right to left the pushes give 0.6 too.
+        want = 0.6000000000000001
+        assert (0.1 + 0.2) + 0.3 == want != 0.1 + (0.2 + 0.3)
+        obj = ObjectSpec("slab", mass=1.0, width=0.05, stiffness=2000.0)
+        pushes = tuple(Push(target, force, -1.0, 1.0, ramp=0.0) for force in (0.1, 0.2, 0.3))
+        plant = Plant(obj, start_aperture=0.08, pushes=pushes, period=1e-3)  # one substep
+        if target == FINGER_1:
+            assert plant.measured_forces() == (want, 0.0)
+        else:
+            # No contact and a level wrist: the pushes are the whole net force.
+            plant.step(hold(plant))
+            assert plant.v_obj == 1e-3 * want != 1e-3 * 0.6
+
     def test_object_push_is_a_real_force(self):
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         push = Push(OBJECT, 0.5, 0.0, 1.0, ramp=0.01)
