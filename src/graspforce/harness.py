@@ -1,17 +1,18 @@
 """Trial execution, experiment grids, metrics, and CSV reports.
 
 run_trial wires sensors, controller, and plant together at the control
-rate and records one row per control tick. The trajectory controller is
-blind to its sensors, so its plant runs alike in every trial with the same
-plant and controller inputs: such a trial reads its own sensors and ticks
-its controller over the states of the last plant run recorded, when its
-inputs match that run's bit for bit, and records a new run when they do
-not. exp-a runs a cell's repetitions back to back, so each of its cells
-simulates the trajectory plant once per call and replays it for the other
-repetitions. Experiment A sweeps object, offset, and repetition for both
-controllers and reports displacement statistics; it keeps each trial's
-metrics, not its series, which run_trial (or `graspforce run`) gives for
-any one spec. Experiment B runs the push and wrist-rotation disturbance
+rate and records one row per control tick, in one loop for both
+controllers. The plant is deterministic in its inputs and the commands it
+is given, so an experiment keeps a tape of the first trial with given plant
+inputs, per controller kind: what each tick read before its step, the
+plant's state, and the command stepped. A later trial with those inputs
+reads its own sensors and ticks its own controller on the tape, skipping
+each plant step whose command has the taped command's bits, and restores
+the taped state and runs live from its first other command. Its rows are
+the rows it gives alone. Experiment A sweeps object, offset, and repetition
+for both controllers and reports displacement statistics; it keeps each
+trial's metrics, not its series, which run_trial (or `graspforce run`) gives
+for any one spec. Experiment B runs the push and wrist-rotation disturbance
 scenarios for the baseline controller and each single-component ablation,
 recording full time series plus headline metrics.
 
@@ -149,127 +150,130 @@ def _face_pair_closes(width: float, mu: float, mu_tau: float) -> bool:
     ]).is_force_closure
 
 
-@functools.lru_cache(maxsize=1)
-def _open_loop_run(key: str, obj, offset, pushes, wrist, plant_config, period, control,
-                   request, ticks) -> tuple[tuple[tuple[float, ...], ...], int | None]:
-    """The plant run of the trajectory trials with these inputs, simulated once.
+class _Tape:
+    """One trial's plant run, for later trials with the same plant inputs to replay.
 
-    The trajectory controller's commands depend on the tick count alone, so
-    its plant runs alike in every trial with these inputs, whatever the seed
-    and sensors. Returns the states, one per tick as the trial loop reads it
-    before the step: (f1, f2, g_dot_n, q1, q2, x_obj), with f1 and f2 the
-    measured forces with any finger pushes. Every trial with these inputs
-    shares the one tuple. Also returns the first tick whose step left a
-    non-finite state, the last one recorded, or None. key is the repr of
-    the other arguments, so inputs that compare equal with other bits, such
-    as offsets 0.0 and -0.0, do not share a run.
+    ticks[k] is what tick k read before its step, (f1, f2, g_dot_n, q1, q2,
+    x_obj) with f1 and f2 the measured forces with any finger pushes, and
+    then the command it stepped. states[k] is the plant's state() before
+    that step, and states[len(ticks)] the state after the last one, unless
+    that step left a non-finite state: then faulted is True.
     """
-    plant = Plant(obj, start_aperture=request.start_aperture, offset=offset, pushes=pushes,
-                  wrist=wrist, config=plant_config, period=period)
-    command = TrajectoryController(control, request).command
-    isfinite = math.isfinite
-    states = []
-    for k in range(ticks):
-        f1, f2 = plant.measured_forces()
-        states.append((f1, f2, plant.g_dot_n(), plant.q1, plant.q2, plant.x_obj))
-        plant.step(command(k + 1))
-        if not (
-            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
-            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
-        ):
-            return tuple(states), k
-    return tuple(states), None
+
+    __slots__ = ("ticks", "states", "faulted")
+
+    def __init__(self, state: tuple[float, ...]):
+        self.ticks: list[tuple] = []
+        self.states = [state]
+        self.faulted = False
 
 
-def run_trial(spec: ScenarioSpec) -> TrialResult:
+def run_trial(spec: ScenarioSpec,
+              tapes: dict[str, tuple[str, _Tape]] | None = None) -> TrialResult:
     """Simulate one grasp trial and compute its metrics.
 
-    A force trial closes the loop through its plant on every tick. A
-    trajectory trial reads its sensors and ticks its controller over the
-    states of its plant run from _open_loop_run, and checks each tick's
-    measurement before the plant state that tick's step left.
+    Alone, a trial runs live: each tick reads the sensors, ticks the
+    controller and steps the plant. tapes is the store an experiment makes
+    per call: per controller kind, the key of the last plant inputs seen and
+    the tape of the first trial with them. The key is the repr of those
+    inputs, so values that compare equal with other bits, such as offsets
+    0.0 and -0.0, do not share a tape. A trial with the held key replays
+    that tape (see _trial_loop); any other trial records its run as the new
+    tape of its kind.
     """
     resolved = resolve(spec)
     samples = spec.sensors.calibration_samples
     sensors = tuple(CalibratedSensor(model, samples) for model in resolved.sensor_models)
     if spec.controller == FORCE:
-        rows, finished = _closed_loop(spec, resolved, sensors)
+        controller = GraspController(
+            resolved.control, resolved.request,
+            pair_closes=_face_pair_closes(resolved.obj.width, spec.mu, spec.mu_tau),
+        )
     else:
-        rows, finished = _open_loop(spec, resolved, sensors)
-    return _finish_trial(spec, resolved.control, resolved.obj.width, rows, finished)
+        controller = TrajectoryController(resolved.control, resolved.request)
+    start_aperture = resolved.request.start_aperture
+    plant = Plant(resolved.obj, start_aperture=start_aperture, offset=spec.offset,
+                  pushes=spec.pushes, wrist=spec.wrist, config=spec.plant, period=resolved.period)
+    tape = record = None
+    if tapes is not None:
+        key = repr((resolved.obj, start_aperture, spec.offset, spec.pushes, spec.wrist, spec.plant,
+                    resolved.period, resolved.ticks))
+        held_key, held = tapes.get(spec.controller, (None, None))
+        if held_key == key:
+            tape = held
+        else:
+            record = _Tape(plant.state())
+            tapes[spec.controller] = (key, record)
+    rows = _trial_loop(plant, controller, sensors, resolved.period, resolved.ticks, tape, record)
+    return _finish_trial(spec, resolved.control, resolved.obj.width, rows, controller.finished)
 
 
-def _closed_loop(spec, resolved, sensors) -> tuple[list[TimeSeriesRow], bool]:
-    plant = Plant(
-        resolved.obj,
-        start_aperture=resolved.request.start_aperture,
-        offset=spec.offset,
-        pushes=spec.pushes,
-        wrist=spec.wrist,
-        config=spec.plant,
-        period=resolved.period,
-    )
-    controller = GraspController(
-        resolved.control, resolved.request,
-        pair_closes=_face_pair_closes(resolved.obj.width, spec.mu, spec.mu_tau),
-    )
-    dt = resolved.period
+def _trial_loop(plant, controller, sensors, dt, ticks, tape, record) -> list[TimeSeriesRow]:
+    """The trial's rows, one per tick until its controller finishes.
+
+    Each tick checks its measurement, then its command's step. While a tape
+    is given, a tick reads the plant from it and skips its step when the
+    command has the taped command's bits: equal, with zeros of one sign; a
+    NaN matches nothing. A taped fault repeats at its tick. At the first
+    other command, the plant is restored to the taped state before that
+    step, and past the tape's end to its end state; the loop then runs
+    live. A live tick appends to record, when given.
+    """
+    read1, read2 = sensors[0].read, sensors[1].read
+    isfinite, copysign = math.isfinite, math.copysign
     rows: list[TimeSeriesRow] = []
-    isfinite = math.isfinite
+    taped = tape.ticks if tape is not None else ()
+    replaying = bool(taped)
 
-    for k in range(resolved.ticks):
+    for k in range(ticks):
         t = k * dt
-        true_f1, true_f2 = plant.measured_forces()
-        f1 = sensors[0].read(true_f1)
-        f2 = sensors[1].read(true_f2)
-        g_dot_n = plant.g_dot_n()
+        if replaying:
+            true_f1, true_f2, g_dot_n, q1, q2, x_obj, (r1, r2) = taped[k]
+        else:
+            true_f1, true_f2 = plant.measured_forces()
+            g_dot_n = plant.g_dot_n()
+            q1, q2, x_obj = plant.q1, plant.q2, plant.x_obj
+        f1 = read1(true_f1)
+        f2 = read2(true_f2)
         if not (isfinite(f1) and isfinite(f2)):
             raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
-        q1, q2 = plant.q1, plant.q2
 
         cmd = controller.tick(f1, f2, q1, q2, g_dot_n)
-        rows.append(
-            TimeSeriesRow(
-                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj, controller.phase,
-                controller.last_u_int, controller.last_u_ext,
-            )
-        )
-        plant.step(cmd)
-        if not (
-            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
-            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
-        ):
-            raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
-        if controller.finished:
-            break
-    return rows, controller.finished
-
-
-def _open_loop(spec, resolved, sensors) -> tuple[list[TimeSeriesRow], bool]:
-    inputs = (resolved.obj, spec.offset, spec.pushes, spec.wrist, spec.plant, resolved.period,
-              resolved.control, resolved.request, resolved.ticks)
-    states, fault_tick = _open_loop_run(repr(inputs), *inputs)
-    controller = TrajectoryController(resolved.control, resolved.request)
-    dt = resolved.period
-    rows: list[TimeSeriesRow] = []
-    isfinite = math.isfinite
-
-    for k, (true_f1, true_f2, g_dot_n, q1, q2, x_obj) in enumerate(states):
-        t = k * dt
-        f1 = sensors[0].read(true_f1)
-        f2 = sensors[1].read(true_f2)
-        if not (isfinite(f1) and isfinite(f2)):
-            raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
-        controller.tick(f1, f2, q1, q2, g_dot_n)
         rows.append(
             TimeSeriesRow(
                 t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, x_obj, controller.phase,
                 controller.last_u_int, controller.last_u_ext,
             )
         )
-    if fault_tick is not None:
-        raise RuntimeError(f"non-finite plant state at t={fault_tick * dt:.3f} s")
-    return rows, controller.finished
+        if replaying:
+            c1, c2 = cmd
+            if (c1 == r1 and c2 == r2 and (c1 or copysign(1.0, c1) == copysign(1.0, r1))
+                    and (c2 or copysign(1.0, c2) == copysign(1.0, r2))):
+                if k + 1 == len(taped):
+                    if tape.faulted:
+                        raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
+                    plant.restore(tape.states[k + 1])
+                    replaying = False
+                if controller.finished:
+                    break
+                continue
+            plant.restore(tape.states[k])
+            replaying = False
+        elif record is not None:
+            record.ticks.append((true_f1, true_f2, g_dot_n, q1, q2, x_obj, cmd))
+        plant.step(cmd)
+        if not (
+            isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
+            and isfinite(plant.true_f1) and isfinite(plant.true_f2)
+        ):
+            if record is not None:
+                record.faulted = True
+            raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
+        if record is not None:
+            record.states.append(plant.state())
+        if controller.finished:
+            break
+    return rows
 
 
 def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
@@ -423,7 +427,8 @@ def run_experiment_a(
         for controller in (FORCE, TRAJECTORY)
     ]
     out = None if out_dir is None else make_out_dir(out_dir)
-    trials = [run_trial(spec).metrics() for spec in specs]
+    tapes = {}
+    trials = [run_trial(spec, tapes).metrics() for spec in specs]
 
     summary = []
     for object_name in objects:
@@ -551,8 +556,9 @@ def run_experiment_b(
     }
     out = None if out_dir is None else make_out_dir(out_dir)
     runs: dict[tuple[str, str], ExperimentBRun] = {}
+    tapes = {}
     for (scenario, variant), spec in specs.items():
-        result = run_trial(spec)
+        result = run_trial(spec, tapes)
         post_rate = post_total = peak = None
         if scenario == "push":
             settled_windows = _PUSH_SETTLED_WINDOWS

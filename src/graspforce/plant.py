@@ -189,6 +189,15 @@ class Plant:
         self.t = 0.0
         self.true_f1, self.true_f2 = self._contact_forces()
 
+    def state(self) -> tuple[float, ...]:
+        """What a step reads and writes: (q1, q2, x_obj, v_obj, t, true_f1, true_f2)."""
+        return self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2
+
+    def restore(self, state: tuple[float, ...]) -> None:
+        """Set the state that state() returned, of this plant or one built with the same inputs;
+        the steps from it then give the bits the steps from where it was taken gave."""
+        self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2 = state
+
     def g_dot_n(self) -> float:
         if self.wrist is None:
             return self._level_g_dot_n

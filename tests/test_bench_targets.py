@@ -60,8 +60,6 @@ def test_each_tick_calls_the_traced_names(monkeypatch, controller):
                 return _original(*args)
 
             monkeypatch.setattr(target.owner, target.attr, counting)
-    # A trajectory trial's plant runs only when no earlier trial ran it.
-    harness._open_loop_run.cache_clear()
     spec = ScenarioSpec(object="tape_roll", offset=0.005, controller=controller,
                         control=ControllerConfig(phase3_mode=STOP_AT_GOAL))
     rows = len(harness.run_trial(spec).series)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from graspforce import harness
-from graspforce.closure import is_force_closure
+from graspforce.closure import Contact, is_force_closure
 from graspforce.harness import (
     CSV_HEADER,
     EXPERIMENT_A_OFFSETS,
@@ -24,7 +24,9 @@ from graspforce.harness import (
     run_trial,
     write_csv,
 )
-from graspforce.controller import ControllerConfig, TrajectoryController, compute_external_force
+from graspforce.controller import (
+    ControllerConfig, GraspController, TrajectoryController, compute_external_force,
+)
 from graspforce.plant import Plant, Push
 from graspforce.scenarios import OBJECTS, ScenarioSpec, parse_overrides, resolve
 from graspforce.sensor import CalibratedSensor
@@ -69,16 +71,24 @@ class TestFacePairMemo:
         assert harness._face_pair_closes.cache_info().misses == 1
 
 
-def frozen_trajectory_rows(spec: ScenarioSpec) -> list[TimeSeriesRow]:
-    """run_trial's closed loop as trajectory trials ran it before they replayed a
-    recorded plant run: sensors, controller and plant stepped together, tick by tick."""
+def frozen_rows(spec: ScenarioSpec, commands: list | None = None) -> list[TimeSeriesRow]:
+    """run_trial's loop as both controllers ran it live before trials replayed a recorded
+    plant: sensors, controller and plant stepped together, tick by tick. Each stepped
+    command is appended to commands, when given."""
     resolved = resolve(spec)
     samples = spec.sensors.calibration_samples
     sensors = tuple(CalibratedSensor(model, samples) for model in resolved.sensor_models)
     plant = Plant(resolved.obj, start_aperture=resolved.request.start_aperture,
                   offset=spec.offset, pushes=spec.pushes, wrist=spec.wrist, config=spec.plant,
                   period=resolved.period)
-    controller = TrajectoryController(resolved.control, resolved.request)
+    if spec.controller == "force":
+        half = 0.5 * resolved.obj.width
+        pair = [Contact.from_normal((-half, 0.0, 0.0), (1.0, 0.0, 0.0), spec.mu, spec.mu_tau),
+                Contact.from_normal((half, 0.0, 0.0), (-1.0, 0.0, 0.0), spec.mu, spec.mu_tau)]
+        controller = GraspController(resolved.control, resolved.request,
+                                     pair_closes=is_force_closure(pair).is_force_closure)
+    else:
+        controller = TrajectoryController(resolved.control, resolved.request)
     dt = resolved.period
     rows = []
     isfinite = math.isfinite
@@ -94,6 +104,8 @@ def frozen_trajectory_rows(spec: ScenarioSpec) -> list[TimeSeriesRow]:
         cmd = controller.tick(f1, f2, q1, q2, g_dot_n)
         rows.append(TimeSeriesRow(t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj,
                                   controller.phase, controller.last_u_int, controller.last_u_ext))
+        if commands is not None:
+            commands.append(cmd)
         plant.step(cmd)
         if not (
             isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
@@ -107,8 +119,31 @@ def frozen_trajectory_rows(spec: ScenarioSpec) -> list[TimeSeriesRow]:
 
 def frozen_fault(spec: ScenarioSpec) -> str:
     with pytest.raises(RuntimeError) as fault:
-        frozen_trajectory_rows(spec)
+        frozen_rows(spec)
     return str(fault.value)
+
+
+def shared_prefix(commands: list, taped: list) -> int:
+    """How many leading commands have the taped commands' bits (repr tells -0.0 from 0.0)."""
+    n = 0
+    for cmd, recorded in zip(commands, taped):
+        if repr(cmd) != repr(recorded):
+            break
+        n += 1
+    return n
+
+
+@pytest.fixture
+def steps(monkeypatch) -> list:
+    """The commands of every Plant.step call from here on."""
+    step, stepped = harness.Plant.step, []
+
+    def counting(plant, command):
+        stepped.append(command)
+        return step(plant, command)
+
+    monkeypatch.setattr(harness.Plant, "step", counting)
+    return stepped
 
 
 FINGER_PUSHES = ({"target": "finger1", "force": 1.0, "t_start": 0.5, "t_end": 1.5},
@@ -118,9 +153,9 @@ OVERFLOWING_PUSH = {"pushes": [{"target": "finger1", "force": 10.0, "t_start": 0
                     "sensors": {"noise_sigma": 0.0, "gamma1": 2.3e-308}}
 
 
-class TestOpenLoopReplay:
-    """A trajectory trial replays the plant run of the last trial with its inputs,
-    and gives the bits the closed loop gave."""
+class TestTapeReplay:
+    """A trial with a tape for its plant inputs replays it while its commands have the
+    tape's bits, goes live at the first that does not, and gives the live loop's bits."""
 
     CASES = {
         "noise": {"sensors": {"noise_sigma": None}},
@@ -132,83 +167,228 @@ class TestOpenLoopReplay:
     }
 
     @staticmethod
-    def spec(seed=5, **kw) -> ScenarioSpec:
+    def spec(seed=5, controller="trajectory", **kw) -> ScenarioSpec:
         return ScenarioSpec.from_dict({"object": "tape_roll", "offset": 0.006,
-                                       "controller": "trajectory", "duration": 3.0,
+                                       "controller": controller, "duration": 3.0,
                                        "seed": seed, **kw})
 
+    @pytest.mark.parametrize("controller", ["force", "trajectory"])
     @pytest.mark.parametrize("case", CASES)
-    def test_miss_and_hits_match_the_closed_loop(self, case):
-        # The first trial records the run, a repeat and another seed's trial replay it.
-        harness._open_loop_run.cache_clear()
-        for seed in (5, 5, 6):
-            spec = self.spec(seed, **self.CASES[case])
-            result = run_trial(spec)
-            rows = frozen_trajectory_rows(spec)
+    def test_a_miss_then_replays_match_the_live_loop(self, steps, case, controller):
+        # The first trial records the tape; a repeat and another seed's trial replay it,
+        # each stepping the plant from its first command without the taped bits.
+        tapes, taped = {}, []
+        for i, seed in enumerate((5, 5, 6)):
+            spec = self.spec(seed, controller, **self.CASES[case])
+            commands = []
+            rows = frozen_rows(spec, commands)
+            taped = taped or commands
+            steps.clear()
+            result = run_trial(spec, tapes)
+            assert len(steps) == len(rows) - (shared_prefix(commands, taped) if i else 0)
             assert [repr(r) for r in result.series] == [repr(r) for r in rows]
-            want = _finish_trial(spec, resolve(spec).control, resolve(spec).obj.width, rows, False)
-            assert repr(result) == repr(want)
-        info = harness._open_loop_run.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+            assert repr(result) == repr(run_trial(spec))
+        assert list(tapes) == [controller]
 
+    def test_a_replay_goes_live_at_its_first_other_command(self, steps):
+        # Another seed's noise moves the force controller's commands off the tape mid-run.
+        tapes, taped, commands = {}, [], []
+        first, other = self.spec(5, "force"), self.spec(6, "force")
+        frozen_rows(first, taped)
+        rows = frozen_rows(other, commands)
+        run_trial(first, tapes)
+        steps.clear()
+        result = run_trial(other, tapes)
+        k = shared_prefix(commands, taped)
+        assert 0 < k < min(len(taped), len(commands))
+        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert steps == commands[k:]
+
+    def test_a_replay_goes_live_past_the_tapes_end(self, steps):
+        # The control config is not a plant input: a trial that stops at its goal records a
+        # tape that a trial holding on replays to its end, then runs on live from its end state.
+        tapes, taped, commands = {}, [], []
+        stops = self.spec(5, "force", duration=5.0, control={"phase3_mode": "stop_at_goal"},
+                          **QUIET)
+        holds = self.spec(5, "force", duration=5.0, **QUIET)
+        frozen_rows(stops, taped)
+        rows = frozen_rows(holds, commands)
+        run_trial(stops, tapes)
+        steps.clear()
+        result = run_trial(holds, tapes)
+        assert shared_prefix(commands, taped) == len(taped) < len(commands) == resolve(holds).ticks
+        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert steps == commands[len(taped):]
+
+    @pytest.mark.parametrize("controller", ["force", "trajectory"])
     @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
-    def test_signed_zero_offsets_do_not_share_a_run(self, tmp_path, first, second):
-        def run(offset):
-            return run_trial(quiet_spec(controller="trajectory", offset=offset, duration=1.0))
+    def test_signed_zero_offsets_do_not_share_a_tape(self, steps, tmp_path, controller, first,
+                                                     second):
+        def spec(offset):
+            return quiet_spec(controller=controller, offset=offset, duration=1.0)
 
-        uncached = []
+        tapes = {}
         for offset in (first, second):
-            harness._open_loop_run.cache_clear()
-            uncached.append(repr(run(offset)))
-        harness._open_loop_run.cache_clear()
-        results = [run(offset) for offset in (first, second)]
-        assert [repr(r) for r in results] == uncached
-        assert harness._open_loop_run.cache_info().misses == 2
-        for offset, result in zip((first, second), results):
+            steps.clear()
+            result = run_trial(spec(offset), tapes)
+            assert len(steps) == len(result.series)
+            assert repr(result) == repr(run_trial(spec(offset)))
             path = write_csv(result.series, tmp_path / "series.csv")
             x_obj = path.read_text().splitlines()[1].split(",")[7]
             assert x_obj == ("-0" if math.copysign(1.0, offset) < 0.0 else "0")
 
+    @pytest.mark.parametrize("finger", [0, 1])
+    def test_a_negative_zero_command_goes_live(self, steps, monkeypatch, finger):
+        # With an end aperture of 0 the baseline ends on (0.0, 0.0) commands. A finger command
+        # of -0.0 equals the tape's 0.0 but leaves that finger at -0.0, so the replay goes live.
+        spec = quiet_spec(controller="trajectory", end_aperture=0.0)
+        tapes, taped, commands = {}, [], []
+        frozen_rows(spec, taped)
+        run_trial(spec, tapes)
+        command = TrajectoryController.command
+
+        def signed(self, ticks):
+            cmd = list(command(self, ticks))
+            cmd[finger] = cmd[finger] or -0.0
+            return tuple(cmd)
+
+        monkeypatch.setattr(TrajectoryController, "command", signed)
+        rows = frozen_rows(spec, commands)
+        k = commands.index((0.0, 0.0))
+        assert commands[:k] == taped[:k] and repr(commands[k][finger]) == "-0.0"
+        steps.clear()
+        result = run_trial(spec, tapes)
+        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert len(steps) == len(rows) - k
+        assert repr(result.series[k + 1][1 + finger]) == "-0.0"
+
+    def test_a_nan_command_matches_nothing(self, steps, monkeypatch):
+        # Two trials that command the one NaN object at a tick both fault there, the replay
+        # from the taped state: the comparison is of floats, not of identities.
+        spec = quiet_spec(controller="trajectory")
+        command = TrajectoryController.command
+
+        def failing(self, ticks):
+            return (math.nan, math.nan) if ticks == 20 else command(self, ticks)
+
+        monkeypatch.setattr(TrajectoryController, "command", failing)
+        message = frozen_fault(spec)
+        assert message == "non-finite plant state at t=0.190 s"
+        tapes = {}
+        for stepped in (20, 1):
+            steps.clear()
+            with pytest.raises(RuntimeError, match=f"^{message}$"):
+                run_trial(spec, tapes)
+            assert len(steps) == stepped
+
+    @pytest.mark.parametrize("controller", ["force", "trajectory"])
     @pytest.mark.parametrize("kw, message", [
         (OVERFLOWING_PUSH, r"non-finite measurement at t=0\.510 s"),
         ({"object": SPECK, "offset": 0.003, **QUIET}, r"non-finite plant state at t=1\.190 s"),
-        # The run records the speck's plant fault at 1.19 s; the measurement at 0.51 s comes first.
+        # The tape records the speck's plant fault at 1.19 s; the measurement at 0.51 s comes first.
         ({"object": SPECK, "offset": 0.003, **OVERFLOWING_PUSH},
          r"non-finite measurement at t=0\.510 s"),
     ], ids=["measurement", "plant_state", "measurement_first"])
-    def test_faults_repeat_on_a_replay(self, kw, message):
-        spec = quiet_spec(controller="trajectory", **kw)
+    def test_faults_repeat_on_a_replay(self, steps, controller, kw, message):
+        spec = quiet_spec(controller=controller, **kw)
         assert re.fullmatch(message, frozen_fault(spec))
-        harness._open_loop_run.cache_clear()
+        tapes = {}
         for _ in range(2):
+            steps.clear()
             with pytest.raises(RuntimeError, match=f"^{message}$"):
-                run_trial(spec)
-        info = harness._open_loop_run.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+                run_trial(spec, tapes)
+        # The replay steps nothing: the plant fault is the tape's, and a measurement fault
+        # comes at the tick after the tape's end, before that tick's step.
+        assert steps == []
 
-    def test_each_exp_a_call_runs_one_plant_per_trajectory_cell(self, monkeypatch):
-        # A call's first cell is not the last cell of the call before, so every
-        # call pays for its own runs.
-        step, steps = harness.Plant.step, []
-
-        def counting(plant, command):
-            steps.append(command)
-            return step(plant, command)
-
-        monkeypatch.setattr(harness.Plant, "step", counting)
-        harness._open_loop_run.cache_clear()
+    def test_each_exp_a_call_records_its_own_tapes(self, steps):
+        # Per controller kind, a cell's first trial records and its other repetitions replay
+        # that tape, stepping from their first other command. A second call steps as much
+        # as the first, so no tape outlives its call.
         per_call = []
         for _ in range(2):
             steps.clear()
             result = run_experiment_a(objects=("tape_roll",), offsets=(0.005, 0.008), reps=3)
             per_call.append(len(steps))
+        steps.clear()
+        expected, tapes = 0, {}
+        for trial in result.trials:
+            commands = []
+            frozen_rows(trial.spec, commands)
+            key = (trial.spec.controller, trial.spec.offset)
+            taped = tapes.setdefault(key, commands)
+            expected += len(commands) - (shared_prefix(commands, taped) if taped is not commands
+                                         else 0)
+        assert per_call == [expected] * 2
+        assert expected < len(steps)
+
+
+class TestExperimentsReplayInvisibly:
+    """Every trial an experiment runs, replayed or not, gives the bits it gives alone."""
+
+    @pytest.mark.parametrize("overrides", [None, QUIET], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("experiment, trials", [(run_experiment_a, 90), (run_experiment_b, 8)],
+                             ids=["exp-a", "exp-b"])
+    def test_each_trial_equals_its_run_alone(self, monkeypatch, experiment, trials, overrides):
+        # Base seed 11: the acceptance tests pin seed 0. The experiment calls the module's
+        # run_trial once per trial, so wrapping it sees every trial's full series.
+        run, results = harness.run_trial, []
+
+        def keeping(spec, tapes=None):
+            results.append(run(spec, tapes))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "run_trial", keeping)
+        experiment(base_seed=11, overrides=overrides)
         monkeypatch.undo()
-        force_ticks = sum(len(run_trial(t.spec).series)
-                          for t in result.trials if t.spec.controller == "force")
-        run_ticks = {t.spec.offset: resolve(t.spec).ticks
-                     for t in result.trials if t.spec.controller == "trajectory"}
-        assert len(run_ticks) == 2
-        assert per_call == [force_ticks + sum(run_ticks.values())] * 2
+        assert len(results) == trials
+        for result in results:
+            assert repr(result) == repr(run_trial(result.spec))
+
+
+@st.composite
+def level_specs(draw) -> dict:
+    """Scenario dicts without a wrist sweep: any catalog object, offset, seed, pushes
+    (at most one per target, so none overlap), noise and controller."""
+    pushes = []
+    for target in draw(st.lists(st.sampled_from(["finger1", "finger2", "object"]), unique=True)):
+        t_start = draw(st.floats(0.1, 2.5))
+        pushes.append({"target": target, "force": draw(st.floats(-1.5, 1.5)), "t_start": t_start,
+                       "t_end": t_start + draw(st.floats(0.05, 1.5)),
+                       "ramp": draw(st.sampled_from([0.0, 0.01, 0.1]))})
+    return {"object": draw(st.sampled_from(sorted(OBJECTS))),
+            "offset": draw(st.sampled_from([0.0, -0.0]) | st.floats(-0.015, 0.015)),
+            "seed": draw(st.integers(0, 2**32 - 1)), "pushes": pushes,
+            "controller": draw(st.sampled_from(["force", "trajectory"])),
+            "sensors": {"noise_sigma": draw(st.sampled_from([None, 0.0]))}}
+
+
+class TestAblationProperties:
+    """Why two of exp-b's eight runs repeat its baseline bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(level_specs())
+    def test_gravity_comp_changes_no_bit_without_a_wrist_sweep(self, data):
+        # A level wrist gives g_dot_n = -0.0, so the compensation term is -0.0 on and 0.0
+        # off; adding either to f1 - f2 differs only if f1 - f2 is -0.0, which a measured
+        # force with finger pushes added onto the int 0 does not reach.
+        rows = [run_trial(ScenarioSpec.from_dict({**data, "control": {
+            "gravity_comp_enabled": enabled}})).series for enabled in (True, False)]
+        assert [repr(r) for r in rows[0]] == [repr(r) for r in rows[1]]
+
+    @settings(derandomize=True, max_examples=16, deadline=None)
+    @given(st.integers(0, 2**31))
+    @example(0)
+    @example(7)
+    def test_rotation_never_leaves_the_deadband(self, base_seed):
+        # The compensated external-force estimate stays below f_phi throughout holding,
+        # so compliance never acts, and exp-b's no_compliance run is its baseline.
+        spec = _experiment_b_spec("rotation", "none", base_seed, None)
+        f_phi = resolve(spec).control.f_phi
+        holding = [r for r in run_trial(spec).series if r.phase == "holding"]
+        peak = max(abs(r.f_ext) for r in holding)
+        assert holding and peak < f_phi, (
+            f"base seed {base_seed}: max |f_ext| {peak!r} N during holding reaches f_phi {f_phi} N")
 
 
 class TestRunTrial:
@@ -360,9 +540,7 @@ class TestRunTrial:
     @pytest.mark.parametrize("gravity_comp", [True, False], ids=["comp", "no_comp"])
     @pytest.mark.parametrize("controller", ["force", "trajectory"])
     def test_f_ext_is_the_controllers_estimate(self, monkeypatch, controller, gravity_comp, wrist):
-        # Each tick's gravity projection is recorded as the plant hands it over;
-        # a trajectory trial's plant runs only when no earlier trial ran it.
-        harness._open_loop_run.cache_clear()
+        # Each tick's gravity projection is recorded as the plant hands it over.
         g_dot_n, seen = harness.Plant.g_dot_n, []
 
         def recording(plant):

@@ -222,3 +222,50 @@ def test_checked_dataclasses_are_frozen():
     found = {name for path in PACKAGE
              for name in unfrozen_checked_dataclasses(path.read_text(encoding="utf-8"))}
     assert found == set()
+
+
+def compensated_sums(source: str) -> list[str]:
+    """Uses of builtin sum, math.fsum and the statistics module in a source.
+
+    From Python 3.12 builtin sum compensates float rounding (gh-100425), so
+    it gives other bits than 3.10 and 3.11 do; fsum and statistics round
+    their own ways. The plant, the sensor calibration and every CSV rely on
+    one float order on every Python the package accepts, so sums add left
+    to right in a loop, or with numpy's np.add.accumulate.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "sum":
+            found.append(f"sum (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "fsum":
+            found.append(f"fsum (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name.split(".")[0] == "statistics"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "statistics":
+                found.append(f"{module} (line {node.lineno})")
+            elif module == "math":
+                found += [f"fsum (line {node.lineno})" for a in node.names if a.name == "fsum"]
+    return found
+
+
+def test_detects_a_compensated_sum():
+    source = (
+        "import math\n"
+        "import statistics\n"
+        "from math import fsum\n"
+        "from statistics import mean\n"
+        "total = sum(values)\n"
+        "exact = math.fsum(values)\n"
+        "column = table.sum(axis=1)\n"
+        "# sum(values) in a comment\n"
+    )
+    assert compensated_sums(source) == ["statistics (line 2)", "fsum (line 3)",
+                                        "statistics (line 4)", "sum (line 5)", "fsum (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_compensated_sums(path):
+    assert compensated_sums(path.read_text(encoding="utf-8")) == []

@@ -534,3 +534,41 @@ class TestFrozenSpeedCap:
                           plant.true_f1, plant.true_f2)) == _bits(expected)
             assert _snapshot(plant) == _snapshot(frozen)
         assert [math.isnan(plant.q1), math.isnan(plant.q2)] == [nan_finger == 1, nan_finger == 2]
+
+
+class TestStateRestore:
+    @pytest.mark.parametrize("name", ["object pushes", "wrist sweep", "pushes and sweep"])
+    @pytest.mark.parametrize("at", [0.55, 0.85, 1.3], ids=["mid-ramp", "mid-push", "mid-sweep"])
+    def test_a_restored_plant_steps_as_the_uninterrupted_one(self, name, at):
+        # A plant built with the same inputs and given another's state() mid-push or
+        # mid-sweep steps on with that plant's bits, and so does a plant given its own.
+        obj, offset, start, pushes, wrist, config = REFERENCE_SCENARIOS[name]
+        period = 0.01
+
+        def plant():
+            return Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
+                         config=config, period=period)
+
+        uninterrupted, own, other = plant(), plant(), None
+        rng = random.Random(name)
+        for i in range(round(2.6 / period)):
+            if i == round(at / period):
+                other = plant()
+                assert _snapshot(own) == _snapshot(uninterrupted) != _snapshot(other)
+                other.restore(uninterrupted.state())
+                own.restore(own.state())
+            cmd = (0.5 * obj.width + rng.uniform(-0.002, 0.001),
+                   0.5 * obj.width + rng.uniform(-0.002, 0.001))
+            for p in (uninterrupted, own, other):
+                if p is not None:
+                    p.step(cmd)
+            if other is not None:
+                assert _snapshot(other) == _snapshot(own) == _snapshot(uninterrupted)
+
+    def test_state_is_the_seven_floats_a_step_reads_and_writes(self):
+        obj, offset, start, pushes, wrist, config = REFERENCE_SCENARIOS["pushes and sweep"]
+        plant = Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
+                      config=config, period=0.01)
+        plant.step((0.02, 0.03))
+        assert plant.state() == (plant.q1, plant.q2, plant.x_obj, plant.v_obj, plant.t,
+                                 plant.true_f1, plant.true_f2)
