@@ -2,19 +2,21 @@
 
 run_trial wires sensors, controller, and plant together at the control
 rate and records one row per control tick, in one loop for both
-controllers. The plant is deterministic in its inputs and the commands it
-is given, so an experiment keeps a tape of the first trial with given plant
-inputs, per controller kind: what each tick read before its step, the
-plant's state, and the command stepped. A later trial with those inputs
-reads its own sensors and ticks its own controller on the tape, skipping
-each plant step whose command has the taped command's bits, and restores
-the taped state and runs live from its first other command. Its rows are
-the rows it gives alone. Experiment A sweeps object, offset, and repetition
-for both controllers and reports displacement statistics; it keeps each
-trial's metrics, not its series, which run_trial (or `graspforce run`) gives
-for any one spec. Experiment B runs the push and wrist-rotation disturbance
-scenarios for the baseline controller and each single-component ablation,
-recording full time series plus headline metrics.
+controllers. Every tick reads what the plant publishes: the load-cell
+forces, the joint positions, the object position and g_dot_n. The plant is
+deterministic in its inputs and the commands it is given, so an experiment
+keeps a tape of the first trial with given plant inputs, per controller
+kind: each stepped command and the plant's state after that step. A later
+trial with those inputs reads its own sensors and ticks its own controller
+on the tape, restoring each taped state instead of stepping while its
+commands have the taped commands' bits, and steps live from its first
+other command or the tape's end. Its rows are the rows it gives alone.
+Experiment A sweeps object, offset, and repetition for both controllers
+and reports displacement statistics; it keeps each trial's metrics, not
+its series, which run_trial (or `graspforce run`) gives for any one spec.
+Experiment B runs the push and wrist-rotation disturbance scenarios for the
+baseline controller and each single-component ablation, recording full
+time series plus headline metrics.
 
 All randomness flows from explicit integer seeds, so rerunning any
 experiment with the same seed writes byte-identical CSV files.
@@ -150,36 +152,19 @@ def _face_pair_closes(width: float, mu: float, mu_tau: float) -> bool:
     ]).is_force_closure
 
 
-class _Tape:
-    """One trial's plant run, for later trials with the same plant inputs to replay.
-
-    ticks[k] is what tick k read before its step, (f1, f2, g_dot_n, q1, q2,
-    x_obj) with f1 and f2 the measured forces with any finger pushes, and
-    then the command it stepped. states[k] is the plant's state() before
-    that step, and states[len(ticks)] the state after the last one, unless
-    that step left a non-finite state: then faulted is True.
-    """
-
-    __slots__ = ("ticks", "states", "faulted")
-
-    def __init__(self, state: tuple[float, ...]):
-        self.ticks: list[tuple] = []
-        self.states = [state]
-        self.faulted = False
-
-
 def run_trial(spec: ScenarioSpec,
-              tapes: dict[str, tuple[str, _Tape]] | None = None) -> TrialResult:
+              tapes: dict[str, tuple[str, list]] | None = None) -> TrialResult:
     """Simulate one grasp trial and compute its metrics.
 
     Alone, a trial runs live: each tick reads the sensors, ticks the
     controller and steps the plant. tapes is the store an experiment makes
     per call: per controller kind, the key of the last plant inputs seen and
-    the tape of the first trial with them. The key is the repr of those
-    inputs, so values that compare equal with other bits, such as offsets
-    0.0 and -0.0, do not share a tape. A trial with the held key replays
-    that tape (see _trial_loop); any other trial records its run as the new
-    tape of its kind.
+    the tape of the first trial with them, one (command, state after its
+    step) entry per stepped tick. The key is the repr of those inputs, so
+    values that compare equal with other bits, such as offsets 0.0 and
+    -0.0, do not share a tape. A trial with the held key replays that tape
+    (see _trial_loop); any other trial records its run as the new tape of
+    its kind.
     """
     resolved = resolve(spec)
     samples = spec.sensors.calibration_samples
@@ -194,7 +179,7 @@ def run_trial(spec: ScenarioSpec,
     start_aperture = resolved.request.start_aperture
     plant = Plant(resolved.obj, start_aperture=start_aperture, offset=spec.offset,
                   pushes=spec.pushes, wrist=spec.wrist, config=spec.plant, period=resolved.period)
-    tape = record = None
+    tape, record = (), None
     if tapes is not None:
         key = repr((resolved.obj, start_aperture, spec.offset, spec.pushes, spec.wrist, spec.plant,
                     resolved.period, resolved.ticks))
@@ -202,7 +187,7 @@ def run_trial(spec: ScenarioSpec,
         if held_key == key:
             tape = held
         else:
-            record = _Tape(plant.state())
+            record = []
             tapes[spec.controller] = (key, record)
     rows = _trial_loop(plant, controller, sensors, resolved.period, resolved.ticks, tape, record)
     return _finish_trial(spec, resolved.control, resolved.obj.width, rows, controller.finished)
@@ -211,66 +196,52 @@ def run_trial(spec: ScenarioSpec,
 def _trial_loop(plant, controller, sensors, dt, ticks, tape, record) -> list[TimeSeriesRow]:
     """The trial's rows, one per tick until its controller finishes.
 
-    Each tick checks its measurement, then its command's step. While a tape
-    is given, a tick reads the plant from it and skips its step when the
-    command has the taped command's bits: equal, with zeros of one sign; a
-    NaN matches nothing. A taped fault repeats at its tick. At the first
-    other command, the plant is restored to the taped state before that
-    step, and past the tape's end to its end state; the loop then runs
-    live. A live tick appends to record, when given.
+    Each tick reads the plant, checks its measurement, ticks the controller
+    and records its row. While the tape has an entry for the tick and the
+    command has the taped command's bits (equal, with zeros of one sign; a
+    NaN matches nothing), the tick restores the taped state after that step
+    instead of stepping. Otherwise the loop drops the tape and steps live:
+    a taped fault repeats because its tick runs live. Once its state is
+    checked finite, a stepped tick appends its command and that state to
+    record, when given, so a faulting trial's tape ends before its fault.
     """
     read1, read2 = sensors[0].read, sensors[1].read
     isfinite, copysign = math.isfinite, math.copysign
     rows: list[TimeSeriesRow] = []
-    taped = tape.ticks if tape is not None else ()
-    replaying = bool(taped)
 
     for k in range(ticks):
         t = k * dt
-        if replaying:
-            true_f1, true_f2, g_dot_n, q1, q2, x_obj, (r1, r2) = taped[k]
-        else:
-            true_f1, true_f2 = plant.measured_forces()
-            g_dot_n = plant.g_dot_n()
-            q1, q2, x_obj = plant.q1, plant.q2, plant.x_obj
-        f1 = read1(true_f1)
-        f2 = read2(true_f2)
+        f1 = read1(plant.load_f1)
+        f2 = read2(plant.load_f2)
         if not (isfinite(f1) and isfinite(f2)):
             raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
 
-        cmd = controller.tick(f1, f2, q1, q2, g_dot_n)
+        q1, q2 = plant.q1, plant.q2
+        cmd = controller.tick(f1, f2, q1, q2, plant.g_dot_n)
         rows.append(
             TimeSeriesRow(
-                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, x_obj, controller.phase,
+                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj, controller.phase,
                 controller.last_u_int, controller.last_u_ext,
             )
         )
-        if replaying:
+        if k < len(tape):
+            (r1, r2), state = tape[k]
             c1, c2 = cmd
             if (c1 == r1 and c2 == r2 and (c1 or copysign(1.0, c1) == copysign(1.0, r1))
                     and (c2 or copysign(1.0, c2) == copysign(1.0, r2))):
-                if k + 1 == len(taped):
-                    if tape.faulted:
-                        raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
-                    plant.restore(tape.states[k + 1])
-                    replaying = False
+                plant.restore(state)
                 if controller.finished:
                     break
                 continue
-            plant.restore(tape.states[k])
-            replaying = False
-        elif record is not None:
-            record.ticks.append((true_f1, true_f2, g_dot_n, q1, q2, x_obj, cmd))
+            tape = ()
         plant.step(cmd)
         if not (
             isfinite(plant.x_obj) and isfinite(plant.q1) and isfinite(plant.q2)
             and isfinite(plant.true_f1) and isfinite(plant.true_f2)
         ):
-            if record is not None:
-                record.faulted = True
             raise RuntimeError(f"non-finite plant state at t={t:.3f} s")
         if record is not None:
-            record.states.append(plant.state())
+            record.append((cmd, plant.state()))
         if controller.finished:
             break
     return rows

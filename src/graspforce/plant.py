@@ -27,6 +27,12 @@ feels but the object does not, since the finger is position controlled).
 Pushes on the object are real forces in its equation of motion. The plant
 takes the pushes and the wrist sweep as given; pushes that overlap on one
 target sum.
+
+The plant publishes what its sensors read at its time as plain attributes:
+the true contact forces, the load-cell forces with finger pushes, and
+g_dot_n. It sets them once when built and once at the end of each step,
+and state()/restore() carry them, so a restored plant reads as the plant
+its state was taken from.
 """
 
 from __future__ import annotations
@@ -187,36 +193,36 @@ class Plant:
         self.x_obj = offset
         self.v_obj = 0.0
         self.t = 0.0
-        self.true_f1, self.true_f2 = self._contact_forces()
+        self._sense()
 
     def state(self) -> tuple[float, ...]:
-        """What a step reads and writes: (q1, q2, x_obj, v_obj, t, true_f1, true_f2)."""
-        return self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2
+        """What a step writes: (q1, q2, x_obj, v_obj, t, true_f1, true_f2, load_f1, load_f2,
+        g_dot_n), the five floats a step reads and the five reads it publishes."""
+        return (self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2,
+                self.load_f1, self.load_f2, self.g_dot_n)
 
     def restore(self, state: tuple[float, ...]) -> None:
         """Set the state that state() returned, of this plant or one built with the same inputs;
-        the steps from it then give the bits the steps from where it was taken gave."""
-        self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2 = state
+        the plant then reads as that plant did, and the steps from it give the bits the
+        steps from where it was taken gave."""
+        (self.q1, self.q2, self.x_obj, self.v_obj, self.t, self.true_f1, self.true_f2,
+         self.load_f1, self.load_f2, self.g_dot_n) = state
 
-    def g_dot_n(self) -> float:
-        if self.wrist is None:
-            return self._level_g_dot_n
-        return -self.config.gravity * math.sin(self.wrist.angle(self.t))
+    def _sense(self) -> None:
+        """Publish what the sensors read at the plant's time.
 
-    def _contact_forces(self) -> tuple[float, float]:
+        true_f1 and true_f2 are the contact forces, k * 0.0 without overlap,
+        so never -0.0. load_f1 and load_f2 add each finger's pushes, which
+        add left to right onto the int 0, as builtin sum did before Python
+        3.12 began to compensate. g_dot_n is the gravity projection along
+        the closing axis.
+        """
         k = self.contact_stiffness
         half = 0.5 * self.obj.width
         d1 = -self.q1 - (self.x_obj - half)
         d2 = (self.x_obj + half) - self.q2
-        return k * (d1 if d1 > 0.0 else 0.0), k * (d2 if d2 > 0.0 else 0.0)
-
-    def measured_forces(self) -> tuple[float, float]:
-        """True contact forces plus any scheduled finger pushes, as the load cells see them.
-
-        Each finger's pushes add left to right onto the int 0, as builtin sum
-        did before Python 3.12 began to compensate; a finger without pushes
-        adds that 0, so a -0.0 force still reads 0.0.
-        """
+        self.true_f1 = f1 = k * (d1 if d1 > 0.0 else 0.0)
+        self.true_f2 = f2 = k * (d2 if d2 > 0.0 else 0.0)
         t = self.t
         on_1, on_2 = self._finger_pushes
         push1 = push2 = 0
@@ -224,12 +230,17 @@ class Plant:
             push1 += p.value(t)
         for p in on_2:
             push2 += p.value(t)
-        return self.true_f1 + push1, self.true_f2 + push2
+        self.load_f1 = f1 + push1
+        self.load_f2 = f2 + push2
+        wrist = self.wrist
+        self.g_dot_n = (self._level_g_dot_n if wrist is None
+                        else -self.config.gravity * math.sin(wrist.angle(t)))
 
     def step(self, command: tuple[float, float]) -> None:
         """Advance by one controller period, holding the command (q1, q2) fixed.
 
-        The state advances in place and is read from the plant's attributes.
+        The state advances in place, and the step ends by publishing the
+        reads at its new time; both are read from the plant's attributes.
         What the trial fixes, the substep plan (period, substep count,
         substep and drag) and, when no sweep is scheduled, the object's
         weight along the axis, is bound once in __init__; the finger
@@ -257,7 +268,7 @@ class Plant:
         move2 = 0.0 if need2 == 0.0 else math.copysign(cap if cap < speed2 else speed2, need2) * dt
         reach1, reach2 = abs(move1), abs(move2)
         low1, low2 = -reach1, -reach2
-        # Object pushes add left to right onto the int 0, as measured_forces adds
+        # Object pushes add left to right onto the int 0, as _sense adds
         # finger pushes; with none, 0.0 adds exactly as that 0 would, in float arithmetic.
         push_obj = 0.0
         for _ in range(n_sub):
@@ -280,4 +291,4 @@ class Plant:
             x += dt * v
             t += dt
         self.q1, self.q2, self.x_obj, self.v_obj, self.t = q1, q2, x, v, t
-        self.true_f1, self.true_f2 = self._contact_forces()
+        self._sense()

@@ -94,10 +94,9 @@ def frozen_rows(spec: ScenarioSpec, commands: list | None = None) -> list[TimeSe
     isfinite = math.isfinite
     for k in range(resolved.ticks):
         t = k * dt
-        true_f1, true_f2 = plant.measured_forces()
-        f1 = sensors[0].read(true_f1)
-        f2 = sensors[1].read(true_f2)
-        g_dot_n = plant.g_dot_n()
+        f1 = sensors[0].read(plant.load_f1)
+        f2 = sensors[1].read(plant.load_f2)
+        g_dot_n = plant.g_dot_n
         if not (isfinite(f1) and isfinite(f2)):
             raise RuntimeError(f"non-finite measurement at t={t:.3f} s")
         q1, q2 = plant.q1, plant.q2
@@ -148,6 +147,8 @@ def steps(monkeypatch) -> list:
 
 FINGER_PUSHES = ({"target": "finger1", "force": 1.0, "t_start": 0.5, "t_end": 1.5},
                  {"target": "finger2", "force": 0.5, "t_start": 1.0, "t_end": 2.0})
+OBJECT_PUSH = {"target": "object", "force": 0.3, "t_start": 0.5, "t_end": 1.5}
+WRIST = {"t_start": 0.5, "t_end": 2.5, "angle_end": 1.5}
 SPECK = {"name": "speck", "mass": 1e-5, "width": 0.05, "stiffness": 20000.0}
 OVERFLOWING_PUSH = {"pushes": [{"target": "finger1", "force": 10.0, "t_start": 0.5, "t_end": 1.0}],
                     "sensors": {"noise_sigma": 0.0, "gamma1": 2.3e-308}}
@@ -160,10 +161,10 @@ class TestTapeReplay:
     CASES = {
         "noise": {"sensors": {"noise_sigma": None}},
         "quiet": QUIET,
-        "wrist": {"wrist": {"t_start": 0.5, "t_end": 2.5, "angle_end": 1.5}},
-        "object_push": {"pushes": [{"target": "object", "force": 0.3, "t_start": 0.5,
-                                    "t_end": 1.5}]},
+        "wrist": {"wrist": WRIST},
+        "object_push": {"pushes": [OBJECT_PUSH]},
         "finger_pushes": {"pushes": FINGER_PUSHES},
+        "pushes_and_sweep": {"pushes": [*FINGER_PUSHES, OBJECT_PUSH], "wrist": WRIST},
     }
 
     @staticmethod
@@ -245,14 +246,14 @@ class TestTapeReplay:
         tapes, taped, commands = {}, [], []
         frozen_rows(spec, taped)
         run_trial(spec, tapes)
-        command = TrajectoryController.command
+        tick = TrajectoryController.tick
 
-        def signed(self, ticks):
-            cmd = list(command(self, ticks))
+        def signed(self, *reads):
+            cmd = list(tick(self, *reads))
             cmd[finger] = cmd[finger] or -0.0
             return tuple(cmd)
 
-        monkeypatch.setattr(TrajectoryController, "command", signed)
+        monkeypatch.setattr(TrajectoryController, "tick", signed)
         rows = frozen_rows(spec, commands)
         k = commands.index((0.0, 0.0))
         assert commands[:k] == taped[:k] and repr(commands[k][finger]) == "-0.0"
@@ -263,15 +264,16 @@ class TestTapeReplay:
         assert repr(result.series[k + 1][1 + finger]) == "-0.0"
 
     def test_a_nan_command_matches_nothing(self, steps, monkeypatch):
-        # Two trials that command the one NaN object at a tick both fault there, the replay
-        # from the taped state: the comparison is of floats, not of identities.
+        # Two trials that command the one NaN object at a tick both fault there. A NaN command
+        # leaves a NaN finger, so the tape ends before it and the replay steps that tick live.
         spec = quiet_spec(controller="trajectory")
-        command = TrajectoryController.command
+        tick = TrajectoryController.tick
 
-        def failing(self, ticks):
-            return (math.nan, math.nan) if ticks == 20 else command(self, ticks)
+        def failing(self, *reads):
+            cmd = tick(self, *reads)
+            return (math.nan, math.nan) if self.ticks == 20 else cmd
 
-        monkeypatch.setattr(TrajectoryController, "command", failing)
+        monkeypatch.setattr(TrajectoryController, "tick", failing)
         message = frozen_fault(spec)
         assert message == "non-finite plant state at t=0.190 s"
         tapes = {}
@@ -291,15 +293,18 @@ class TestTapeReplay:
     ], ids=["measurement", "plant_state", "measurement_first"])
     def test_faults_repeat_on_a_replay(self, steps, controller, kw, message):
         spec = quiet_spec(controller=controller, **kw)
-        assert re.fullmatch(message, frozen_fault(spec))
+        commands = []
+        with pytest.raises(RuntimeError) as fault:
+            frozen_rows(spec, commands)
+        assert re.fullmatch(message, str(fault.value))
         tapes = {}
         for _ in range(2):
             steps.clear()
             with pytest.raises(RuntimeError, match=f"^{message}$"):
                 run_trial(spec, tapes)
-        # The replay steps nothing: the plant fault is the tape's, and a measurement fault
-        # comes at the tick after the tape's end, before that tick's step.
-        assert steps == []
+        # The tape ends before the fault, and the replay runs live from there: a measurement
+        # fault comes before its tick's step, and a plant fault steps its tick's command once.
+        assert steps == ([commands[-1]] if "plant state" in message else [])
 
     def test_each_exp_a_call_records_its_own_tapes(self, steps):
         # Per controller kind, a cell's first trial records and its other repetitions replay
@@ -540,14 +545,15 @@ class TestRunTrial:
     @pytest.mark.parametrize("gravity_comp", [True, False], ids=["comp", "no_comp"])
     @pytest.mark.parametrize("controller", ["force", "trajectory"])
     def test_f_ext_is_the_controllers_estimate(self, monkeypatch, controller, gravity_comp, wrist):
-        # Each tick's gravity projection is recorded as the plant hands it over.
-        g_dot_n, seen = harness.Plant.g_dot_n, []
+        # Each tick's gravity projection is recorded as the controller receives it.
+        kind = GraspController if controller == "force" else TrajectoryController
+        tick, seen = kind.tick, []
 
-        def recording(plant):
-            seen.append(g_dot_n(plant))
-            return seen[-1]
+        def recording(self, f1, f2, q1, q2, g_dot_n):
+            seen.append(g_dot_n)
+            return tick(self, f1, f2, q1, q2, g_dot_n)
 
-        monkeypatch.setattr(harness.Plant, "g_dot_n", recording)
+        monkeypatch.setattr(kind, "tick", recording)
         spec = quiet_spec(offset=0.005, controller=controller, wrist=wrist,
                           control={"gravity_comp_enabled": gravity_comp})
         rows = run_trial(spec).series

@@ -63,8 +63,8 @@ def digest(plant, controller):
                             restored = new_plant()
                             restored.restore(live.state())
                             live = restored
-                        f1, f2 = live.measured_forces()
-                        cmd = ctrl.tick(f1, f2, live.q1, live.q2, live.g_dot_n())
+                        cmd = ctrl.tick(live.load_f1, live.load_f2, live.q1, live.q2,
+                                        live.g_dot_n)
                         live.step(cmd)
                         out.update(repr((cmd, live.state(), ctrl.last_f_ext, ctrl.phase)).encode())
     return out.hexdigest()

@@ -188,7 +188,7 @@ class TestDisturbances:
         push = Push(FINGER_1, 1.0, 0.0, 1.0, ramp=0.01)
         plant = Plant(obj, start_aperture=0.08, pushes=(push,), period=0.05)
         plant.step(hold(plant))
-        f1_meas, f2_meas = plant.measured_forces()
+        f1_meas, f2_meas = plant.load_f1, plant.load_f2
         assert f1_meas == pytest.approx(1.0, abs=1e-12)
         assert f2_meas == 0.0
         assert plant.true_f1 == 0.0
@@ -197,17 +197,19 @@ class TestDisturbances:
     @pytest.mark.parametrize("targets", [(), (FINGER_1,), (FINGER_2,), (FINGER_1, FINGER_2)])
     def test_measured_forces_keep_the_push_sum_bits(self, targets):
         # The reference is the sum over every finger push, empty or not, so
-        # a finger without pushes adds int 0 and a -0.0 force reads 0.0.
+        # a finger without pushes adds int 0. The true forces come from the
+        # fingers' overlap with the 25 mm half-width, so none is -0.0.
         obj = ObjectSpec("slab", mass=0.049, width=0.05, stiffness=2000.0, damping=60.0)
         pushes = tuple(Push(target, 0.3, 0.0, 1.0, ramp=0.2) for target in targets)
         plant = Plant(obj, start_aperture=0.08, pushes=pushes, period=0.01)
-        for true_f1, true_f2, t in [(-0.0, -0.0, 0.05), (0.25, -0.0, 0.5), (-0.0, 1.5, 2.0)]:
-            plant.true_f1, plant.true_f2, plant.t = true_f1, true_f2, t
+        for q1, q2, t in [(0.04, 0.04, 0.05), (0.0245, 0.04, 0.5), (0.04, 0.0235, 2.0)]:
+            plant.q1, plant.q2, plant.t = q1, q2, t
+            plant._sense()
             want = [
                 force + sum(p.value(t) for p in pushes if p.target == target)
-                for force, target in ((true_f1, FINGER_1), (true_f2, FINGER_2))
+                for force, target in ((plant.true_f1, FINGER_1), (plant.true_f2, FINGER_2))
             ]
-            assert [f.hex() for f in plant.measured_forces()] == [f.hex() for f in want]
+            assert [f.hex() for f in (plant.load_f1, plant.load_f2)] == [f.hex() for f in want]
 
     @pytest.mark.parametrize("target", [FINGER_1, OBJECT])
     def test_overlapping_pushes_add_left_to_right(self, target):
@@ -219,7 +221,7 @@ class TestDisturbances:
         pushes = tuple(Push(target, force, -1.0, 1.0, ramp=0.0) for force in (0.1, 0.2, 0.3))
         plant = Plant(obj, start_aperture=0.08, pushes=pushes, period=1e-3)  # one substep
         if target == FINGER_1:
-            assert plant.measured_forces() == (want, 0.0)
+            assert (plant.load_f1, plant.load_f2) == (want, 0.0)
         else:
             # No contact and a level wrist: the pushes are the whole net force.
             plant.step(hold(plant))
@@ -259,7 +261,7 @@ class TestDisturbances:
         readings = []
         for _ in range(3):
             plant.step(hold(plant))
-            readings.append(plant.measured_forces())
+            readings.append((plant.load_f1, plant.load_f2))
             plant.step(hold(plant))
         assert readings == [(0.0, 1.0), (0.0, 1.25), (0.0, 0.25)]
 
@@ -429,10 +431,13 @@ def _bits(values):
 
 
 def _snapshot(plant):
+    if isinstance(plant, FrozenPlant):
+        reads = (*plant.measured_forces(), plant.g_dot_n())
+    else:
+        reads = (plant.load_f1, plant.load_f2, plant.g_dot_n)
     return _bits(
         (plant.q1, plant.q2, plant.x_obj, plant.v_obj, plant.t, plant.true_f1, plant.true_f2)
-        + tuple(plant.measured_forces())
-        + (plant.g_dot_n(),)
+        + reads
     )
 
 
@@ -565,10 +570,12 @@ class TestStateRestore:
             if other is not None:
                 assert _snapshot(other) == _snapshot(own) == _snapshot(uninterrupted)
 
-    def test_state_is_the_seven_floats_a_step_reads_and_writes(self):
+    def test_state_is_the_ten_floats_a_step_writes(self):
+        # The five a step reads, then the reads it publishes.
         obj, offset, start, pushes, wrist, config = REFERENCE_SCENARIOS["pushes and sweep"]
         plant = Plant(obj, start_aperture=start, offset=offset, pushes=pushes, wrist=wrist,
                       config=config, period=0.01)
         plant.step((0.02, 0.03))
         assert plant.state() == (plant.q1, plant.q2, plant.x_obj, plant.v_obj, plant.t,
-                                 plant.true_f1, plant.true_f2)
+                                 plant.true_f1, plant.true_f2, plant.load_f1, plant.load_f2,
+                                 plant.g_dot_n)

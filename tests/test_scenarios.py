@@ -403,7 +403,7 @@ class TestPushes:
         for _ in range(3):
             plant.step((plant.q1, plant.q2))
         assert plant.t == pytest.approx(1.5)
-        assert plant.measured_forces() == (1.0, 0.0)
+        assert (plant.load_f1, plant.load_f2) == (1.0, 0.0)
         assert plant.x_obj > 0.0
         # Drag balances the push: terminal velocity is force / damping.
         assert plant.v_obj == pytest.approx(1.0 / obj.damping)
