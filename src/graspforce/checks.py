@@ -23,6 +23,8 @@ def _checked_fields(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _has_kind(value, kind: str) -> bool:
+    if type(value) is float:  # most values: answered without the ABC checks below
+        return kind.startswith("float") and math.isfinite(value)
     if kind == "bool" or isinstance(value, bool):
         return kind == "bool" and isinstance(value, bool)
     if kind == "int":

@@ -116,7 +116,8 @@ def _cmd_exp_a(args) -> int:
         out_dir=args.out_dir, base_seed=args.seed, overrides=parse_overrides(args.overrides)
     )
     print(result.table())
-    print(f"{len(result.trials)} trials in {result.elapsed:.1f} s; reports in {args.out_dir}")
+    print(f"{len(result.trials)} trials; reports in {args.out_dir}")
+    log.info("exp-a ran %d trials in %.1f s", len(result.trials), result.elapsed)
     return EXIT_OK
 
 

@@ -24,8 +24,10 @@ experiment with the same seed writes byte-identical CSV files.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -97,6 +99,7 @@ class TimeSeriesRow(NamedTuple):
 
 
 CSV_HEADER = ",".join(TimeSeriesRow._fields)
+_F_INT = operator.itemgetter(TimeSeriesRow._fields.index("f_int"))
 # One CSV line per row: "%.9g" gives the bytes format(float(v), ".9g") gives
 # for every float, int and bool, so a series reads as the report tables do.
 _ROW_FORMAT = ",".join("%s" if kind is str else "%.9g"
@@ -208,6 +211,8 @@ def _trial_loop(plant, controller, sensors, dt, ticks, tape, record) -> list[Tim
     read1, read2 = sensors[0].read, sensors[1].read
     isfinite, copysign = math.isfinite, math.copysign
     rows: list[TimeSeriesRow] = []
+    # tuple.__new__ builds a row in C: the NamedTuple's own __new__ is Python code.
+    append, new, row_type = rows.append, tuple.__new__, TimeSeriesRow
 
     for k in range(ticks):
         t = k * dt
@@ -218,12 +223,8 @@ def _trial_loop(plant, controller, sensors, dt, ticks, tape, record) -> list[Tim
 
         q1, q2 = plant.q1, plant.q2
         cmd = controller.tick(f1, f2, q1, q2, plant.g_dot_n)
-        rows.append(
-            TimeSeriesRow(
-                t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj, controller.phase,
-                controller.last_u_int, controller.last_u_ext,
-            )
-        )
+        append(new(row_type, (t, q1, q2, f1, f2, f1 + f2, controller.last_f_ext, plant.x_obj,
+                              controller.phase, controller.last_u_int, controller.last_u_ext)))
         if k < len(tape):
             (r1, r2), state = tape[k]
             c1, c2 = cmd
@@ -255,24 +256,25 @@ def _finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
     # moving (or squeezing) the object.
     near_q_end = rows[-1].q2 if spec.offset >= 0.0 else rows[-1].q1
     proxy = 0.5 * obj_width + abs(spec.offset) - near_q_end
-    holding = [r for r in rows if r.phase == GraspPhase.HOLDING]
+    f_int = list(map(_F_INT, rows))
+    # Neither controller leaves holding, so the holding rows end the series.
+    start = bisect.bisect_left(rows, True, key=lambda row: row.phase == GraspPhase.HOLDING)
 
-    band = 0.05 * cfg.f_goal
-    settle_time = None
-    if holding:
-        inside = [abs(r.f_int - cfg.f_goal) <= band for r in holding]
-        if inside and inside[-1]:
-            idx = len(inside)
-            while idx > 0 and inside[idx - 1]:
-                idx -= 1
-            settle_time = holding[idx].t
-    overshoot = max((r.f_int - cfg.f_goal for r in holding), default=0.0)
+    # Settled at the first holding row of the run inside the goal band that ends the series.
+    goal = cfg.f_goal
+    band = 0.05 * goal
+    n = idx = len(rows)
+    while idx > start and abs(f_int[idx - 1] - goal) <= band:
+        idx -= 1
+    settle_time = rows[idx].t if idx < n else None
+    # Rounding is monotone, so the peak's excess is the largest excess, bit for bit.
+    overshoot = max(f_int[start:], default=goal) - goal
 
     return TrialResult(
         spec=spec,
         displacement_truth=abs(x_end - x0),
         displacement_proxy=proxy,
-        max_total_force=max(r.f_int for r in rows),
+        max_total_force=max(f_int),
         settle_time=settle_time,
         overshoot=max(overshoot, 0.0),
         finished=finished,
@@ -385,12 +387,12 @@ def run_experiment_a(
         raise ValueError(f"exp-a needs reps >= 1 and some offsets and objects, got reps={reps}, "
                          f"offsets={tuple(offsets)}, objects={tuple(objects)}")
     started = time.perf_counter()
+    control = ControllerConfig(phase3_mode=STOP_AT_GOAL)
     # Every spec is built, and so checked, before the output directory is made.
     specs = [
         with_overrides(ScenarioSpec(
             object=object_name, offset=offset, controller=controller,
-            seed=_trial_seed(base_seed, i_obj, i_off, rep),
-            control=ControllerConfig(phase3_mode=STOP_AT_GOAL),
+            seed=_trial_seed(base_seed, i_obj, i_off, rep), control=control,
         ), overrides)
         for i_obj, object_name in enumerate(objects)
         for i_off, offset in enumerate(offsets)

@@ -100,21 +100,24 @@ class CalibratedSensor:
         self._read_with = (model.min_force, model.gamma, model.bias, model.noise_sigma,
                            calibrate(1.0, model, 0.0))
         self._rng = np.random.default_rng(model.seed)
-        # Standard normals drawn from _rng but not used yet, the next one last.
-        self._normals: list[float] = []
+        # Noise draws, 0.0 + sigma * z, from _rng's standard normals z not used yet, the next last.
+        self._noise: list[float] = []
         self.bias_estimate = estimate_bias(model, calibration_samples, self._rng)
 
     def read(self, true_force: float) -> float:
         """Calibrate one raw sample of true_force, its noise `rng.normal(0.0, sigma)` bit for bit.
 
         numpy computes that draw as 0.0 + sigma * z from one standard normal z, and a chunk of
-        `standard_normal(n)` holds the z values of n single draws, in the same order.
+        `standard_normal(n)` holds the z values of n single draws, in the same order. The chunk
+        is scaled as a whole: numpy's elementwise float arithmetic gives Python's bits.
         """
         min_force, gamma, bias, sigma, gain = self._read_with
         raw = (true_force if true_force >= min_force else 0.0) / gamma + bias
         if sigma > 0.0:
-            normals = self._normals
-            if not normals:
-                normals.extend(self._rng.standard_normal(_NORMALS_AHEAD)[::-1].tolist())
-            raw += 0.0 + sigma * normals.pop()
+            noise = self._noise
+            if not noise:
+                with np.errstate(over="ignore"):  # an infinite draw faults the read, as a scalar's
+                    chunk = 0.0 + sigma * self._rng.standard_normal(_NORMALS_AHEAD)
+                noise.extend(chunk[::-1].tolist())
+            raw += noise.pop()
         return gain * (raw - self.bias_estimate)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -145,3 +146,67 @@ class TestCheckFields:
         tree = ast.parse(Path(graspforce.checks.__file__).read_text(encoding="utf-8"))
         relative = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
         assert relative == []
+
+
+def abc_has_kind(value, kind: str) -> bool:
+    """_has_kind as it was before exact floats skipped the ABC checks."""
+    if kind == "bool" or isinstance(value, bool):
+        return kind == "bool" and isinstance(value, bool)
+    if kind == "int":
+        return isinstance(value, numbers.Integral)
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def abc_check_fields(record, lower=None, upper=None) -> None:
+    """check_fields as it was, on abc_has_kind."""
+    for name, kind in graspforce.checks._checked_fields(type(record)):
+        value = getattr(record, name)
+        low, low_inclusive = (lower or {}).get(name, (None, True))
+        high, high_inclusive = (upper or {}).get(name, (None, True))
+        if (value is None and kind == "float | None") or abc_has_kind(value, kind) and (
+            low is None or (value >= low if low_inclusive else value > low)
+        ) and (high is None or (value <= high if high_inclusive else value < high)):
+            continue
+        need = graspforce.checks._KINDS[kind]
+        if low is not None:
+            need += f" {'>=' if low_inclusive else '>'} {low:.15g}"
+        if high is not None:
+            joint = " and" if low is not None else ""
+            need += f"{joint} {'<=' if high_inclusive else '<'} {high:.15g}"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
+
+
+class Subfloat(float):
+    pass
+
+
+KIND_VALUES = [0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, True, False, 1,
+               2**1100, np.float64(1.0), Subfloat(1.5), Subfloat(math.inf), None, "1"]
+
+
+class TestExactFloats:
+    """Exact floats skip the ABC checks and get the verdicts and messages they got before."""
+
+    @pytest.mark.parametrize("kind", CHECKED)
+    @pytest.mark.parametrize("value", KIND_VALUES, ids=repr)
+    def test_verdict_matches_the_abc_check(self, kind, value):
+        assert graspforce.checks._has_kind(value, kind) is abc_has_kind(value, kind)
+
+    @pytest.mark.parametrize("value", KIND_VALUES, ids=repr)
+    @pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
+    def test_messages_match_the_abc_check(self, value, bounded):
+        lower = {"x": POSITIVE, "y": NON_NEGATIVE, "n": (1, True)} if bounded else None
+        upper = {"x": (1e300, True), "y": (5.0, False)} if bounded else None
+        for name in ("x", "y", "n", "flag"):
+            record = dataclasses.replace(_Sample(), **{name: value})
+            try:
+                abc_check_fields(record, lower, upper)
+            except ValueError as expected:
+                with pytest.raises(ValueError) as found:
+                    check_fields(record, lower, upper)
+                assert str(found.value) == str(expected)
+            else:
+                check_fields(record, lower, upper)

@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graspforce
 from graspforce import cli, harness, simplex
 from graspforce.cli import build_parser, main
 from graspforce.geometry import rotation_from_normal
@@ -590,6 +596,27 @@ class TestExperiments:
         assert (out / "exp_a_summary.csv").exists()
         assert "tape_roll" in captured.out
         assert "90 trials" in captured.out
+
+    def test_exp_a_stdout_repeats_and_verbose_logs_the_time(self, tmp_path):
+        # The wall time goes to the graspforce logger at INFO, so two runs of one seed print
+        # the same stdout and -v shows the time on stderr. Each run is a fresh interpreter:
+        # pytest's log handlers on the root logger keep main's logging.basicConfig from
+        # setting the level in-process.
+        path = [str(Path(graspforce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+        def exp_a(*flags):
+            return subprocess.run(
+                [sys.executable, "-m", "graspforce", *flags, "exp-a", "--seed", "3",
+                 "--out-dir", str(tmp_path)], capture_output=True, text=True, env=env, timeout=300,
+            )
+
+        quiet, verbose = exp_a(), exp_a("-v")
+        assert quiet.returncode == verbose.returncode == 0
+        assert quiet.stdout == verbose.stdout
+        assert quiet.stdout.endswith(f"\n90 trials; reports in {tmp_path}\n")
+        assert quiet.stderr == ""
+        assert re.fullmatch(r"INFO graspforce: exp-a ran 90 trials in \d+\.\d s\n", verbose.stderr)
 
     def test_exp_b_writes_series_and_metrics(self, tmp_path, capsys):
         out = tmp_path / "expb"

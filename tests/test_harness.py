@@ -16,6 +16,8 @@ from graspforce.harness import (
     EXPERIMENT_A_REPS,
     EXPERIMENT_B_VARIANTS,
     TimeSeriesRow,
+    TrialMetrics,
+    TrialResult,
     _experiment_b_spec,
     _finish_trial,
     _trial_seed,
@@ -132,6 +134,21 @@ def shared_prefix(commands: list, taped: list) -> int:
     return n
 
 
+def assert_same_rows(found: list, expected: list) -> None:
+    """found has expected's rows, bit for bit (repr tells -0.0 from 0.0). A failure reports
+    the lengths or the first rows that differ, so pytest never diffs two whole series."""
+    assert len(found) == len(expected)
+    for k, (row, want) in enumerate(zip(found, expected)):
+        if repr(row) != repr(want):
+            assert repr(row) == repr(want), f"row {k} differs"
+
+
+def assert_same_trial(found, expected) -> None:
+    """Two TrialResults with the same spec, metrics and rows, compared as assert_same_rows."""
+    assert repr(found.metrics()) == repr(expected.metrics())
+    assert_same_rows(found.series, expected.series)
+
+
 @pytest.fixture
 def steps(monkeypatch) -> list:
     """The commands of every Plant.step call from here on."""
@@ -187,8 +204,8 @@ class TestTapeReplay:
             steps.clear()
             result = run_trial(spec, tapes)
             assert len(steps) == len(rows) - (shared_prefix(commands, taped) if i else 0)
-            assert [repr(r) for r in result.series] == [repr(r) for r in rows]
-            assert repr(result) == repr(run_trial(spec))
+            assert_same_rows(result.series, rows)
+            assert_same_trial(result, run_trial(spec))
         assert list(tapes) == [controller]
 
     def test_a_replay_goes_live_at_its_first_other_command(self, steps):
@@ -202,7 +219,7 @@ class TestTapeReplay:
         result = run_trial(other, tapes)
         k = shared_prefix(commands, taped)
         assert 0 < k < min(len(taped), len(commands))
-        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert_same_rows(result.series, rows)
         assert steps == commands[k:]
 
     def test_a_replay_goes_live_past_the_tapes_end(self, steps):
@@ -218,7 +235,7 @@ class TestTapeReplay:
         steps.clear()
         result = run_trial(holds, tapes)
         assert shared_prefix(commands, taped) == len(taped) < len(commands) == resolve(holds).ticks
-        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert_same_rows(result.series, rows)
         assert steps == commands[len(taped):]
 
     @pytest.mark.parametrize("controller", ["force", "trajectory"])
@@ -233,7 +250,7 @@ class TestTapeReplay:
             steps.clear()
             result = run_trial(spec(offset), tapes)
             assert len(steps) == len(result.series)
-            assert repr(result) == repr(run_trial(spec(offset)))
+            assert_same_trial(result, run_trial(spec(offset)))
             path = write_csv(result.series, tmp_path / "series.csv")
             x_obj = path.read_text().splitlines()[1].split(",")[7]
             assert x_obj == ("-0" if math.copysign(1.0, offset) < 0.0 else "0")
@@ -259,7 +276,7 @@ class TestTapeReplay:
         assert commands[:k] == taped[:k] and repr(commands[k][finger]) == "-0.0"
         steps.clear()
         result = run_trial(spec, tapes)
-        assert [repr(r) for r in result.series] == [repr(r) for r in rows]
+        assert_same_rows(result.series, rows)
         assert len(steps) == len(rows) - k
         assert repr(result.series[k + 1][1 + finger]) == "-0.0"
 
@@ -348,7 +365,7 @@ class TestExperimentsReplayInvisibly:
         monkeypatch.undo()
         assert len(results) == trials
         for result in results:
-            assert repr(result) == repr(run_trial(result.spec))
+            assert_same_trial(result, run_trial(result.spec))
 
 
 @st.composite
@@ -379,7 +396,7 @@ class TestAblationProperties:
         # force with finger pushes added onto the int 0 does not reach.
         rows = [run_trial(ScenarioSpec.from_dict({**data, "control": {
             "gravity_comp_enabled": enabled}})).series for enabled in (True, False)]
-        assert [repr(r) for r in rows[0]] == [repr(r) for r in rows[1]]
+        assert_same_rows(rows[0], rows[1])
 
     @settings(derandomize=True, max_examples=16, deadline=None)
     @given(st.integers(0, 2**31))
@@ -586,6 +603,105 @@ class TestRunTrial:
                 for k, (phase, f_int) in enumerate(phases)]
         result = _finish_trial(spec, cfg, 0.06, rows, False)
         assert result.settle_time == rows[1].t == 0.01
+
+
+def frozen_finish_trial(spec, cfg, obj_width, rows, finished) -> TrialResult:
+    """_finish_trial as it was before it read the rows by column: every metric from the rows'
+    attributes, the holding rows found by filtering on the phase."""
+    x0 = rows[0].x_obj
+    x_end = rows[-1].x_obj
+    near_q_end = rows[-1].q2 if spec.offset >= 0.0 else rows[-1].q1
+    proxy = 0.5 * obj_width + abs(spec.offset) - near_q_end
+    holding = [r for r in rows if r.phase == "holding"]
+
+    band = 0.05 * cfg.f_goal
+    settle_time = None
+    if holding:
+        inside = [abs(r.f_int - cfg.f_goal) <= band for r in holding]
+        if inside and inside[-1]:
+            idx = len(inside)
+            while idx > 0 and inside[idx - 1]:
+                idx -= 1
+            settle_time = holding[idx].t
+    overshoot = max((r.f_int - cfg.f_goal for r in holding), default=0.0)
+
+    return TrialResult(
+        spec=spec,
+        displacement_truth=abs(x_end - x0),
+        displacement_proxy=proxy,
+        max_total_force=max(r.f_int for r in rows),
+        settle_time=settle_time,
+        overshoot=max(overshoot, 0.0),
+        finished=finished,
+        series=rows,
+    )
+
+
+def metric_reprs(result: TrialResult) -> dict[str, str]:
+    return {f.name: repr(getattr(result, f.name)) for f in dataclasses.fields(TrialMetrics)}
+
+
+class TestColumnarMetrics:
+    """_finish_trial reads the rows by column and gives the frozen attribute scan's bits."""
+
+    @pytest.mark.parametrize("base_seed, overrides", [(0, None), (7, None), (0, QUIET)],
+                             ids=["seed0", "seed7", "noiseless"])
+    def test_every_exp_a_trial_matches_the_attribute_scan(self, monkeypatch, base_seed,
+                                                           overrides):
+        finish, calls = harness._finish_trial, []
+
+        def keeping(*args):
+            calls.append((args, finish(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(harness, "_finish_trial", keeping)
+        run_experiment_a(base_seed=base_seed, overrides=overrides)
+        assert len(calls) == 90
+        settled = 0
+        for args, result in calls:
+            assert metric_reprs(result) == metric_reprs(frozen_finish_trial(*args))
+            # Neither controller leaves holding, so the holding rows end the series.
+            phases = [r.phase for r in args[3]]
+            start = phases.index("holding") if "holding" in phases else len(phases)
+            assert set(phases[start:]) <= {"holding"} and "holding" not in phases[:start]
+            settled += result.settle_time is not None
+        assert 0 < settled < len(calls)
+
+    # f_goal 2.5 puts the goal band at exactly 0.125 N: 2.625 - 2.5 and 2.5 - 2.375 are exact.
+    EDGE = 2.625
+    PAST_EDGE = math.nextafter(2.625, math.inf)
+    CASES = {
+        "no_holding_row": ([("closing", 0.0), ("contact", 1.0), ("contact", 2.7)], None, 0.0),
+        "holding_from_row_0": ([("holding", 2.4), ("holding", 2.6), ("holding", 2.5)], 0, 0.1),
+        "band_entered_on_the_last_row": (
+            [("contact", 1.0), ("holding", 3.0), ("holding", 2.7), ("holding", 2.55)], 3, 0.5),
+        "band_left_on_the_last_row": (
+            [("contact", 1.0), ("holding", 2.5), ("holding", 2.6), ("holding", 2.7)], None, 0.2),
+        "on_the_band_edge": (
+            [("contact", 1.0), ("holding", 3.0), ("holding", EDGE), ("holding", 2.375)], 2, 0.5),
+        "past_the_band_edge": (
+            [("contact", 1.0), ("holding", 2.5), ("holding", PAST_EDGE)], None, PAST_EDGE - 2.5),
+        "inside_the_band_before_holding": (
+            [("contact", 2.5), ("holding", 2.5), ("holding", 2.45)], 1, 0.0),
+        "below_the_goal_throughout": (
+            [("closing", 0.0), ("holding", 2.4), ("holding", 2.45)], 1, 0.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hand_built_series(self, case):
+        phases, settled_row, overshoot = self.CASES[case]
+        spec = ScenarioSpec()
+        cfg = dataclasses.replace(resolve(spec).control, f_goal=2.5)
+        assert abs(self.EDGE - cfg.f_goal) == 0.05 * cfg.f_goal == abs(2.375 - cfg.f_goal)
+        rows = [TimeSeriesRow(0.01 * k, 0.03, 0.03, 0.5 * f_int, 0.5 * f_int, f_int, 0.0, 0.0,
+                              phase, 0.0, 0.0) for k, (phase, f_int) in enumerate(phases)]
+        result = _finish_trial(spec, cfg, 0.06, rows, False)
+        assert metric_reprs(result) == metric_reprs(frozen_finish_trial(spec, cfg, 0.06, rows,
+                                                                        False))
+        assert result.settle_time == (None if settled_row is None else rows[settled_row].t)
+        assert result.overshoot == pytest.approx(overshoot, abs=1e-12)
+        assert result.max_total_force == max(f for _, f in phases)
+        assert result.series is rows
 
 
 @pytest.fixture(scope="module")

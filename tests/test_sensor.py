@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graspforce import sensor
 from graspforce.controller import ControllerConfig
@@ -169,11 +169,35 @@ class TestBiasEstimate:
                 estimate_bias(SensorModel(), n, rng)
 
 
+class ChunkCounter:
+    """A sensor's generator, counting the standard-normal chunks its reads draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.chunks = rng, 0
+
+    def standard_normal(self, size):
+        self.chunks += 1
+        return self.rng.standard_normal(size)
+
+
+def count_chunks(calibrated: CalibratedSensor) -> ChunkCounter:
+    """Count the chunks calibrated's reads draw from here on; calibration has drawn already."""
+    calibrated._rng = ChunkCounter(calibrated._rng)
+    return calibrated._rng
+
+
+def chunks_for(model: SensorModel, reads: int) -> int:
+    """The chunks that many reads draw: none without noise, else one per started chunk."""
+    return -(-reads // sensor._NORMALS_AHEAD) if model.noise_sigma > 0.0 else 0
+
+
 class TestNoiseStream:
     """Noise drawn ahead in chunks reads as one scalar draw per sample."""
 
-    def test_calibrated_reads_match_a_scalar_draw_loop(self):
-        model = SensorModel(gamma=11.03, bias=0.47, seed=31, gain_scale=1.01)
+    @pytest.mark.parametrize("noise_sigma", [None, 0.0], ids=["noise", "noiseless"])
+    def test_calibrated_reads_match_a_scalar_draw_loop(self, noise_sigma):
+        model = SensorModel(gamma=11.03, bias=0.47, noise_sigma=noise_sigma, seed=31,
+                            gain_scale=1.01)
         calibrated = CalibratedSensor(model, calibration_samples=10)
         rng = np.random.default_rng(31)
         sigma = model.noise_sigma
@@ -181,19 +205,37 @@ class TestNoiseStream:
         assert calibrated.bias_estimate.hex() == bias_est.hex()
         n_reads = 5 * sensor._NORMALS_AHEAD // 2
         forces = [0.01 * (i % 300) for i in range(n_reads)]
+        counter = count_chunks(calibrated)
         got = [calibrated.read(f).hex() for f in forces]
         expected = [calibrate(scalar_raw(f, model, rng), model, bias_est).hex() for f in forces]
         assert got == expected
+        assert counter.chunks == chunks_for(model, n_reads) == (3 if noise_sigma is None else 0)
 
-    def test_bias_then_reads_keep_the_order(self):
-        model = SensorModel(seed=12, noise_sigma=0.002)
+    @pytest.mark.parametrize("noise_sigma", [0.002, 0.0], ids=["noise", "noiseless"])
+    def test_bias_then_reads_keep_the_order(self, noise_sigma):
+        model = SensorModel(seed=12, noise_sigma=noise_sigma)
         rng = np.random.default_rng(12)
         expected_bias = sum(scalar_raw(0.0, model, rng) for _ in range(7)) / 7
         calibrated = CalibratedSensor(model, calibration_samples=7)
         assert calibrated.bias_estimate.hex() == expected_bias.hex()
-        after = [calibrated.read(0.9).hex() for _ in range(20)]
+        n_reads = sensor._NORMALS_AHEAD + 20
+        counter = count_chunks(calibrated)
+        after = [calibrated.read(0.9).hex() for _ in range(n_reads)]
         assert after == [calibrate(scalar_raw(0.9, model, rng), model, expected_bias).hex()
-                         for _ in range(20)]
+                         for _ in range(n_reads)]
+        assert counter.chunks == chunks_for(model, n_reads) == (2 if noise_sigma else 0)
+
+    def test_an_overflowing_draw_reads_as_the_scalar_draw(self):
+        # A sigma near the float maximum overflows some scaled draws to +-inf, with no numpy
+        # warning (a RuntimeWarning fails the suite); the reads keep the scalar draws' bits.
+        model = SensorModel(seed=4, noise_sigma=1e308)
+        calibrated = CalibratedSensor(model, calibration_samples=1)
+        rng = np.random.default_rng(4)
+        bias_est = scalar_raw(0.0, model, rng)
+        got = [calibrated.read(1.0).hex() for _ in range(sensor._NORMALS_AHEAD)]
+        assert got == [calibrate(scalar_raw(1.0, model, rng), model, bias_est).hex()
+                       for _ in range(sensor._NORMALS_AHEAD)]
+        assert {"inf", "-inf"} <= set(got) and any(math.isfinite(float.fromhex(v)) for v in got)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(
@@ -203,6 +245,8 @@ class TestNoiseStream:
         gain_scale=st.floats(0.5, 2.0),
         calibration_samples=st.integers(1, 600),
     )
+    @example(seed=3, noise_sigma=None, min_force=0.0, gain_scale=1.0, calibration_samples=600)
+    @example(seed=3, noise_sigma=0.0, min_force=0.0, gain_scale=1.0, calibration_samples=600)
     def test_sensor_matches_the_scalar_reference(self, seed, noise_sigma, min_force, gain_scale,
                                                  calibration_samples):
         # 600 reads cross the 256-normal refill at least twice, wherever
@@ -215,9 +259,11 @@ class TestNoiseStream:
                        for _ in range(calibration_samples)) / calibration_samples
         assert calibrated.bias_estimate.hex() == bias_est.hex()
         forces = [0.01 * (i % 400) for i in range(600)]
+        counter = count_chunks(calibrated)
         got = [calibrated.read(f).hex() for f in forces]
         assert got == [calibrate(scalar_raw(f, model, rng), model, bias_est).hex()
                        for f in forces]
+        assert counter.chunks == chunks_for(model, 600)
 
 
 class TestCalibration:
