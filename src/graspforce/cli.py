@@ -173,10 +173,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
-    logging.basicConfig(
-        level=logging.WARNING - 10 * min(args.verbose + args.sub_verbose, 2),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    verbosity = min(args.verbose + args.sub_verbose, 2)
+    level = logging.WARNING - 10 * verbosity
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, as under pytest or in a
+    # program that embeds main; -v then reaches the package's logger through its own level,
+    # which main puts back when it returns.
+    previous_level = log.level
+    if verbosity:
+        log.setLevel(level)
     handlers = {
         "run": _cmd_run,
         "exp-a": _cmd_exp_a,
@@ -192,6 +197,8 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:  # a non-finite trial or calibration, an unwritable CSV, a pivot cap
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_FAULT
+    finally:
+        log.setLevel(previous_level)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ and reports displacement statistics; it keeps each trial's metrics, not
 its series, which run_trial (or `graspforce run`) gives for any one spec.
 Experiment B runs the push and wrist-rotation disturbance scenarios for the
 baseline controller and each single-component ablation, recording full
-time series plus headline metrics.
+time series plus headline metrics; a run whose series has the bits of an
+earlier run's gets a copy of that run's CSV, and an INFO line says so.
 
 All randomness flows from explicit integer seeds, so rerunning any
 experiment with the same seed writes byte-identical CSV files.
@@ -26,8 +27,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import logging
 import math
 import operator
+import shutil
+import struct
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,6 +52,8 @@ from .scenarios import (
     FORCE, ScenarioSpec, SensorSetup, TAPE_ROLL, TRAJECTORY, resolve, with_overrides,
 )
 from .sensor import CalibratedSensor
+
+log = logging.getLogger("graspforce")
 
 EXPERIMENT_A_OFFSETS = (0.002, 0.005, 0.008, 0.011, 0.014)
 EXPERIMENT_A_REPS = 3
@@ -100,6 +106,7 @@ class TimeSeriesRow(NamedTuple):
 
 CSV_HEADER = ",".join(TimeSeriesRow._fields)
 _F_INT = operator.itemgetter(TimeSeriesRow._fields.index("f_int"))
+_T = operator.itemgetter(TimeSeriesRow._fields.index("t"))
 # One CSV line per row: "%.9g" gives the bytes format(float(v), ".9g") gives
 # for every float, int and bool, so a series reads as the report tables do.
 _ROW_FORMAT = ",".join("%s" if kind is str else "%.9g"
@@ -482,7 +489,24 @@ _EXPERIMENT_B_SCENARIOS = {
 
 
 def _window_rows(result: TrialResult, t0: float, t1: float) -> list[TimeSeriesRow]:
-    return [r for r in result.series if t0 <= r.t <= t1]
+    """The rows with t0 <= t <= t1; row k is at k periods, so t rises and bisection finds them."""
+    series = result.series
+    return series[bisect.bisect_left(series, t0, key=_T):bisect.bisect_right(series, t1, key=_T)]
+
+
+def _same_series(a: list[TimeSeriesRow], b: list[TimeSeriesRow]) -> bool:
+    """Whether two series have the same bits, and so write the same CSV bytes.
+
+    Rows compare by ==, which lets a NaN match only itself, as one object;
+    == also takes 0.0 for -0.0, so a column that holds a zero must match
+    in its bits too. The last rows are compared first: series that part
+    ways seldom meet again.
+    """
+    if len(a) != len(b) or a[-1] != b[-1] or a != b:
+        return False
+    pack = struct.Struct(f"{len(a)}d").pack
+    return all(0.0 not in col_a or pack(*col_a) == pack(*col_b)
+               for col_a, col_b in zip(zip(*a), zip(*b)))
 
 
 def _experiment_b_spec(scenario: str, variant: str, base_seed: int,
@@ -518,7 +542,9 @@ def run_experiment_b(
     The push scenario presses 1 N on each finger in turn; the rotation
     scenario sweeps the wrist through 180 degrees. Sensor gains carry a
     +/-1% miscalibration, which is what the deadband ablation exposes as
-    post-push drift.
+    post-push drift. An ablation can leave its scenario's series bit for
+    bit as it was (see _same_series); such a run's CSV is copied from the
+    first run with that series, not formatted again, and logged at INFO.
     """
     _reject_overrides("exp-b", overrides, _EXPERIMENT_B_FIXED)
     # Every spec is built, and so checked, before the output directory is made.
@@ -544,7 +570,8 @@ def run_experiment_b(
         else:
             settled_windows = ((ROTATION_SWEEP.t_start + 1.0, ROTATION_SWEEP.t_end),)
             ref = result.value_at(ROTATION_SWEEP.t_start).x_obj
-            peak = max(abs(r.x_obj - ref) for r in result.series if r.t >= ROTATION_SWEEP.t_start)
+            peak = max(abs(r.x_obj - ref)
+                       for r in _window_rows(result, ROTATION_SWEEP.t_start, math.inf))
         # Every window holds rows: the spec reaches past them and the trial holds to its end.
         settled = max(r.f_int for t0, t1 in settled_windows for r in _window_rows(result, t0, t1))
         runs[(scenario, variant)] = ExperimentBRun(
@@ -559,8 +586,20 @@ def run_experiment_b(
         )
 
     if out is not None:
+        formatted: list[tuple[str, list[TimeSeriesRow], Path]] = []  # (run, series, file)
         for (scenario, variant), run in runs.items():
-            write_csv(run.result.series, out / f"exp_b_{scenario}_{variant}.csv")
+            name, series = f"{scenario}/{variant}", run.result.series
+            path = out / f"exp_b_{scenario}_{variant}.csv"
+            twin = next((f for f in formatted if _same_series(series, f[1])), None)
+            if twin is None:
+                formatted.append((name, series, write_csv(series, path)))
+                continue
+            twin_name, _, twin_path = twin
+            try:
+                shutil.copyfile(twin_path, path)
+            except OSError as exc:
+                raise RuntimeError(f"cannot write {path}: {exc}") from exc
+            log.info("exp-b: %s has %s's series, bit for bit", name, twin_name)
         columns = _columns(ExperimentBRun, "result")
         _write_table(
             out / "exp_b_metrics.csv",

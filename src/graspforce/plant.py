@@ -113,7 +113,8 @@ class WristSweep:
             raise ValueError("wrist sweep needs t_end > t_start")
 
     def angle(self, t: float) -> float:
-        """The angle at time t; the plant calls this on every substep of a sweep.
+        """The angle at time t; the plant calls this on every substep of a period the sweep
+        moves in, and once for a period that lies wholly before or after it.
 
         The clamp passes a NaN or -0.0 frac through unchanged; keep it that way.
         """
@@ -183,11 +184,16 @@ class Plant:
                        cfg.gravity, wrist, on[OBJECT], obj.mass * self._level_g_dot_n)
         n_sub = max(1, round(period / cfg.dt))
         dt = period / n_sub
+        # span bounds how far a period's last substep time lies past its
+        # first: t + dt rounds to the float nearest it, and t itself lies dt
+        # away, so each of the n_sub - 1 additions moves t by at most 2 * dt,
+        # and nextafter rounds the product up past its one rounding.
+        span = math.nextafter(2 * (n_sub - 1) * dt, math.inf)
         # Spring forces explicit, drag backward: the drag-to-mass ratios
         # of well-damped catalog objects sit at the edge of the explicit
         # stability bound at this substep, and drag divided into the
         # velocity update cannot flip its sign.
-        self._plan = (period, n_sub, dt, 1.0 + dt * obj.damping / obj.mass)
+        self._plan = (period, n_sub, dt, 1.0 + dt * obj.damping / obj.mass, span)
         self.q1 = 0.5 * start_aperture
         self.q2 = 0.5 * start_aperture
         self.x_obj = offset
@@ -242,18 +248,29 @@ class Plant:
         The state advances in place, and the step ends by publishing the
         reads at its new time; both are read from the plant's attributes.
         What the trial fixes, the substep plan (period, substep count,
-        substep and drag) and, when no sweep is scheduled, the object's
-        weight along the axis, is bound once in __init__; the finger
-        velocities once per period. The substeps run on locals and write the
-        state back at the end. Only the wrist angle and the weight it
-        projects (when a sweep is scheduled) and the object pushes (when any
-        exist) are evaluated per substep. The substep body calls no builtins.
+        substep, drag and the span of a period's substep times) and, when
+        no sweep is scheduled, the object's weight along the axis, is bound
+        once in __init__; the finger velocities once per period, and so is
+        the weight when the wrist stays clamped for the whole period. The
+        substeps run on locals and write the state back at the end. Only
+        the wrist angle and the weight it projects (in a period the sweep
+        moves in) and the object pushes (when any exist) are evaluated per
+        substep. The substep body calls no builtins.
         A penetration `d` that is NaN, -0.0 or negative gives the force
         `k * 0.0`, so an infinite stiffness still gives NaN; keep it that way.
         """
-        period, n_sub, dt, drag = self._plan
+        period, n_sub, dt, drag, span = self._plan
         k, half, mass, cap, gravity, wrist, object_pushes, weight = self._fixed
         q1, q2, x, v, t = self.q1, self.q2, self.x_obj, self.v_obj, self.t
+        # A wrist that stays clamped for the whole period is weighed once:
+        # every substep time then lies at or before t_start (the last is at
+        # most t + span), or past t_end (the first is past it, and t only
+        # grows). Each substep's angle would be the same clamp, up to the
+        # sign of a zero; f1 - f2 is never -0.0, so a zero weight of either
+        # sign adds to it with the same bits.
+        if wrist is not None and (t > wrist.t_end or t + span <= wrist.t_start):
+            weight = mass * (-gravity * math.sin(wrist.angle(t)))
+            wrist = None
         q1_cmd, q2_cmd = command
         # One constant velocity per finger for the whole period, sized to
         # land on the command, capped at the slew limit; a finger within one

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import subprocess
@@ -599,9 +600,9 @@ class TestExperiments:
 
     def test_exp_a_stdout_repeats_and_verbose_logs_the_time(self, tmp_path):
         # The wall time goes to the graspforce logger at INFO, so two runs of one seed print
-        # the same stdout and -v shows the time on stderr. Each run is a fresh interpreter:
-        # pytest's log handlers on the root logger keep main's logging.basicConfig from
-        # setting the level in-process.
+        # the same stdout and -v shows the time on stderr. Each run is a fresh interpreter,
+        # where main's logging.basicConfig installs the stderr handler and its format;
+        # in-process, pytest's log handlers on the root logger keep it from doing so.
         path = [str(Path(graspforce.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
@@ -617,6 +618,25 @@ class TestExperiments:
         assert quiet.stdout.endswith(f"\n90 trials; reports in {tmp_path}\n")
         assert quiet.stderr == ""
         assert re.fullmatch(r"INFO graspforce: exp-a ran 90 trials in \d+\.\d s\n", verbose.stderr)
+
+    def test_verbose_reaches_a_program_that_configured_logging(self, tmp_path, caplog):
+        # Once the root logger has a handler, logging.basicConfig in main does nothing, so
+        # -v sets the graspforce logger's own level for the call and main puts it back.
+        logging.basicConfig()
+        assert logging.getLogger().handlers
+        package_log = logging.getLogger("graspforce")
+        before = package_log.level
+
+        def exp_a(*flags):
+            caplog.clear()
+            assert main([*flags, "exp-a", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+            assert package_log.level == before
+            return [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+
+        assert exp_a() == []
+        (found,) = exp_a("-v")
+        assert found[:2] == ("graspforce", "INFO")
+        assert re.fullmatch(r"exp-a ran 90 trials in \d+\.\d s", found[2])
 
     def test_exp_b_writes_series_and_metrics(self, tmp_path, capsys):
         out = tmp_path / "expb"

@@ -1,9 +1,11 @@
 """Trial execution, metrics, CSV output, and experiment plumbing."""
 
 import dataclasses
+import logging
 import math
 import re
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -702,6 +704,177 @@ class TestColumnarMetrics:
         assert result.overshoot == pytest.approx(overshoot, abs=1e-12)
         assert result.max_total_force == max(f for _, f in phases)
         assert result.series is rows
+
+
+def frozen_window_rows(result, t0: float, t1: float) -> list[TimeSeriesRow]:
+    """exp-b's metric window as it was before bisection: a scan of every row."""
+    return [r for r in result.series if t0 <= r.t <= t1]
+
+
+def frozen_experiment_b_metrics(scenario: str, result: TrialResult) -> tuple:
+    """An exp-b run's metrics from scans of the whole series, as run_experiment_b read them
+    before it bisected: (settled max, drift rate, drift total, peak drift)."""
+    post_rate = post_total = peak = None
+    if scenario == "push":
+        settled_windows = harness._PUSH_SETTLED_WINDOWS
+        rate_rows = frozen_window_rows(result, *harness._POST_RATE_WINDOW)
+        total_rows = frozen_window_rows(result, *harness._POST_TOTAL_WINDOW)
+        post_rate = (rate_rows[-1].x_obj - rate_rows[0].x_obj) / (
+            rate_rows[-1].t - rate_rows[0].t
+        )
+        post_total = abs(total_rows[-1].x_obj - total_rows[0].x_obj)
+    else:
+        sweep = harness.ROTATION_SWEEP
+        settled_windows = ((sweep.t_start + 1.0, sweep.t_end),)
+        ref = result.value_at(sweep.t_start).x_obj
+        peak = max(abs(r.x_obj - ref) for r in result.series if r.t >= sweep.t_start)
+    settled = max(r.f_int for t0, t1 in settled_windows
+                  for r in frozen_window_rows(result, t0, t1))
+    return settled, post_rate, post_total, peak
+
+
+class TestMetricWindows:
+    """exp-b finds its metric windows by bisection and gives the full scans' bits."""
+
+    @pytest.mark.parametrize("base_seed, overrides", [(0, None), (7, None), (13, None),
+                                                      (0, QUIET), (11, QUIET)],
+                             ids=["seed0", "seed7", "seed13", "noiseless0", "noiseless11"])
+    def test_every_run_matches_the_frozen_scans(self, base_seed, overrides):
+        runs = run_experiment_b(base_seed=base_seed, overrides=overrides)
+        assert len(runs) == 8
+        for (scenario, variant), run in runs.items():
+            found = (run.settled_max_total_force, run.post_drift_rate, run.post_drift_total,
+                     run.peak_object_drift)
+            assert repr(found) == repr(frozen_experiment_b_metrics(scenario, run.result)), (
+                scenario, variant)
+
+    @staticmethod
+    def series(times):
+        return types.SimpleNamespace(series=[
+            TimeSeriesRow(t, 0.03, 0.03, 1.0, 1.0, 2.0, 0.0, 0.001 * k, "holding", 0.0, 0.0)
+            for k, t in enumerate(times)])
+
+    # Rows at 0.25 s spacing, each time exact in binary.
+    TIMES = [0.25 * k for k in range(9)]
+    WINDOWS = {
+        "both_edges_on_rows": ((0.5, 1.5), [0.5, 0.75, 1.0, 1.25, 1.5]),
+        "one_row": ((1.0, 1.0), [1.0]),
+        "edges_between_rows": ((0.6, 1.4), [0.75, 1.0, 1.25]),
+        "between_two_rows": ((0.6, 0.7), []),
+        "first_row": ((0.0, 0.0), [0.0]),
+        "last_row": ((2.0, 2.0), [2.0]),
+        "past_both_ends": ((-1.0, 9.0), TIMES),
+    }
+
+    @pytest.mark.parametrize("case", WINDOWS)
+    def test_hand_built_windows_are_inclusive(self, case):
+        (t0, t1), times = self.WINDOWS[case]
+        result = self.series(self.TIMES)
+        rows = harness._window_rows(result, t0, t1)
+        assert [r.t for r in rows] == times
+        assert rows == frozen_window_rows(result, t0, t1)
+
+
+def exp_b_files(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def formatted(monkeypatch) -> list:
+    """The file name of every write_csv call from here on."""
+    write, names = harness.write_csv, []
+
+    def keeping(rows, path):
+        names.append(path.name)
+        return write(rows, path)
+
+    monkeypatch.setattr(harness, "write_csv", keeping)
+    return names
+
+
+class TestCopiedSeries:
+    """exp-b formats each distinct series once and copies it for a run with the same bits."""
+
+    TWINS = {"exp_b_push_no_gravity_comp.csv": "exp_b_push_none.csv",
+             "exp_b_rotation_no_compliance.csv": "exp_b_rotation_none.csv"}
+    FLOAT_COLUMNS = [name for name in TimeSeriesRow._fields if name != "phase"]
+
+    @pytest.mark.parametrize("overrides", [None, QUIET], ids=["noisy", "noiseless"])
+    def test_each_copy_is_logged_once(self, tmp_path, caplog, formatted, overrides):
+        caplog.set_level(logging.INFO, logger="graspforce")
+        run_experiment_b(out_dir=tmp_path, base_seed=0, overrides=overrides)
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("graspforce", "INFO",
+             "exp-b: push/no_gravity_comp has push/none's series, bit for bit"),
+            ("graspforce", "INFO",
+             "exp-b: rotation/no_compliance has rotation/none's series, bit for bit"),
+        ]
+        assert len(formatted) == 6 and not set(formatted) & set(self.TWINS)
+        files = exp_b_files(tmp_path)
+        assert len(files) == 9
+        assert all(files[twin] == files[first] for twin, first in self.TWINS.items())
+
+    @pytest.mark.parametrize("base_seed", [0, 7])
+    def test_a_copy_has_the_bytes_formatting_writes(self, tmp_path, monkeypatch, base_seed):
+        run_experiment_b(out_dir=tmp_path / "copied", base_seed=base_seed)
+        monkeypatch.setattr(harness, "_same_series", lambda a, b: False)
+        run_experiment_b(out_dir=tmp_path / "formatted", base_seed=base_seed)
+        copied, formatted = exp_b_files(tmp_path / "copied"), exp_b_files(tmp_path / "formatted")
+        assert len(copied) == 9 and copied == formatted
+
+    def test_without_an_out_dir_nothing_is_compared(self, monkeypatch):
+        monkeypatch.setattr(harness, "_same_series", None)
+        assert len(run_experiment_b(overrides=QUIET)) == 8
+
+    def run_with_row_0(self, monkeypatch, tmp_path, column, first, twin):
+        """exp-b at seed 0 with row 0's column set to first in push/none and to twin in
+        push/no_gravity_comp, which otherwise has push/none's series."""
+        run, values = harness.run_trial, iter([first, None, None, twin])
+
+        def setting(spec, tapes=None):
+            result = run(spec, tapes)
+            value = next(values, None)
+            if value is not None:
+                result.series[0] = result.series[0]._replace(**{column: value})
+            return result
+
+        monkeypatch.setattr(harness, "run_trial", setting)
+        run_experiment_b(out_dir=tmp_path, base_seed=0)
+        return [(tmp_path / name).read_text().splitlines()[1].split(",")
+                for name in ("exp_b_push_none.csv", "exp_b_push_no_gravity_comp.csv")]
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    @pytest.mark.parametrize("first, twin", [(0.0, -0.0), (-0.0, 0.0)], ids=["0,-0", "-0,0"])
+    def test_a_zero_of_the_other_sign_is_formatted(self, monkeypatch, tmp_path, formatted,
+                                                   column, first, twin):
+        none, gravity = self.run_with_row_0(monkeypatch, tmp_path, column, first, twin)
+        assert "exp_b_push_no_gravity_comp.csv" in formatted and len(formatted) == 7
+        at = TimeSeriesRow._fields.index(column)
+        assert (none[at], gravity[at]) == (format(first, ".9g"), format(twin, ".9g"))
+        assert none[:at] + none[at + 1:] == gravity[:at] + gravity[at + 1:]
+
+    @pytest.mark.parametrize("column", FLOAT_COLUMNS)
+    def test_a_nan_in_another_object_is_formatted(self, monkeypatch, tmp_path, formatted,
+                                                  column):
+        none, gravity = self.run_with_row_0(monkeypatch, tmp_path, column, float("nan"),
+                                            float("nan"))
+        assert "exp_b_push_no_gravity_comp.csv" in formatted and len(formatted) == 7
+        assert none == gravity and none[TimeSeriesRow._fields.index(column)] == "nan"
+
+    def test_one_nan_object_in_both_is_copied(self, monkeypatch, tmp_path, formatted):
+        nan = float("nan")
+        none, gravity = self.run_with_row_0(monkeypatch, tmp_path, "x_obj", nan, nan)
+        assert "exp_b_push_no_gravity_comp.csv" not in formatted and len(formatted) == 6
+        assert none == gravity
+
+    def test_an_unwritable_copy_is_a_runtime_error(self, tmp_path, monkeypatch):
+        def refusing(source, target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(harness.shutil, "copyfile", refusing)
+        target = tmp_path / "exp_b_push_no_gravity_comp.csv"
+        with pytest.raises(RuntimeError, match=f"^cannot write {re.escape(str(target))}: "):
+            run_experiment_b(out_dir=tmp_path, overrides=QUIET)
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@
 plant, controller and checks import only the standard library, so a bare
 copy of the three runs on any interpreter, without numpy. The script below
 drives both controllers through plants with finger pushes, overlapping
-object pushes and a wrist sweep, restores each plant mid-run onto a fresh
+object pushes and two wrist sweeps, restores each plant mid-run onto a fresh
 one, and hashes every command and state. The test runs it under each other
 CPython it finds and compares each hash with the one this interpreter gets
 from the package itself. The sensor noise, the closure certifier and the
@@ -38,6 +38,8 @@ def digest(plant, controller):
     """SHA-256 over every tick's command, plant state, f_ext and phase, for every case."""
     out = hashlib.sha256()
     push, sweep = plant.Push, plant.WristSweep(0.4, 1.8, angle_end=math.pi)
+    # Edges inside a 0.01 s period: the plant weighs a still wrist once per period.
+    inside = plant.WristSweep(0.40537, 1.70261, angle_end=-2.0, angle_start=0.5)
     disturbances = (
         ((), None),
         ((push("finger1", 1.0, 0.5, 1.2), push("finger2", 0.7, 0.8, 1.9, ramp=0.05)), None),
@@ -45,6 +47,7 @@ def digest(plant, controller):
         ((push("object", 0.1, 0.4, 1.6), push("object", 0.2, 0.6, 1.8, ramp=0.2),
           push("object", 0.3, 0.8, 1.9, ramp=0.0)), None),
         ((push("finger1", 0.3, 0.9, 1.5),), sweep),
+        ((push("object", 0.2, 0.3, 1.1, ramp=0.05),), inside),
     )
     objects = (plant.ObjectSpec("roll", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
                plant.ObjectSpec("foam", mass=0.002, width=0.05, stiffness=500.0, damping=1.0))

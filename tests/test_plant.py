@@ -449,8 +449,38 @@ MIXED_PUSHES = (
     Push(FINGER_2, -0.7, 0.5, 2.0, ramp=0.1),
 )
 
+
+def substep_time(n: int, dt: float = 0.001) -> float:
+    """The plant's time after n substeps of dt, added one at a time as Plant.step adds them."""
+    t = 0.0
+    for _ in range(n):
+        t += dt
+    return t
+
+
+# The plant weighs a wrist that stays clamped for a whole period once, so each sweep below
+# puts a period's substeps on both sides of an edge, or a substep on the edge itself.
+PUSHED_SLAB = ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0)
+SWEEP_CASES = {
+    # Inside a period at every period the test runs (0.01, 0.005, 0.0123 and 0.0004 s).
+    "sweep edges inside a period": WristSweep(0.30551, 1.70713, angle_end=2.5),
+    # On the first substep of a 0.01 s and a 0.005 s period, bit for bit.
+    "sweep edges on a period boundary": WristSweep(substep_time(300), substep_time(1700),
+                                                   angle_end=-math.pi),
+    "sweep from -0.0": WristSweep(0.4, 1.5, angle_end=math.pi, angle_start=-0.0),
+    "sweep downward": WristSweep(0.5, 2.0, angle_end=-1.0, angle_start=2.0),
+    "sweep shorter than a period": WristSweep(0.80123, 0.80771, angle_end=1.2, angle_start=0.3),
+}
+
 # name -> (object, offset, start aperture, pushes, wrist sweep, plant config)
 REFERENCE_SCENARIOS = {
+    **{name: (PUSHED_SLAB, 0.002, 0.066, MIXED_PUSHES[:2], sweep, PlantConfig())
+       for name, sweep in SWEEP_CASES.items()},
+    # 0.01 s over dt 7e-4 gives 14 substeps of 0.000714... s, a period no dt divides.
+    "sweep with a period that is not a multiple of dt": (
+        PUSHED_SLAB, -0.001, 0.066, (), SWEEP_CASES["sweep edges inside a period"],
+        PlantConfig(dt=7e-4),
+    ),
     "object pushes": (
         ObjectSpec("slab", mass=0.049, width=0.06, stiffness=2000.0, damping=60.0),
         0.0, 0.064, MIXED_PUSHES, None, PlantConfig(),
